@@ -32,6 +32,19 @@ Smooth profiles are integrated by fixed-step RK4 in y (several substeps
 per grid cell) and stored as monotone cubic Hermite tables; piecewise
 constant (rough) profiles integrate exactly to piecewise-linear tables and
 use cell lookups for the transported packets.
+
+Inversion.  Every state evaluation needs the y with xi(t, y) = s.  One
+vectorized, safeguarded Newton solver (`xi_time_inverse`) serves all of
+them: the initial-curve inverse (t = 0), the y-period of a smooth table,
+solves and string reconstruction.  Times and positions are arrays that
+broadcast together, so a whole set of slices or a whole anchor line is one
+call.  Newton uses the exact slope of the tables' own interpolants inside
+the Lipschitz bracket, falls back to bisection, and converges in about
+five steps.
+
+Periodic data are global in time exactly: with t = m Y_p + r, the solution
+satisfies U(t, s) = U(r, s - m Phi_p) (the shift taken modulo S_p), so
+`evolve_states` evaluates |t| = 1e9 as accurately as |t| < Y_p / 2.
 """
 
 from __future__ import annotations
@@ -70,6 +83,15 @@ def admissibility(profile: Profile, delta_cap: float = 1.0 - 1e-12) -> Admissibi
     returned delta also respects the upper bound tau +- (v - alpha) <= 1/delta.
     Raises InadmissibleDataError carrying the violating sample pair.
     """
+    for name in ("tau", "v"):
+        bad = np.flatnonzero(~np.isfinite(getattr(profile, name)))
+        if bad.size:
+            i = int(bad[0])
+            raise InadmissibleDataError(
+                f"{name} must be finite; {name}[{i}] = {getattr(profile, name)[i]} "
+                f"at s = {profile.s_samples[i]:.6g}",
+                pair=(i, i),
+            )
     if np.any(profile.tau <= 0.0):
         i = int(np.argmin(profile.tau))
         raise InadmissibleDataError(
@@ -206,39 +228,40 @@ class CharacteristicFlow:
         wind = np.floor((y - self.y_first) / self.y_period)
         return y - wind * self.y_period, wind
 
-    def xi0(self, y):
-        """Initial curve xi(0, y), defined for every real y."""
-        if self.mode == "pc":
-            return self._pc_xi0(y)
-        yr, wind = self._smooth_reduce(y)
-        val = _hermite_table_eval(self.y_first, self.h, self.xi_nodes, self.xi_slopes, yr)
-        if self.y_period is not None:
-            val = val + wind * self.s_period
-        else:
-            lo = self.y_first
-            hi = self.y_first + (len(self.xi_nodes) - 1) * self.h
-            below = yr < lo
-            above = yr > hi
-            val = np.where(below, self.xi_nodes[0] + self.xi_slopes[0] * (yr - lo), val)
-            val = np.where(above, self.xi_nodes[-1] + self.xi_slopes[-1] * (yr - hi), val)
-        return val
+    def _table(self, y, values, slopes, period, deriv):
+        """One table of the initial curve at y, or its y-derivative.
 
-    def phi0(self, y):
+        Smooth tables are cubic Hermite on the uniform y grid, rough ones are
+        linear on the cells between `y_edges`.  Periodic tables wind by whole
+        y-periods, each adding `period`; the others continue linearly with
+        their end slopes.  The derivative is that of the interpolant itself.
+        """
+        if self.mode == "pc":
+            yr, wind, k = self._pc_cell(y)
+            val = slopes[k] if deriv else values[k] + (yr - self.y_edges[k]) * slopes[k]
+            lo, hi = self.y_edges[0], self.y_edges[-1]
+        else:
+            yr, wind = self._smooth_reduce(y)
+            val = _hermite_table_eval(self.y_first, self.h, values, slopes, yr, deriv)
+            lo, hi = self.y_first, self.y_first + (len(values) - 1) * self.h
+        if deriv:  # clamped lookups already return the end slopes beyond the ends
+            return val
+        if self.y_period is not None:
+            return val + wind * period
+        val = np.where(yr < lo, values[0] + slopes[0] * (yr - lo), val)
+        return np.where(yr > hi, values[-1] + slopes[-1] * (yr - hi), val)
+
+    def xi0(self, y, deriv=False):
+        """Initial curve xi(0, y), defined for every real y (its slope with deriv)."""
+        if self.mode == "pc":
+            return self._table(y, self.s_edges, self.cell_tau, self.s_period, deriv)
+        return self._table(y, self.xi_nodes, self.xi_slopes, self.s_period, deriv)
+
+    def phi0(self, y, deriv=False):
         """Antiderivative of v(0, xi0(.)), normalized to vanish at y = 0."""
         if self.mode == "pc":
-            return self._pc_phi0(y)
-        yr, wind = self._smooth_reduce(y)
-        val = _hermite_table_eval(self.y_first, self.h, self.phi_nodes, self.phi_slopes, yr)
-        if self.y_period is not None:
-            val = val + wind * self.phi_period
-        else:
-            lo = self.y_first
-            hi = self.y_first + (len(self.phi_nodes) - 1) * self.h
-            below = yr < lo
-            above = yr > hi
-            val = np.where(below, self.phi_nodes[0] + self.phi_slopes[0] * (yr - lo), val)
-            val = np.where(above, self.phi_nodes[-1] + self.phi_slopes[-1] * (yr - hi), val)
-        return val
+            return self._table(y, self.pc_phi_edges, self.cell_v, self.phi_period, deriv)
+        return self._table(y, self.phi_nodes, self.phi_slopes, self.phi_period, deriv)
 
     def _pc_cell(self, y):
         y = np.asarray(y, dtype=float)
@@ -252,71 +275,9 @@ class CharacteristicFlow:
         k = np.clip(k, 0, len(self.y_edges) - 2)
         return yr, wind, k
 
-    def _pc_xi0(self, y):
-        yr, wind, k = self._pc_cell(y)
-        val = self.s_edges[k] + (yr - self.y_edges[k]) * self.cell_tau[k]
-        if self.y_period is not None:
-            return val + wind * self.s_period
-        lo, hi = self.y_edges[0], self.y_edges[-1]
-        val = np.where(yr < lo, self.s_edges[0] + self.cell_tau[0] * (yr - lo), val)
-        val = np.where(yr > hi, self.s_edges[-1] + self.cell_tau[-1] * (yr - hi), val)
-        return val
-
-    def _pc_phi0(self, y):
-        yr, wind, k = self._pc_cell(y)
-        phi_edges = self.pc_phi_edges
-        val = phi_edges[k] + (yr - self.y_edges[k]) * self.cell_v[k]
-        if self.y_period is not None:
-            return val + wind * self.phi_period
-        lo, hi = self.y_edges[0], self.y_edges[-1]
-        val = np.where(yr < lo, phi_edges[0] + self.cell_v[0] * (yr - lo), val)
-        val = np.where(yr > hi, phi_edges[-1] + self.cell_v[-1] * (yr - hi), val)
-        return val
-
     def xi0_inverse(self, s):
-        """Monotone inversion of the initial curve."""
-        if self.mode == "pc":
-            s = np.asarray(s, dtype=float)
-            if self.s_period is not None:
-                wind = np.floor((s - self.s_edges[0]) / self.s_period)
-                sr = s - wind * self.s_period
-            else:
-                wind = np.zeros_like(s)
-                sr = s
-            k = np.clip(np.searchsorted(self.s_edges, sr, side="right") - 1, 0, len(self.s_edges) - 2)
-            val = self.y_edges[k] + (sr - self.s_edges[k]) / self.cell_tau[k]
-            if self.s_period is not None:
-                return val + wind * self.y_period
-            lo, hi = self.s_edges[0], self.s_edges[-1]
-            val = np.where(sr < lo, self.y_edges[0] + (sr - lo) / self.cell_tau[0], val)
-            val = np.where(sr > hi, self.y_edges[-1] + (sr - hi) / self.cell_tau[-1], val)
-            return val
-        s = np.asarray(s, dtype=float)
-        if self.s_period is not None:
-            base = self.xi_nodes[0]
-            wind = np.floor((s - base) / self.s_period)
-            sr = s - wind * self.s_period
-        else:
-            wind = np.zeros_like(s)
-            sr = s
-        j = np.clip(np.searchsorted(self.xi_nodes, sr, side="right") - 1, 0, len(self.xi_nodes) - 2)
-        lo = self.y_first + j * self.h
-        hi = lo + self.h
-        for _ in range(48):
-            mid = 0.5 * (lo + hi)
-            too_low = _hermite_table_eval(self.y_first, self.h, self.xi_nodes, self.xi_slopes, mid) < sr
-            lo = np.where(too_low, mid, lo)
-            hi = np.where(too_low, hi, mid)
-        y = 0.5 * (lo + hi)
-        if self.s_period is None:
-            below = sr < self.xi_nodes[0]
-            above = sr > self.xi_nodes[-1]
-            y_lo = self.y_first
-            y_hi = self.y_first + (len(self.xi_nodes) - 1) * self.h
-            y = np.where(below, y_lo + (sr - self.xi_nodes[0]) / self.xi_slopes[0], y)
-            y = np.where(above, y_hi + (sr - self.xi_nodes[-1]) / self.xi_slopes[-1], y)
-            return y
-        return y + wind * self.y_period
+        """Monotone inversion of the initial curve: xi_time_inverse at t = 0."""
+        return xi_time_inverse(self, 0.0, s)
 
     # -- transported packets ----------------------------------------------
 
@@ -448,8 +409,8 @@ def _build_flow_smooth(profile, alpha, delta, pk, substeps) -> CharacteristicFlo
             pk_slopes=centered_slopes(pk, ds, profile.boundary),
         )
         # y-period: the root of xi0(y) = period in the freshly built table
-        y_p = _table_root(flow, period)
-        flow.y_period = float(y_p)
+        y_p = float(xi_time_inverse(flow, 0.0, period))
+        flow.y_period = y_p
         flow.phi_period = float(_hermite_table_eval(0.0, h, flow.phi_nodes, flow.phi_slopes, y_p))
         return flow
 
@@ -474,20 +435,6 @@ def _build_flow_smooth(profile, alpha, delta, pk, substeps) -> CharacteristicFlo
     )
 
 
-def _table_root(flow: CharacteristicFlow, s_value: float) -> float:
-    """y with xi0(y) = s_value, from the raw smooth table (no reduction)."""
-    nodes, slopes, h = flow.xi_nodes, flow.xi_slopes, flow.h
-    j = int(np.clip(np.searchsorted(nodes, s_value) - 1, 0, len(nodes) - 2))
-    lo, hi = flow.y_first + j * h, flow.y_first + (j + 1) * h
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if _hermite_table_eval(flow.y_first, h, nodes, slopes, mid) < s_value:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
 def xi_evaluate(flow: CharacteristicFlow, t, y):
     """(xi, dt xi, dy xi) at (t, y) from the d'Alembert formulas."""
     y = np.asarray(y, dtype=float)
@@ -501,48 +448,78 @@ def xi_evaluate(flow: CharacteristicFlow, t, y):
     return xi, dxi_dt, dxi_dy
 
 
-def _xi_only(flow, t, y):
+def _xi_only(flow, t, y, deriv=False):
+    """xi(t, y) by d'Alembert; with deriv, dy xi from the tables' own slopes."""
     yp = y + t
     ym = y - t
-    return 0.5 * (flow.xi0(yp) + flow.xi0(ym)) + 0.5 * (flow.phi0(yp) - flow.phi0(ym))
+    return (0.5 * (flow.xi0(yp, deriv) + flow.xi0(ym, deriv))
+            + 0.5 * (flow.phi0(yp, deriv) - flow.phi0(ym, deriv)))
 
 
 def xi_time_inverse(flow: CharacteristicFlow, t, s, y_tol: float = 1e-12):
-    """y with xi(t, y) = s, by bracketed bisection plus one Newton step.
+    """y with xi(t, y) = s, by safeguarded Newton; t and s broadcast together.
 
-    The Lipschitz bounds delta <= dy xi <= 1/delta give an exact starting
-    bracket, so bisection cannot fail; the final Newton polish uses the
-    transported slope.
+    With e = s - xi(t, 0), the Lipschitz bounds delta <= dy xi <= 1/delta
+    put the root in [e delta, e/delta] (in [e/delta, e delta] for e < 0).
+    Newton starts at the bracket midpoint and steps with the exact slope of
+    the tables' interpolants: cubic Hermite for smooth flows, the cell slopes
+    for rough ones.  Every evaluation narrows the bracket, and a step that
+    leaves it or fails to halve the previous step is replaced by bisection,
+    so the iteration cannot fail.  A point stops once its step is at most
+    y_tol (1 + |y|).
     """
+    t = np.asarray(t, dtype=float)
     s = np.asarray(s, dtype=float)
-    c = float(_xi_only(flow, t, np.zeros(1))[0])
-    e = s - c
+    e = s - _xi_only(flow, t, np.zeros_like(t))
+    shape = e.shape
+    t, s, e = (a.ravel() for a in np.broadcast_arrays(t, s, e))
     margin = 1e-9 * (1.0 + np.abs(e))
-    lo = np.where(e >= 0.0, e * flow.delta - margin, e / flow.delta - margin)
-    hi = np.where(e >= 0.0, e / flow.delta + margin, e * flow.delta + margin)
-    span = float(np.max(hi - lo)) if hi.size else 0.0
-    iters = max(8, int(math.ceil(math.log2(max(span, 1e-300) / y_tol))) + 2) if span > y_tol else 8
-    for _ in range(min(iters, 80)):
-        mid = 0.5 * (lo + hi)
-        too_low = _xi_only(flow, t, mid) < s
-        lo = np.where(too_low, mid, lo)
-        hi = np.where(too_low, hi, mid)
+    lo = np.where(e >= 0.0, e * flow.delta, e / flow.delta) - margin
+    hi = np.where(e >= 0.0, e / flow.delta, e * flow.delta) + margin
     y = 0.5 * (lo + hi)
-    if flow.mode == "smooth":
-        xi, _, dxi_dy = xi_evaluate(flow, t, y)
-        y = y - (xi - s) / dxi_dy
+    step = hi - lo
+    live = np.arange(y.size)  # points still iterating
+    for _ in range(200):
+        if not live.size:
+            break
+        tl, yl = t[live], y[live]
+        f = _xi_only(flow, tl, yl) - s[live]
+        lo_l = np.where(f < 0.0, yl, lo[live])
+        hi_l = np.where(f < 0.0, hi[live], yl)
+        newton = f / _xi_only(flow, tl, yl, True)
+        y_new = yl - newton
+        bisect = (y_new < lo_l) | (y_new > hi_l) | (np.abs(newton) > 0.5 * np.abs(step[live]))
+        y_new = np.where(bisect, 0.5 * (lo_l + hi_l), y_new)
+        lo[live], hi[live], y[live], step[live] = lo_l, hi_l, y_new, y_new - yl
+        live = live[np.abs(y_new - yl) > y_tol * (1.0 + np.abs(y_new))]
     if y.size:
         resid = float(np.max(np.abs(_xi_only(flow, t, y) - s)))
         scale = 1.0 + float(np.max(np.abs(s)))
         if resid > 1e-8 * scale:
             # unreachable for a bi-Lipschitz curve; indicates a broken bracket
             raise RuntimeError(f"internal error: inversion residual {resid:.3e}")
-    return y
+    return y.reshape(shape)
 
 
 def evolve_states(flow: CharacteristicFlow, t, s_points) -> StateU:
-    """Exact solution state at time t and positions s_points."""
-    y = xi_time_inverse(flow, t, s_points)
+    """Exact solution state at times t and positions s_points (broadcast together).
+
+    Periodic flows evaluate far times exactly through one period shift:
+    xi0(y + Y_p) = xi0(y) + S_p and Phi(y + Y_p) = Phi(y) + Phi_p give
+    xi(m Y_p + r, y) = xi(r, y) + m Phi_p, so U(t, s) = U(r, s - m Phi_p)
+    with m = round(t / Y_p), the shift taken modulo S_p.  The feet y +- r
+    then stay within a period of the table; evaluated directly, the
+    d'Alembert sum at |t| = 1e9 would lose about nine digits to
+    cancellation.  For m = 0 nothing changes.
+    """
+    t = np.asarray(t, dtype=float)
+    s = np.asarray(s_points, dtype=float)
+    if flow.y_period is not None:
+        m = np.round(t / flow.y_period)
+        shift = m * flow.phi_period
+        t = t - m * flow.y_period
+        s = s - (shift - flow.s_period * np.round(shift / flow.s_period))
+    y = xi_time_inverse(flow, t, s)
     ap, _, cp, _ = flow.invariants_at(y + t)
     _, am, _, cm = flow.invariants_at(y - t)
     tau = 0.5 * (ap - am)
@@ -622,7 +599,8 @@ def reconstruct_string(flow: CharacteristicFlow, times, s_points,
     fourth-order cumulative s-integration normalized by X(0, 0) = 0, the
     anchor line X(t, 0) from composite-Simpson time integration (continuous
     evaluation makes the substep free), and each requested time slice is
-    anchored there.  Requires tau >= delta/2 everywhere (degenerate states
+    anchored there.  All Simpson nodes are one batched solve and all slices
+    another.  Requires tau >= delta/2 everywhere (degenerate states
     rejected) and a uniform s grid containing 0.
     """
     s_pts = np.asarray(s_points, dtype=float)
@@ -631,58 +609,41 @@ def reconstruct_string(flow: CharacteristicFlow, times, s_points,
         raise ValueError("s_points must contain 0 for the X(0,0) = 0 normalization")
     if float(np.min(flow.profile.tau)) < 0.5 * flow.delta:
         raise DomainError("degenerate state: tau below delta/2")
-
-    def slice_fields(t):
-        U = evolve_states(flow, t, s_pts)
-        if np.any(U.tau < 0.5 * flow.delta):
-            raise DomainError("degenerate state: tau below delta/2")
-        dxds = U.eta / U.tau[:, None]
-        dxdt = -U.zeta - U.v[:, None] * dxds
-        return U, dxds, dxdt
-
-    def anchored_x(t, x_at_zero):
-        U, dxds, dxdt = slice_fields(t)
-        prim = cumulative_integral(dxds, ds, "constant")
-        at0 = cubic_interp(s_pts[0], ds, prim, np.zeros(1), "constant")[0]
-        return StringGraph(t, float(s_pts[0]), ds, prim - at0 + x_at_zero, dxds, dxdt,
-                           flow.profile.boundary)
-
     times = list(times)
-    order = sorted(range(len(times)), key=lambda k: times[k])
-    graphs: list[StringGraph | None] = [None] * len(times)
+    if not times:
+        return []
 
-    def dxdt_at_zero(t):
-        U = evolve_states(flow, t, np.zeros(1))
-        return -U.zeta[0] - U.v[0] * U.eta[0] / U.tau[0]
-
-    def line_integral(t_a, t_b, x_a):
-        if t_b == t_a:
-            return x_a
-        steps = max(2, 2 * int(math.ceil(abs(t_b - t_a) / (2.0 * sub_dt))))
-        tt = np.linspace(t_a, t_b, steps + 1)
-        vals = np.stack([dxdt_at_zero(tk) for tk in tt])
-        w = np.ones(steps + 1)
+    # anchor line X(t, 0): march outward from t = 0 through the sorted times in
+    # both directions, one composite-Simpson leg per step (a repeated time is a
+    # leg of length 0), every node of every leg in one solve
+    chains = (sorted(t for t in times if t >= 0.0),
+              sorted((t for t in times if t < 0.0), reverse=True))
+    legs = [(a, b) for chain in chains for a, b in zip([0.0] + chain[:-1], chain)]
+    nodes = [np.linspace(a, b, max(2, 2 * int(math.ceil(abs(b - a) / (2.0 * sub_dt)))) + 1)
+             for a, b in legs]
+    tt = np.concatenate(nodes)
+    U = evolve_states(flow, tt, np.zeros_like(tt))
+    rate = -U.zeta - U.v[:, None] * U.eta / U.tau[:, None]
+    anchor = {0.0: np.zeros(flow.profile.d)}
+    for (a, b), vals in zip(legs, np.split(rate, np.cumsum([len(x) for x in nodes])[:-1])):
+        w = np.ones(len(vals))
         w[1:-1:2] = 4.0
         w[2:-1:2] = 2.0
-        return x_a + (t_b - t_a) / steps / 3.0 * np.tensordot(w, vals, axes=(0, 0))
+        anchor[b] = anchor[a] + (b - a) / (len(vals) - 1) / 3.0 * np.tensordot(w, vals, axes=(0, 0))
 
-    d = flow.profile.d
-    # march outward from t = 0 through the sorted times, both directions
-    pos = [times[k] for k in order if times[k] >= 0.0]
-    neg = [times[k] for k in order if times[k] < 0.0][::-1]
-    anchor = {0.0: np.zeros(d)}
-    t_prev, x_prev = 0.0, np.zeros(d)
-    for t in pos:
-        x_prev = line_integral(t_prev, t, x_prev)
-        anchor[t] = x_prev
-        t_prev = t
-    t_prev, x_prev = 0.0, np.zeros(d)
-    for t in neg:
-        x_prev = line_integral(t_prev, t, x_prev)
-        anchor[t] = x_prev
-        t_prev = t
-    for k in order:
-        graphs[k] = anchored_x(times[k], anchor[times[k]])
+    # every requested slice in one solve, each anchored at X(t, 0)
+    tq, sq = np.broadcast_arrays(np.asarray(times, dtype=float)[:, None], s_pts)
+    U = evolve_states(flow, tq, sq)
+    if np.any(U.tau < 0.5 * flow.delta):
+        raise DomainError("degenerate state: tau below delta/2")
+    dxds = U.eta / U.tau[..., None]
+    dxdt = -U.zeta - U.v[..., None] * dxds
+    graphs = []
+    for k, t in enumerate(times):
+        prim = cumulative_integral(dxds[k], ds, "constant")
+        at0 = cubic_interp(s_pts[0], ds, prim, np.zeros(1), "constant")[0]
+        graphs.append(StringGraph(t, float(s_pts[0]), ds, prim - at0 + anchor[t], dxds[k],
+                                  dxdt[k], flow.profile.boundary))
     return graphs
 
 

@@ -178,6 +178,19 @@ class Profile:
             self.eta = self.eta[:, None]
         if self.zeta.ndim == 1:
             self.zeta = self.zeta[:, None]
+        if self.tau.ndim != 1 or self.v.shape != self.tau.shape:
+            raise ValueError(f"tau and v must be 1-D of equal length; got shapes "
+                             f"{self.tau.shape} and {self.v.shape}")
+        n = self.tau.shape[0]
+        if self.eta.ndim != 2 or self.eta.shape[0] != n or self.zeta.shape != self.eta.shape:
+            raise ValueError(f"eta and zeta must both have shape (n, d) with n = {n}; got "
+                             f"{self.eta.shape} and {self.zeta.shape}")
+        for name in ("tau", "v", "eta", "zeta"):
+            values = getattr(self, name)
+            bad = np.argwhere(~np.isfinite(values))
+            if bad.size:
+                at = ", ".join(str(int(k)) for k in bad[0])
+                raise ValueError(f"{name}[{at}] = {values[tuple(bad[0])]} is not finite")
 
     @property
     def n(self) -> int:
@@ -229,6 +242,7 @@ class Profile:
 
 
 def fmt17(x: float) -> str:
+    """The snapshot number format: 17 significant digits, round-trip exact."""
     return format(float(x), ".17g")
 
 
@@ -238,13 +252,11 @@ def write_snapshot(csv_path: str, profile: Profile, meta: dict | None = None) ->
     header = ["s", "tau", "v"]
     header += [f"eta_{k + 1}" for k in range(d)]
     header += [f"zeta_{k + 1}" for k in range(d)]
-    s = profile.s_samples
+    rows = np.column_stack([profile.s_samples, profile.tau, profile.v, profile.eta, profile.zeta])
+    line = ",".join(["%.17g"] * rows.shape[1]) + "\n"  # fmt17 on every value
     with open(csv_path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        for i in range(profile.n):
-            row = [s[i], profile.tau[i], profile.v[i]]
-            row += list(profile.eta[i]) + list(profile.zeta[i])
-            fh.write(",".join(fmt17(x) for x in row) + "\n")
+        fh.writelines(line % tuple(row) for row in rows.tolist())
     sidecar = {
         "grid": {"s0": profile.s0, "ds": profile.ds, "n": profile.n, "d": d},
         "boundary": profile.boundary,

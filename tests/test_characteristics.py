@@ -68,6 +68,14 @@ def test_admissibility_window_contains_data():
     assert win.delta >= 0.52 - 1e-9
 
 
+def test_admissibility_rejects_nonfinite():
+    p = datasets.constant_profile(0.5, 0.0, [0, 0, 0], [0, 0, 0])
+    p.tau[3] = np.nan
+    with pytest.raises(InadmissibleDataError, match=r"tau\[3\]") as err:
+        admissibility(p)
+    assert err.value.pair == (3, 3)
+
+
 # -- flow construction --------------------------------------------------------
 
 def test_flow_constant_state_is_linear():
@@ -176,6 +184,21 @@ def test_xi_time_inverse_tolerance():
         assert np.max(np.abs(xi - s)) < 1e-11
 
 
+@pytest.mark.parametrize("rough", [False, True])
+def test_xi_time_inverse_array_t_matches_scalar_calls(rough):
+    if rough:
+        flow = build_flow(datasets.rough_manifold_base(cells=101))
+    else:
+        flow = build_flow(datasets.smooth_manifold_profile(n=1024))
+    t = np.array([-3.7, -0.4, 0.0, 0.9, 6.1])
+    s = np.linspace(-5.0, 5.0, 41)
+    loop = np.stack([xi_time_inverse(flow, tk, s) for tk in t])
+    assert np.max(np.abs(xi_time_inverse(flow, t[:, None], s) - loop)) < 1e-12
+    s_k = s[::10]  # one position per time, elementwise
+    one_each = np.array([xi_time_inverse(flow, tk, sk) for tk, sk in zip(t, s_k)])
+    assert np.max(np.abs(xi_time_inverse(flow, t, s_k) - one_each)) < 1e-12
+
+
 # -- solving ------------------------------------------------------------------
 
 def test_solve_constant_state():
@@ -257,6 +280,56 @@ def test_solve_semigroup_property():
                          p.eta - p.zeta, p.eta + p.zeta], axis=1)
     curv = np.max(np.abs(np.diff(pk, 2, axis=0))) / p.ds**2
     assert dev <= 10 * (p.ds**2 * curv / 8.0)
+
+
+@pytest.mark.parametrize("rough", [False, True])
+def test_solve_global_in_time(rough):
+    # alpha != 0 gives the data a mean velocity, so Phi_p != 0
+    p = (datasets.rough_manifold_base(cells=101, alpha=0.2) if rough
+         else datasets.smooth_manifold_profile(n=512, alpha=0.2))
+    flow = build_flow(p)
+    for t in (1e9, -1e9):
+        U = solve_augmented(flow, t).state()
+        assert np.max(np.abs(U.sum_squares() - 1.0)) < 1e-6
+        assert np.max(np.abs(U.cross())) < 1e-6
+
+
+@pytest.mark.parametrize("rough", [False, True])
+def test_periodic_time_reduction_matches_direct_evaluation(rough):
+    # U(m Y_p + r, s) = U(r, s - m Phi_p) is exact; at moderate |t| the
+    # direct inversion is still accurate, so the two routes agree closely
+    flow = build_flow(datasets.rough_manifold_base(cells=101, alpha=0.2) if rough
+                      else datasets.smooth_manifold_profile(n=1024, alpha=0.2))
+    assert abs(flow.phi_period) > 1.0
+    s = np.linspace(-6.0, 6.0, 97)
+    for t in (2.5 * flow.y_period, -3.4 * flow.y_period, 1e3):
+        y = xi_time_inverse(flow, t, s)
+        ap, _, cp, _ = flow.invariants_at(y + t)
+        _, am, _, cm = flow.invariants_at(y - t)
+        U = evolve_states(flow, t, s)
+        assert np.max(np.abs(U.tau - 0.5 * (ap - am))) < 1e-10
+        assert np.max(np.abs(U.v - 0.5 * (ap + am))) < 1e-10
+        assert np.max(np.abs(U.eta - 0.5 * (cp + cm))) < 1e-10
+        assert np.max(np.abs(U.zeta - 0.5 * (cm - cp))) < 1e-10
+
+
+def test_rough_reduction_matches_evolved_cells_at_large_time():
+    # evolve_cells builds the cells from y +- t independently of the
+    # inversion; away from its breakpoints (computed at the raw t, so good
+    # to about 1e-7 here) each point must take its cell's state
+    flow = build_flow(datasets.rough_manifold_base(cells=101, alpha=0.2))
+    s = np.linspace(-6.0, 6.0, 401)
+    for t in (1e9, -1e9):
+        cells = evolve_cells(flow, t)
+        b = cells.breaks
+        s_in = b[0] + np.mod(s - b[0], flow.s_period)
+        k = np.searchsorted(b, s_in, side="right") - 1
+        far = np.minimum(s_in - b[k], b[k + 1] - s_in) > 1e-4
+        assert np.count_nonzero(far) > 300
+        U = evolve_states(flow, t, s[far])
+        want = cells.states
+        for got, ref in ((U.tau, want.tau), (U.v, want.v), (U.eta, want.eta), (U.zeta, want.zeta)):
+            assert np.max(np.abs(got - ref[k[far]])) < 1e-12
 
 
 def test_finite_propagation_exact_tails():

@@ -8,6 +8,7 @@ from stringlab.profiles import (
     cell_lookup,
     cubic_interp,
     cumulative_integral,
+    fmt17,
     linear_interp,
     read_snapshot,
     write_snapshot,
@@ -74,6 +75,37 @@ def test_profile_validation():
     with pytest.raises(ValueError):
         Profile(0.0, 1.0, np.ones(4), np.zeros(4), np.zeros((4, 1)), np.zeros((4, 1)),
                 boundary="reflect")
+
+
+@pytest.mark.parametrize("field, row", [("tau", 2), ("eta", 3)])
+def test_profile_rejects_nonfinite(field, row):
+    n = 6
+    cols = {"tau": np.ones(n), "v": np.zeros(n), "eta": np.zeros((n, 2)), "zeta": np.zeros((n, 2))}
+    cols[field][row] = np.nan
+    with pytest.raises(ValueError, match=rf"{field}\[{row}"):
+        Profile(0.0, 0.5, **cols)
+
+
+def test_profile_rejects_mismatched_shapes():
+    with pytest.raises(ValueError, match="tau and v"):
+        Profile(0.0, 0.5, np.ones(5), np.zeros(4), np.zeros((5, 1)), np.zeros((5, 1)))
+    with pytest.raises(ValueError, match="eta and zeta"):
+        Profile(0.0, 0.5, np.ones(5), np.zeros(5), np.zeros((4, 2)), np.zeros((4, 2)))
+
+
+def test_snapshot_writer_matches_fmt17(tmp_path):
+    # awkward values: negative zero, the smallest subnormal, near-overflow and
+    # full 17-significant-digit mantissas
+    vals = np.array([-0.0, 5e-324, 1e308, 0.1 + 0.2, -1.2345678901234567e-7, 2.0 / 3.0])
+    p = Profile(-0.0, 0.1, vals, vals[::-1], np.stack([vals, -vals], axis=1),
+                np.roll(np.stack([vals, vals], axis=1), 1, axis=0), "constant", rough=True)
+    path = str(tmp_path / "snap.csv")
+    write_snapshot(path, p)
+    rows = np.column_stack([p.s_samples, p.tau, p.v, p.eta, p.zeta])
+    want = "s,tau,v,eta_1,eta_2,zeta_1,zeta_2\n"
+    want += "".join(",".join(fmt17(x) for x in row) + "\n" for row in rows)
+    with open(path, "rb") as fh:
+        assert fh.read() == want.encode()
 
 
 def test_snapshot_roundtrip(tmp_path):
