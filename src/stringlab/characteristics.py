@@ -28,19 +28,21 @@ formulas define a global solution for every measurable initial state.
 Evolution is evaluation: there is no time stepping, and discretization
 error lives only in the initial-curve tables and field interpolation.
 
-Smooth profiles are integrated by fixed-step RK4 in y (several substeps
-per grid cell) and stored as monotone cubic Hermite tables; piecewise
-constant (rough) profiles integrate exactly to piecewise-linear tables and
-use cell lookups for the transported packets.
+The ODE dy xi0 = tau(0, xi0) is separable, so the tables come from
+quadrature on the profile's own s-grid: y(s) = integral_0^s dsigma/tau and
+Phi(s) = integral_0^s v/tau dsigma at every grid point.  Smooth and rough
+data share one monotone knot table and one evaluator; smooth data use
+fourth-order quadrature and cubic Hermite interpolation (certified
+monotone interval by interval), piecewise constant (rough) data exact cell
+sums, linear interpolation and cell lookups for the transported packets.
 
 Inversion.  Every state evaluation needs the y with xi(t, y) = s.  One
 vectorized, safeguarded Newton solver (`xi_time_inverse`) serves all of
-them: the initial-curve inverse (t = 0), the y-period of a smooth table,
-solves and string reconstruction.  Times and positions are arrays that
-broadcast together, so a whole set of slices or a whole anchor line is one
-call.  Newton uses the exact slope of the tables' own interpolants inside
-the Lipschitz bracket, falls back to bisection, and converges in about
-five steps.
+them: the initial-curve inverse (t = 0), solves and string
+reconstruction.  Times and positions are arrays that broadcast together,
+so a whole set of slices or a whole anchor line is one call.  Newton uses
+the exact slope of the tables' own interpolants inside the Lipschitz
+bracket, falls back to bisection, and converges in about five steps.
 
 Periodic data are global in time exactly: with t = m Y_p + r, the solution
 satisfies U(t, s) = U(r, s - m Phi_p) (the shift taken modulo S_p), so
@@ -116,164 +118,89 @@ def admissibility(profile: Profile, delta_cap: float = 1.0 - 1e-12) -> Admissibi
     return AdmissibilityWindow(alpha, delta, float(wm[i]), float(wp[j]))
 
 
-class _ScalarPair:
-    """Pure-python cubic Hermite lookup of (tau, v), for the tight RK4 loop."""
-
-    __slots__ = ("x0", "inv_dx", "n", "periodic", "ft", "mt", "fv", "mv")
-
-    def __init__(self, x0, dx, tau, v, boundary):
-        self.x0 = x0
-        self.inv_dx = 1.0 / dx
-        self.n = len(tau)
-        self.periodic = boundary == "periodic"
-        self.ft = tau.tolist()
-        self.mt = (centered_slopes(tau, dx, boundary) * dx).tolist()
-        self.fv = v.tolist()
-        self.mv = (centered_slopes(v, dx, boundary) * dx).tolist()
-
-    def __call__(self, x):
-        u = (x - self.x0) * self.inv_dx
-        n = self.n
-        if self.periodic:
-            u = u % n
-            i = int(u)
-            if i >= n:
-                i = n - 1
-            ip = i + 1 if i + 1 < n else 0
-        else:
-            if u <= 0.0:
-                return self.ft[0], self.fv[0]
-            if u >= n - 1:
-                return self.ft[n - 1], self.fv[n - 1]
-            i = int(u)
-            if i > n - 2:
-                i = n - 2
-            ip = i + 1
-        t = u - i
-        s = 1.0 - t
-        h00 = (1.0 + 2.0 * t) * s * s
-        h10 = t * s * s
-        h01 = t * t * (3.0 - 2.0 * t)
-        h11 = t * t * (t - 1.0)
-        ft, fv = self.ft, self.fv
-        mt, mv = self.mt, self.mv
-        return (
-            h00 * ft[i] + h10 * mt[i] + h01 * ft[ip] + h11 * mt[ip],
-            h00 * fv[i] + h10 * mv[i] + h01 * fv[ip] + h11 * mv[ip],
-        )
-
-
-def _hermite_table_eval(y0, h, nodes, slopes, q, deriv=False):
-    """Vectorized cubic Hermite on the uniform table (clamped indices)."""
-    m = len(nodes)
-    u = np.clip((np.asarray(q, dtype=float) - y0) / h, 0.0, m - 1.0)
-    i = np.minimum(u.astype(int), m - 2)
-    t = u - i
-    f0, f1 = nodes[i], nodes[i + 1]
-    m0, m1 = slopes[i] * h, slopes[i + 1] * h
+def _hermite(u, h, f0, f1, m0, m1, deriv=False):
+    """Cubic Hermite through (f0, m0), (f1, m1) at u in [0, 1] of a width-h cell (d/dy if deriv)."""
+    m0, m1 = m0 * h, m1 * h
     if deriv:
-        d00 = 6.0 * t * (t - 1.0)
-        d10 = (1.0 - t) * (1.0 - 3.0 * t)
-        d01 = -d00
-        d11 = t * (3.0 * t - 2.0)
-        return (d00 * f0 + d10 * m0 + d01 * f1 + d11 * m1) / h
-    h00 = (1.0 + 2.0 * t) * (1.0 - t) ** 2
-    h10 = t * (1.0 - t) ** 2
-    h01 = t**2 * (3.0 - 2.0 * t)
-    h11 = t**2 * (t - 1.0)
-    return h00 * f0 + h10 * m0 + h01 * f1 + h11 * m1
+        return (6.0 * u * (u - 1.0) * (f0 - f1) + (1.0 - u) * (1.0 - 3.0 * u) * m0
+                + u * (3.0 * u - 2.0) * m1) / h
+    w = 1.0 - u
+    return (1.0 + 2.0 * u) * w * w * f0 + u * w * w * m0 + u * u * (3.0 - 2.0 * u) * f1 \
+        + u * u * (u - 1.0) * m1
 
 
 @dataclass
 class CharacteristicFlow:
     """Immutable evaluation machinery for one set of initial data.
 
-    All methods are pure and safe for concurrent callers; building is
-    single-threaded.  `alpha`/`delta` record the admissible window actually
-    used; slopes of the initial curve are certified inside
-    [delta - tol, 1/delta + tol] at build time.
+    The initial curve is one monotone table: knots `y_edges` = y(s_i), values
+    `xi_nodes` = s_i and `phi_nodes` = Phi(s_i), slopes `xi_slopes` = tau and
+    `phi_slopes` = v, one per knot for smooth data (cubic Hermite) and one
+    per cell for rough data ("pc", linear).  All methods are pure and safe
+    for concurrent callers.  `alpha`/`delta` record the admissible window
+    used; the slopes are certified inside [delta - tol, 1/delta + tol].
     """
 
     profile: Profile
     alpha: float
     delta: float
     mode: str  # "smooth" or "pc"
-    # smooth tables (uniform in y)
-    y_first: float = 0.0
-    h: float = 0.0
-    xi_nodes: np.ndarray | None = None
-    xi_slopes: np.ndarray | None = None
-    phi_nodes: np.ndarray | None = None
-    phi_slopes: np.ndarray | None = None
-    # pc tables
-    y_edges: np.ndarray | None = None
-    s_edges: np.ndarray | None = None
-    cell_tau: np.ndarray | None = None
-    cell_v: np.ndarray | None = None
-    pc_phi_edges: np.ndarray | None = None
+    y_edges: np.ndarray
+    xi_nodes: np.ndarray
+    xi_slopes: np.ndarray
+    phi_nodes: np.ndarray
+    phi_slopes: np.ndarray
     # periodic extension data
-    y_period: float | None = None
-    s_period: float | None = None
-    phi_period: float | None = None
+    y_period: float | None
+    s_period: float | None
+    phi_period: float | None
     # packet samples (n, 2 + 2d): [v+tau, v-tau, eta-zeta, eta+zeta]
-    pk_values: np.ndarray | None = None
+    pk_values: np.ndarray
     pk_slopes: np.ndarray | None = None
 
     # -- initial curve -----------------------------------------------------
 
-    def _smooth_reduce(self, y):
-        y = np.asarray(y, dtype=float)
-        if self.y_period is None:
-            return y, np.zeros_like(y)
-        wind = np.floor((y - self.y_first) / self.y_period)
-        return y - wind * self.y_period, wind
+    def _cell(self, y):
+        """y wound into the first period, the winding number and the knot interval."""
+        y, wind = np.asarray(y, dtype=float), 0.0
+        if self.y_period is not None:
+            wind = np.floor((y - self.y_edges[0]) / self.y_period)
+            y = y - wind * self.y_period
+        k = np.searchsorted(self.y_edges, y, side="right") - 1
+        return y, wind, np.clip(k, 0, len(self.y_edges) - 2)
 
     def _table(self, y, values, slopes, period, deriv):
         """One table of the initial curve at y, or its y-derivative.
 
-        Smooth tables are cubic Hermite on the uniform y grid, rough ones are
-        linear on the cells between `y_edges`.  Periodic tables wind by whole
-        y-periods, each adding `period`; the others continue linearly with
-        their end slopes.  The derivative is that of the interpolant itself.
+        Smooth tables are cubic Hermite between the knots, rough ones linear
+        on each cell.  Periodic tables wind by whole y-periods, each adding
+        `period`; the others continue linearly with their end slopes.  The
+        derivative is that of the interpolant, the end slope beyond the ends.
         """
+        y, wind, k = self._cell(y)
+        knots = self.y_edges
         if self.mode == "pc":
-            yr, wind, k = self._pc_cell(y)
-            val = slopes[k] if deriv else values[k] + (yr - self.y_edges[k]) * slopes[k]
-            lo, hi = self.y_edges[0], self.y_edges[-1]
+            val = slopes[k] if deriv else values[k] + (y - knots[k]) * slopes[k]
         else:
-            yr, wind = self._smooth_reduce(y)
-            val = _hermite_table_eval(self.y_first, self.h, values, slopes, yr, deriv)
-            lo, hi = self.y_first, self.y_first + (len(values) - 1) * self.h
-        if deriv:  # clamped lookups already return the end slopes beyond the ends
+            h = knots[k + 1] - knots[k]
+            u = (y - knots[k]) / h
+            val = _hermite(np.clip(u, 0.0, 1.0) if deriv else u, h, values[k], values[k + 1],
+                           slopes[k], slopes[k + 1], deriv)
+        if deriv:
             return val
         if self.y_period is not None:
             return val + wind * period
-        val = np.where(yr < lo, values[0] + slopes[0] * (yr - lo), val)
-        return np.where(yr > hi, values[-1] + slopes[-1] * (yr - hi), val)
+        lo, hi = knots[0], knots[-1]
+        val = np.where(y < lo, values[0] + slopes[0] * (y - lo), val)
+        return np.where(y > hi, values[-1] + slopes[-1] * (y - hi), val)
 
     def xi0(self, y, deriv=False):
         """Initial curve xi(0, y), defined for every real y (its slope with deriv)."""
-        if self.mode == "pc":
-            return self._table(y, self.s_edges, self.cell_tau, self.s_period, deriv)
         return self._table(y, self.xi_nodes, self.xi_slopes, self.s_period, deriv)
 
     def phi0(self, y, deriv=False):
         """Antiderivative of v(0, xi0(.)), normalized to vanish at y = 0."""
-        if self.mode == "pc":
-            return self._table(y, self.pc_phi_edges, self.cell_v, self.phi_period, deriv)
         return self._table(y, self.phi_nodes, self.phi_slopes, self.phi_period, deriv)
-
-    def _pc_cell(self, y):
-        y = np.asarray(y, dtype=float)
-        if self.y_period is not None:
-            wind = np.floor((y - self.y_edges[0]) / self.y_period)
-            yr = y - wind * self.y_period
-        else:
-            wind = np.zeros_like(y)
-            yr = y
-        k = np.searchsorted(self.y_edges, yr, side="right") - 1
-        k = np.clip(k, 0, len(self.y_edges) - 2)
-        return yr, wind, k
 
     def xi0_inverse(self, s):
         """Monotone inversion of the initial curve: xi_time_inverse at t = 0."""
@@ -285,8 +212,7 @@ class CharacteristicFlow:
         """(v+tau, v-tau, eta-zeta, eta+zeta) of the initial data at xi0(y)."""
         d = self.profile.d
         if self.mode == "pc":
-            _, _, k = self._pc_cell(y)
-            p = self.pk_values[k]
+            p = self.pk_values[self._cell(y)[2]]
         else:
             s = self.xi0(y)
             p = cubic_interp(self.profile.s0, self.profile.ds, self.pk_values, s,
@@ -294,158 +220,83 @@ class CharacteristicFlow:
         return p[..., 0], p[..., 1], p[..., 2:2 + d], p[..., 2 + d:]
 
 
-def _packet_samples(profile: Profile):
-    ap = profile.v + profile.tau
-    am = profile.v - profile.tau
-    cp = profile.eta - profile.zeta
-    cm = profile.eta + profile.zeta
-    return np.concatenate([ap[:, None], am[:, None], cp, cm], axis=1)
-
-
 def build_flow(profile: Profile, alpha: float | None = None, delta: float | None = None,
-               substeps: int = 6, slope_tol: float = 1e-9) -> CharacteristicFlow:
+               slope_tol: float = 1e-9) -> CharacteristicFlow:
     """Construct the straightening map for admissible initial data.
 
-    Smooth profiles: fixed-step RK4 on d(xi)/dy = tau(0, xi) (at least
-    `substeps` steps per grid cell), with the running integral of
-    v(0, xi0(.)) carried in the same sweep; both stored as cubic Hermite
-    tables whose node slopes are the exact ODE right-hand sides.  Rough
-    profiles integrate exactly: xi0 is piecewise linear cell by cell.
-    Raises InadmissibleDataError through `admissibility`; a slope escaping
-    [delta - tol, 1/delta + tol] raises DomainError (unreachable for data
-    that passed admissibility).
+    The knots y(s) = integral_0^s dsigma/tau and Phi(s) = integral_0^s
+    v/tau dsigma sit on the profile's own s-grid: exact cell sums for rough
+    data, the fourth-order `cumulative_integral` for smooth data, whose
+    periodic tables close at s0 + S_p with full-period trapezoid sums Y_p
+    and Phi_p.  One interpolation at s = 0 normalizes xi0(0) = phi0(0) = 0.
+    Raises InadmissibleDataError through `admissibility`, and DomainError
+    for a slope outside [delta - tol, 1/delta + tol] (unreachable after
+    admissibility) or a smooth interval that fails the Fritsch-Carlson
+    monotonicity test a, b > 0, a^2 + b^2 <= 9.
     """
     if alpha is None or delta is None:
         win = admissibility(profile)
         alpha, delta = win.alpha, win.delta
-    pk = _packet_samples(profile)
-
+    n, ds = profile.n, profile.ds
+    tau, v = profile.tau.copy(), profile.v.copy()
+    pk = np.column_stack([profile.v + profile.tau, profile.v - profile.tau,
+                          profile.eta - profile.zeta, profile.eta + profile.zeta])
+    periodic = profile.boundary == "periodic"
     if profile.rough:
-        flow = _build_flow_pc(profile, alpha, delta, pk)
+        dy = ds / tau
+        y = np.concatenate([[0.0], np.cumsum(dy)])
+        phi = np.concatenate([[0.0], np.cumsum(v * dy)])
     else:
-        flow = _build_flow_smooth(profile, alpha, delta, pk, substeps)
-
-    slopes = flow.xi_slopes if flow.mode == "smooth" else flow.cell_tau
-    if np.min(slopes) < delta - slope_tol or np.max(slopes) > 1.0 / delta + slope_tol:
-        raise DomainError("initial-curve slope escaped [delta, 1/delta]")
-    return flow
-
-
-def _build_flow_pc(profile, alpha, delta, pk) -> CharacteristicFlow:
-    n, ds = profile.n, profile.ds
-    s_edges = profile.s0 + ds * np.arange(n + 1)
-    tau_c = profile.tau.copy()
-    v_c = profile.v.copy()
-    dy = ds / tau_c
-    raw = np.concatenate([[0.0], np.cumsum(dy)])
-    raw_phi = np.concatenate([[0.0], np.cumsum(v_c * dy)])
-    if not s_edges[0] <= 0.0 <= s_edges[-1]:
+        y = cumulative_integral(1.0 / tau, ds, profile.boundary)
+        phi = cumulative_integral(v / tau, ds, profile.boundary)
+        if periodic:  # the Euler-Maclaurin end correction vanishes over a full period
+            y = np.append(y, ds * np.sum(1.0 / tau))
+            phi = np.append(phi, ds * np.sum(v / tau))
+            tau, v = np.append(tau, tau[0]), np.append(v, v[0])
+    s = profile.s0 + ds * np.arange(len(y))
+    if not s[0] <= 0.0 <= s[-1]:
         raise DomainError("the grid window must contain s = 0 (normalization xi(0,0) = 0)")
-    j0 = min(int((0.0 - profile.s0) / ds), n - 1)
-    y_edges = raw - (raw[j0] + (0.0 - s_edges[j0]) / tau_c[j0])
-    phi_edges = raw_phi - (raw_phi[j0] + (0.0 - s_edges[j0]) / tau_c[j0] * v_c[j0])
-    periodic = profile.boundary == "periodic"
-    return CharacteristicFlow(
-        profile, alpha, delta, "pc",
-        y_edges=y_edges, s_edges=s_edges, cell_tau=tau_c, cell_v=v_c,
-        pc_phi_edges=phi_edges,
-        y_period=float(raw[-1]) if periodic else None,
+    j = min(int((0.0 - profile.s0) / ds), len(s) - 2)
+
+    def at_zero(table, w):  # the table at s = 0; its s-slope is w / tau
+        if profile.rough:
+            return table[j] + (0.0 - s[j]) / tau[j] * w[j]
+        return _hermite((0.0 - s[j]) / ds, ds, table[j], table[j + 1],
+                        w[j] / tau[j], w[j + 1] / tau[j + 1])
+
+    flow = CharacteristicFlow(
+        profile, alpha, delta, "pc" if profile.rough else "smooth",
+        y_edges=y - at_zero(y, np.ones_like(tau)), xi_nodes=s, xi_slopes=tau,
+        phi_nodes=phi - at_zero(phi, v), phi_slopes=v,
+        y_period=float(y[-1]) if periodic else None,
         s_period=n * ds if periodic else None,
-        phi_period=float(raw_phi[-1]) if periodic else None,
+        phi_period=float(phi[-1]) if periodic else None,
         pk_values=pk,
+        pk_slopes=None if profile.rough else centered_slopes(pk, ds, profile.boundary),
     )
-
-
-def _build_flow_smooth(profile, alpha, delta, pk, substeps) -> CharacteristicFlow:
-    n, ds = profile.n, profile.ds
-    rhs = _ScalarPair(profile.s0, ds, profile.tau, profile.v, profile.boundary)
-    tau_max = float(np.max(profile.tau))
-    tau_min = float(np.min(profile.tau))
-    h = ds / (substeps * tau_max)
-    periodic = profile.boundary == "periodic"
-
-    def sweep(h_step, s_target, cap):
-        """RK4 march of (xi, phi) from (0, 0); returns node and slope lists."""
-        xi, phi = 0.0, 0.0
-        xs, ps, ts, vs = [0.0], [0.0], [], []
-        extra = 0
-        for _ in range(cap):
-            t1, v1 = rhs(xi)
-            ts.append(t1)
-            vs.append(v1)
-            x2 = xi + 0.5 * h_step * t1
-            t2, v2 = rhs(x2)
-            x3 = xi + 0.5 * h_step * t2
-            t3, v3 = rhs(x3)
-            x4 = xi + h_step * t3
-            t4, v4 = rhs(x4)
-            xi = xi + h_step / 6.0 * (t1 + 2.0 * t2 + 2.0 * t3 + t4)
-            phi = phi + h_step / 6.0 * (v1 + 2.0 * v2 + 2.0 * v3 + v4)
-            xs.append(xi)
-            ps.append(phi)
-            if (h_step > 0 and xi >= s_target) or (h_step < 0 and xi <= s_target):
-                extra += 1
-                if extra >= 3:
-                    break
-        else:
-            raise DomainError("initial-curve integration failed to reach its target")
-        t1, v1 = rhs(xi)
-        ts.append(t1)
-        vs.append(v1)
-        return xs, ps, ts, vs
-
-    if periodic:
-        period = n * ds
-        if not profile.s0 <= 0.0 <= profile.s0 + period:
-            raise DomainError("the grid window must contain s = 0 (normalization xi(0,0) = 0)")
-        cap = int(period / (tau_min * h)) + 8
-        xs, ps, ts, vs = sweep(h, period, cap)
-        flow = CharacteristicFlow(
-            profile, alpha, delta, "smooth",
-            y_first=0.0, h=h,
-            xi_nodes=np.array(xs), xi_slopes=np.array(ts),
-            phi_nodes=np.array(ps), phi_slopes=np.array(vs),
-            s_period=period, pk_values=pk,
-            pk_slopes=centered_slopes(pk, ds, profile.boundary),
-        )
-        # y-period: the root of xi0(y) = period in the freshly built table
-        y_p = float(xi_time_inverse(flow, 0.0, period))
-        flow.y_period = y_p
-        flow.phi_period = float(_hermite_table_eval(0.0, h, flow.phi_nodes, flow.phi_slopes, y_p))
-        return flow
-
-    s_lo = profile.s0
-    s_hi = profile.s0 + (n - 1) * ds
-    if not s_lo <= 0.0 <= s_hi:
-        raise DomainError("the grid window must contain s = 0 (normalization xi(0,0) = 0)")
-    cap = int((s_hi - s_lo) / (tau_min * h)) + 8
-    xs_f, ps_f, ts_f, vs_f = sweep(h, s_hi, cap)
-    xs_b, ps_b, ts_b, vs_b = sweep(-h, s_lo, cap)
-    m_b = len(xs_b)
-    xi_nodes = np.array(xs_b[::-1] + xs_f[1:])
-    phi_nodes = np.array(ps_b[::-1] + ps_f[1:])
-    xi_slopes = np.array(ts_b[::-1] + ts_f[1:])
-    phi_slopes = np.array(vs_b[::-1] + vs_f[1:])
-    return CharacteristicFlow(
-        profile, alpha, delta, "smooth",
-        y_first=-(m_b - 1) * h, h=h,
-        xi_nodes=xi_nodes, xi_slopes=xi_slopes,
-        phi_nodes=phi_nodes, phi_slopes=phi_slopes,
-        pk_values=pk, pk_slopes=centered_slopes(pk, ds, profile.boundary),
-    )
+    if np.min(tau) < delta - slope_tol or np.max(tau) > 1.0 / delta + slope_tol:
+        raise DomainError("initial-curve slope escaped [delta, 1/delta]")
+    if not profile.rough:
+        # Fritsch & Carlson (SIAM J. Numer. Anal. 17, 1980): a Hermite interval is
+        # monotone if its end slopes over the secant have a, b > 0, a^2 + b^2 <= 9
+        secant = ds / np.diff(y)
+        a, b = tau[:-1] / secant, tau[1:] / secant
+        bad = np.flatnonzero((a <= 0.0) | (b <= 0.0) | (a * a + b * b > 9.0))
+        if bad.size:
+            i = int(bad[0])
+            raise DomainError(
+                f"the smooth initial curve is not certified monotone on s in "
+                f"[{s[i]:.6g}, {s[i + 1]:.6g}] (Fritsch-Carlson a = {a[i]:.3g}, b = {b[i]:.3g}, "
+                f"need a, b > 0 and a^2 + b^2 <= 9); use rough=True or a finer grid")
+    return flow
 
 
 def xi_evaluate(flow: CharacteristicFlow, t, y):
     """(xi, dt xi, dy xi) at (t, y) from the d'Alembert formulas."""
     y = np.asarray(y, dtype=float)
-    yp = y + t
-    ym = y - t
-    xi = 0.5 * (flow.xi0(yp) + flow.xi0(ym)) + 0.5 * (flow.phi0(yp) - flow.phi0(ym))
-    ap_p, am_p, _, _ = flow.invariants_at(yp)
-    ap_m, am_m, _, _ = flow.invariants_at(ym)
-    dxi_dt = 0.5 * (ap_p + am_m)
-    dxi_dy = 0.5 * (ap_p - am_m)
-    return xi, dxi_dt, dxi_dy
+    ap, _, _, _ = flow.invariants_at(y + t)
+    _, am, _, _ = flow.invariants_at(y - t)
+    return _xi_only(flow, t, y), 0.5 * (ap + am), 0.5 * (ap - am)
 
 
 def _xi_only(flow, t, y, deriv=False):
@@ -454,6 +305,17 @@ def _xi_only(flow, t, y, deriv=False):
     ym = y - t
     return (0.5 * (flow.xi0(yp, deriv) + flow.xi0(ym, deriv))
             + 0.5 * (flow.phi0(yp, deriv) - flow.phi0(ym, deriv)))
+
+
+def _finite(name, a):
+    """a as a float array; ValueError naming its first non-finite entry."""
+    a = np.asarray(a, dtype=float)
+    bad = np.flatnonzero(~np.isfinite(a))
+    if bad.size:
+        i = int(bad[0])
+        at = f"[{i}]" if a.ndim else ""
+        raise ValueError(f"{name} must be finite; {name}{at} = {a.flat[i]}")
+    return a
 
 
 def xi_time_inverse(flow: CharacteristicFlow, t, s, y_tol: float = 1e-12):
@@ -466,10 +328,9 @@ def xi_time_inverse(flow: CharacteristicFlow, t, s, y_tol: float = 1e-12):
     for rough ones.  Every evaluation narrows the bracket, and a step that
     leaves it or fails to halve the previous step is replaced by bisection,
     so the iteration cannot fail.  A point stops once its step is at most
-    y_tol (1 + |y|).
+    y_tol (1 + |y|).  A non-finite t or s raises ValueError naming it.
     """
-    t = np.asarray(t, dtype=float)
-    s = np.asarray(s, dtype=float)
+    t, s = _finite("t", t), _finite("s", s)
     e = s - _xi_only(flow, t, np.zeros_like(t))
     shape = e.shape
     t, s, e = (a.ravel() for a in np.broadcast_arrays(t, s, e))
@@ -501,6 +362,13 @@ def xi_time_inverse(flow: CharacteristicFlow, t, s, y_tol: float = 1e-12):
     return y.reshape(shape)
 
 
+def _state_from_feet(flow, y, t):
+    """U at (t, xi(t, y)): each invariant pair read off at its foot y +- t."""
+    ap, _, cp, _ = flow.invariants_at(y + t)
+    _, am, _, cm = flow.invariants_at(y - t)
+    return StateU(0.5 * (ap - am), 0.5 * (ap + am), 0.5 * (cp + cm), 0.5 * (cm - cp))
+
+
 def evolve_states(flow: CharacteristicFlow, t, s_points) -> StateU:
     """Exact solution state at times t and positions s_points (broadcast together).
 
@@ -512,21 +380,13 @@ def evolve_states(flow: CharacteristicFlow, t, s_points) -> StateU:
     d'Alembert sum at |t| = 1e9 would lose about nine digits to
     cancellation.  For m = 0 nothing changes.
     """
-    t = np.asarray(t, dtype=float)
-    s = np.asarray(s_points, dtype=float)
+    t, s = _finite("t", t), _finite("s_points", s_points)
     if flow.y_period is not None:
         m = np.round(t / flow.y_period)
         shift = m * flow.phi_period
         t = t - m * flow.y_period
         s = s - (shift - flow.s_period * np.round(shift / flow.s_period))
-    y = xi_time_inverse(flow, t, s)
-    ap, _, cp, _ = flow.invariants_at(y + t)
-    _, am, _, cm = flow.invariants_at(y - t)
-    tau = 0.5 * (ap - am)
-    v = 0.5 * (ap + am)
-    eta = 0.5 * (cp + cm)
-    zeta = 0.5 * (cm - cp)
-    return StateU(tau, v, eta, zeta)
+    return _state_from_feet(flow, xi_time_inverse(flow, t, s), t)
 
 
 def solve_augmented(source: Profile | CharacteristicFlow, t: float,
@@ -584,11 +444,8 @@ def evolve_cells(flow: CharacteristicFlow, t: float) -> CellField:
         pts = np.unique(np.concatenate([b - t, b + t]))
         breaks_y = pts
     mid = 0.5 * (breaks_y[:-1] + breaks_y[1:])
-    ap, _, cp, _ = flow.invariants_at(mid + t)
-    _, am, _, cm = flow.invariants_at(mid - t)
-    states = StateU(0.5 * (ap - am), 0.5 * (ap + am), 0.5 * (cp + cm), 0.5 * (cm - cp))
     s_breaks = _xi_only(flow, t, breaks_y)
-    return CellField(s_breaks, states, y_breaks=breaks_y)
+    return CellField(s_breaks, _state_from_feet(flow, mid, t), y_breaks=breaks_y)
 
 
 def reconstruct_string(flow: CharacteristicFlow, times, s_points,

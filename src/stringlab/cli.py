@@ -1,9 +1,10 @@
 """Batch command-line front end.
 
-    stringlab simulate   --config cfg.json [--out DIR]   exact + finite-volume run
-    stringlab thm1       --config cfg.json [--out DIR]   oscillatory-family rate table
-    stringlab completion --config cfg.json [--out DIR]   weak-* completion experiment
-    stringlab validate   [--config cfg.json] [--seed N]  invariant battery
+    stringlab simulate   --config cfg.json [--out DIR] [--tol X]   exact + finite-volume run
+    stringlab thm1       --config cfg.json [--out DIR]             oscillatory-family rate table
+    stringlab completion --config cfg.json [--out DIR]             weak-* completion experiment
+    stringlab validate   [--config cfg.json] [--out DIR] [--seed N] [--inject NAME]
+                                                                   invariant battery
 
 Configs are JSON, or flat `key = value` text with dotted keys for nesting
 (`grid.n = 4096`).  Exit codes: 0 success, 1 validation failure, 2 bad
@@ -318,13 +319,12 @@ def main(argv=None) -> int:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True)
         p.add_argument("--out", default=None)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--tol", type=float, default=1e-10)
+        if name == "simulate":
+            p.add_argument("--tol", type=float, default=1e-10)
     pv = sub.add_parser("validate")
     pv.add_argument("--config", default=None)
     pv.add_argument("--out", default=None)
     pv.add_argument("--seed", type=int, default=None)
-    pv.add_argument("--tol", type=float, default=1e-10)
     pv.add_argument("--inject", default=None,
                     help="force the named invariant check to fail (harness self-test)")
     args = ap.parse_args(argv)
@@ -332,7 +332,6 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config) if args.config else {}
         out_dir = args.out or cfg.get("out", "out")
-        seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
         if args.command == "simulate":
             report = cmd_simulate(cfg, out_dir, args.tol)
         elif args.command == "thm1":
@@ -341,6 +340,7 @@ def main(argv=None) -> int:
             report = cmd_completion(cfg, out_dir)
         else:
             inject = args.inject or cfg.get("inject")
+            seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
             report = run_validation(seed=seed, inject=inject)
             _write_report(out_dir, "validate_report.json", report)
     except (ConfigError, InadmissibleDataError, DomainError, ValueError) as exc:

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import StateHQYZ, StateU, from_rescaled, to_rescaled
+from .geometry import StateHQYZ, StateU, from_rescaled
 
 BOUNDARY_MODES = ("periodic", "constant")
 
@@ -230,11 +230,6 @@ class Profile:
 
     def to_hqyz(self) -> StateHQYZ:
         return from_rescaled(self.state())
-
-    @classmethod
-    def from_hqyz(cls, s0, ds, u: StateHQYZ, boundary="periodic", rough=False) -> "Profile":
-        U = to_rescaled(u)
-        return cls(s0, ds, U.tau, U.v, U.eta, U.zeta, boundary, rough)
 
     @classmethod
     def from_state(cls, s0, ds, U: StateU, boundary="periodic", rough=False) -> "Profile":

@@ -6,7 +6,6 @@ import pytest
 from stringlab import datasets
 from stringlab.characteristics import (
     InadmissibleDataError,
-    _ScalarPair,
     admissibility,
     build_flow,
     evolve_cells,
@@ -22,7 +21,7 @@ from stringlab.characteristics import (
     xi_wave_residual,
 )
 from stringlab.geometry import DomainError, in_cm, in_g, in_m
-from stringlab.profiles import Profile
+from stringlab.profiles import Profile, cubic_interp
 from stringlab.waves import dalembert_wave_solve, oscillatory_family_init, wave_to_augmented
 
 KAPPA = 2.0 ** -0.5
@@ -94,18 +93,42 @@ def test_flow_wave_state_is_linear():
     assert np.max(np.abs(flow.xi0(y) - KAPPA * y)) < 1e-11
 
 
-def test_flow_ode_residual_at_substep_midpoints():
-    from stringlab.characteristics import _hermite_table_eval
-
+def test_flow_ode_residual_at_knot_midpoints():
+    # between the knots the Hermite table still solves dy xi0 = tau(xi0)
     p = datasets.smooth_manifold_profile(n=1024)
     flow = build_flow(p)
-    rhs = _ScalarPair(p.s0, p.ds, p.tau, p.v, p.boundary)
-    m = len(flow.xi_nodes)
-    y_mid = flow.y_first + flow.h * (np.arange(m - 1) + 0.5)
-    dxi = _hermite_table_eval(flow.y_first, flow.h, flow.xi_nodes, flow.xi_slopes,
-                              y_mid, deriv=True)
-    target = np.array([rhs(x)[0] for x in flow.xi0(y_mid)])
-    assert np.max(np.abs(dxi - target)) < 1e-10
+    y_mid = 0.5 * (flow.y_edges[1:] + flow.y_edges[:-1])
+    target = cubic_interp(p.s0, p.ds, p.tau, flow.xi0(y_mid), p.boundary)
+    assert np.max(np.abs(flow.xi0(y_mid, deriv=True) - target)) < 1e-10
+
+
+def test_flow_quadrature_fourth_order_against_closed_form():
+    # tau = a + b cos s: y(s) = 2/c atan(sqrt((a-b)/(a+b)) tan(s/2)), c = sqrt(a^2-b^2)
+    a, b = 1.0, 0.4
+    c = np.sqrt(a * a - b * b)
+    errs = []
+    for n in (128, 256, 512, 1024):
+        ds = 2 * np.pi / n
+        s = -np.pi + ds * np.arange(n)
+        flow = build_flow(Profile(-np.pi, ds, a + b * np.cos(s), np.zeros(n),
+                                  np.zeros((n, 1)), np.zeros((n, 1))))
+        assert abs(flow.y_period - 2 * np.pi / c) < 1e-12
+        inner = np.abs(flow.xi_nodes) < 3.0
+        exact = 2 / c * np.arctan(np.sqrt((a - b) / (a + b)) * np.tan(flow.xi_nodes[inner] / 2))
+        errs.append(np.max(np.abs(flow.y_edges[inner] - exact)))
+    assert min(errs[i] / errs[i + 1] for i in range(3)) >= 12.0
+
+
+def test_flow_rejects_smooth_table_not_certified_monotone():
+    # admissible, but tau alternating 0.05 / 0.95 is far too rough for n = 64:
+    # its knot Hermite table would fold back between the knots
+    n = 64
+    ds = 4 * np.pi / n
+    tau = np.where(np.arange(n) % 2 == 0, 0.05, 0.95)
+    args = (-2 * np.pi, ds, tau, np.zeros(n), np.zeros((n, 1)), np.zeros((n, 1)))
+    with pytest.raises(DomainError, match=r"monotone on s in \[.*rough=True"):
+        build_flow(Profile(*args))
+    assert build_flow(Profile(*args, rough=True)).mode == "pc"
 
 
 def test_flow_normalization_and_slope_bounds():
@@ -172,6 +195,19 @@ def test_xi_derivative_consistency():
         xi_a, _, _ = xi_evaluate(flow, t + eps, y)
         xi_b, _, _ = xi_evaluate(flow, t - eps, y)
         assert np.max(np.abs((xi_a - xi_b) / (2 * eps) - dxi_dt)) < 1e-7
+
+
+@pytest.mark.parametrize("t, s, where", [
+    (np.nan, [0.0, 1.0], r"t = nan"),
+    (np.inf, [0.0, 1.0], r"t = inf"),
+    (0.5, [0.0, np.nan, 1.0], r"s_points\[1\] = nan"),
+])
+def test_evolve_states_rejects_nonfinite_input(t, s, where):
+    flow = build_flow(datasets.smooth_manifold_profile(n=256))
+    with pytest.raises(ValueError, match=where):
+        evolve_states(flow, t, np.array(s))
+    with pytest.raises(ValueError, match=where.replace("s_points", "s")):
+        xi_time_inverse(flow, t, np.array(s))
 
 
 def test_xi_time_inverse_tolerance():

@@ -123,6 +123,16 @@ def test_completion_command(tmp_path):
     assert lines[0] == "n,g_id,t,pairing_gap"
 
 
+def test_flags_are_registered_only_where_read(tmp_path):
+    cfg = write_json(tmp_path / "c.json", {"n_list": [8]})
+    for argv in (["completion", "--config", cfg, "--seed", "3"],
+                 ["thm1", "--config", cfg, "--tol", "1e-8"],
+                 ["validate", "--tol", "1e-8"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+
+
 def test_validate_command_and_injection(tmp_path):
     out = str(tmp_path / "v")
     assert main(["validate", "--out", out, "--seed", "5"]) == 0
