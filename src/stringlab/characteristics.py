@@ -160,12 +160,17 @@ class CharacteristicFlow:
 
     # -- initial curve -----------------------------------------------------
 
-    def _cell(self, y):
-        """y wound into the first period, the winding number and the knot interval."""
+    def _wind(self, y):
+        """y wound into the first period of a periodic table, and the winding number."""
         y, wind = np.asarray(y, dtype=float), 0.0
         if self.y_period is not None:
             wind = np.floor((y - self.y_edges[0]) / self.y_period)
             y = y - wind * self.y_period
+        return y, wind
+
+    def _cell(self, y):
+        """y wound into the first period, the winding number and the knot interval."""
+        y, wind = self._wind(y)
         k = np.searchsorted(self.y_edges, y, side="right") - 1
         return y, wind, np.clip(k, 0, len(self.y_edges) - 2)
 
@@ -230,7 +235,8 @@ def build_flow(profile: Profile, alpha: float | None = None, delta: float | None
     periodic tables close at s0 + S_p with full-period trapezoid sums Y_p
     and Phi_p.  One interpolation at s = 0 normalizes xi0(0) = phi0(0) = 0.
     Raises InadmissibleDataError through `admissibility`, and DomainError
-    for a slope outside [delta - tol, 1/delta + tol] (unreachable after
+    for a one-sample smooth constant-boundary profile (no knot interval), a
+    slope outside [delta - tol, 1/delta + tol] (unreachable after
     admissibility) or a smooth interval that fails the Fritsch-Carlson
     monotonicity test a, b > 0, a^2 + b^2 <= 9.
     """
@@ -238,10 +244,13 @@ def build_flow(profile: Profile, alpha: float | None = None, delta: float | None
         win = admissibility(profile)
         alpha, delta = win.alpha, win.delta
     n, ds = profile.n, profile.ds
+    periodic = profile.boundary == "periodic"
+    if n < 2 and not (profile.rough or periodic):
+        raise DomainError(f"a smooth constant-boundary table needs n >= 2 samples; "
+                          f"got n = {n} at s0 = {profile.s0:.6g}")
     tau, v = profile.tau.copy(), profile.v.copy()
     pk = np.column_stack([profile.v + profile.tau, profile.v - profile.tau,
                           profile.eta - profile.zeta, profile.eta + profile.zeta])
-    periodic = profile.boundary == "periodic"
     if profile.rough:
         dy = ds / tau
         y = np.concatenate([[0.0], np.cumsum(dy)])
@@ -435,17 +444,12 @@ def evolve_cells(flow: CharacteristicFlow, t: float) -> CellField:
         raise DomainError("evolve_cells requires a rough (piecewise-constant) flow")
     b = flow.y_edges
     if flow.y_period is not None:
-        yp = flow.y_period
-        y0 = b[0]
-        pts = np.concatenate([np.mod(b[:-1] - t - y0, yp), np.mod(b[:-1] + t - y0, yp)]) + y0
-        pts = np.unique(pts)
-        breaks_y = np.concatenate([pts, [pts[0] + yp]])
+        pts = np.unique(flow._wind(np.concatenate([b[:-1] - t, b[:-1] + t]))[0])
+        breaks_y = np.append(pts, pts[0] + flow.y_period)
     else:
-        pts = np.unique(np.concatenate([b - t, b + t]))
-        breaks_y = pts
+        breaks_y = np.unique(np.concatenate([b - t, b + t]))
     mid = 0.5 * (breaks_y[:-1] + breaks_y[1:])
-    s_breaks = _xi_only(flow, t, breaks_y)
-    return CellField(s_breaks, _state_from_feet(flow, mid, t), y_breaks=breaks_y)
+    return CellField(_xi_only(flow, t, breaks_y), _state_from_feet(flow, mid, t))
 
 
 def reconstruct_string(flow: CharacteristicFlow, times, s_points,

@@ -268,22 +268,6 @@ def cmd_completion(cfg: dict, out_dir: str) -> dict:
         compare_layouts=bool(cfg.get("compare_layouts", True)),
     )
 
-    galilean_u = cfg.get("galilean_u")
-    if galilean_u is not None:
-        win = admissibility(base)
-        if abs(float(galilean_u)) >= win.delta:
-            report["galilean_subtest"] = {
-                "skipped": True,
-                "reason": f"requested |u| = {abs(float(galilean_u)):.3g} >= delta = "
-                          f"{win.delta:.3g}; shifted data could leave the window",
-            }
-        else:
-            shifted = datasets.subrelativistic_wave_base(cells=cells)
-            shifted.v = shifted.v + float(galilean_u)
-            swin = admissibility(shifted)
-            report["galilean_subtest"] = {"skipped": False, "alpha": swin.alpha,
-                                          "delta": swin.delta}
-
     rows = []
     for i, nv in enumerate(report["n_values"]):
         for k, g_id in enumerate(report["family"]):

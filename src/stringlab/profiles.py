@@ -136,13 +136,11 @@ class CellField:
     """Piecewise-constant states between arbitrary ascending breakpoints.
 
     The exact representation of an evolved rough profile: `states` holds one
-    state per cell [breaks[k], breaks[k+1]).  `y_breaks`, when present, are
-    the straightened-coordinate preimages of the breakpoints.
+    state per cell [breaks[k], breaks[k+1]).
     """
 
     breaks: np.ndarray
     states: StateU
-    y_breaks: np.ndarray | None = None
 
     @property
     def m(self) -> int:

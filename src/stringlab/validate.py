@@ -30,6 +30,7 @@ from .geometry import (
     in_g,
     in_m,
     membership_forms_agree,
+    state_from_blocks,
     to_rescaled,
 )
 from .profiles import Profile
@@ -44,19 +45,40 @@ def _random_states(rng, n, d=3):
     return StateU(tau, v, eta, zeta)
 
 
-def _random_hull_states(rng, n, params, d=3):
-    a_p = rng.uniform(params.alpha + params.delta, params.alpha + min(1.0, 1.0 / params.delta), n)
-    a_m = rng.uniform(params.alpha - min(1.0, 1.0 / params.delta), params.alpha - params.delta, n)
-    out = []
-    for a, key in ((a_p, "p"), (a_m, "m")):
+def random_hull_states(rng, n, alpha, delta, d=3) -> StateU:
+    """Uniformish samples of the solid product-of-slabs region CM cap G."""
+    a_p = rng.uniform(alpha + delta, alpha + min(1.0, 1.0 / delta), n)
+    a_m = rng.uniform(alpha - min(1.0, 1.0 / delta), alpha - delta, n)
+    blocks = []
+    for a in (a_p, a_m):
         r = np.sqrt(1.0 - a**2)
         dirs = rng.normal(size=(n, d))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
         radii = r * rng.uniform(0.0, 1.0, n) ** (1.0 / d)
-        out.append(radii[:, None] * dirs)
-    from .geometry import state_from_blocks
+        blocks.append(radii[:, None] * dirs)
+    return state_from_blocks(a_p, a_m, blocks[0], blocks[1])
 
-    return state_from_blocks(a_p, a_m, out[0], out[1])
+
+def legendre_bruteforce(Y, Z) -> float:
+    """Grid maximization of Z.W - L(Y, W) in four zooming rounds.
+
+    The domain (1+Y^2)(1-W^2)+(YW)^2 >= 0 lies in the ball |W| <= sqrt(1+Y^2),
+    which bounds the initial search box; no code is shared with `hamiltonian`."""
+    d = len(Y)
+    center = np.zeros(d)
+    half = float(np.sqrt(1.0 + np.dot(Y, Y)))
+    best = -np.inf
+    for r in range(4):
+        coarse = 41 if r == 0 else 21
+        axes = [np.linspace(center[k] - half, center[k] + half, coarse) for k in range(d)]
+        W = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
+        rad = (1.0 + np.dot(Y, Y)) * (1.0 - np.sum(W**2, axis=1)) + (W @ Y) ** 2
+        val = np.where(rad >= 0.0, W @ Z + np.sqrt(np.maximum(rad, 0.0)), -np.inf)
+        i = int(np.argmax(val))
+        best = max(best, float(val[i]))
+        step = 2.0 * half / (coarse - 1)
+        center, half = W[i], 2.0 * step
+    return best
 
 
 def check_legendre_duality(rng, inject=False) -> dict:
@@ -67,20 +89,7 @@ def check_legendre_duality(rng, inject=False) -> dict:
         h, _ = hamiltonian(Y, Z)
         if inject:
             h += 1e-2
-        center = np.zeros(3)
-        half = float(np.sqrt(1.0 + Y @ Y))
-        best = -np.inf
-        for r in range(4):
-            coarse = 41 if r == 0 else 21
-            axes = [np.linspace(center[k] - half, center[k] + half, coarse) for k in range(3)]
-            W = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
-            rad = (1 + Y @ Y) * (1 - np.sum(W**2, 1)) + (W @ Y) ** 2
-            val = np.where(rad >= 0, W @ Z + np.sqrt(np.maximum(rad, 0.0)), -np.inf)
-            i = int(np.argmax(val))
-            best = max(best, float(val[i]))
-            step = 2 * half / (coarse - 1)
-            center, half = W[i], 2 * step
-        worst = max(worst, abs(h - best))
+        worst = max(worst, abs(h - legendre_bruteforce(Y, Z)))
     return {"pass": worst <= 1e-4, "detail": f"max closed-vs-brute gap {worst:.3e}"}
 
 
@@ -121,7 +130,7 @@ def check_transform_roundtrip(rng, inject=False) -> dict:
 
 def check_membership_forms(rng, inject=False) -> dict:
     params = ManifoldParams(0.0, 0.4, d=3)
-    on = _random_hull_states(rng, 3000, params)
+    on = random_hull_states(rng, 3000, params.alpha, params.delta)
     # lift half of them onto the manifold for mixed verdicts
     w, tau, v, eta, zeta = decompose_to_m_arrays(on, params)
     lifted = StateU(tau[:, 0], v[:, 0], eta[:, 0], zeta[:, 0])
@@ -131,8 +140,6 @@ def check_membership_forms(rng, inject=False) -> dict:
         # a state straddling the tolerance shell where the forms disagree:
         # quadratic residuals (A, B) = (1.5 tol, -0.7 tol) fail the quadratic
         # test but keep both block residuals A +- 2B inside 3 tol
-        from .geometry import state_from_blocks
-
         A, B = 1.5e-10, -0.7e-10
         straddle = state_from_blocks(
             np.sqrt(1.0 + A + 2 * B) * np.array(0.6),
@@ -151,7 +158,7 @@ def check_membership_forms(rng, inject=False) -> dict:
 
 def check_decomposition(rng, inject=False) -> dict:
     params = ManifoldParams(0.0, 0.4, d=3)
-    U = _random_hull_states(rng, 500, params)
+    U = random_hull_states(rng, 500, params.alpha, params.delta)
     w, tau, v, eta, zeta = decompose_to_m_arrays(U, params)
     rec_eta = np.sum(w[..., None] * eta, axis=1)
     rec_zeta = np.sum(w[..., None] * zeta, axis=1)
@@ -168,7 +175,7 @@ def check_decomposition(rng, inject=False) -> dict:
 
 def check_hull_convexity(rng, inject=False) -> dict:
     params = ManifoldParams(0.0, 0.4, d=3)
-    U = _random_hull_states(rng, 400, params)
+    U = random_hull_states(rng, 400, params.alpha, params.delta)
     _, tau, v, eta, zeta = decompose_to_m_arrays(U, params)
     lam = rng.uniform(0.0, 1.0, 400)
     mix = StateU(

@@ -17,9 +17,12 @@ characteristic solver and pairing realizes the completion experiment:
 constraint-manifold (relativistic) data whose weak limit is a hull
 (subrelativistic) generalized solution.
 
-Pairings of piecewise-constant fields use closed-form antiderivatives of
-the test functions, so the oscillation measurements carry no quadrature
-noise; smooth profiles fall back to trapezoid sums (second order).
+Every pairing is one weight vector per test function (the integral of g
+over each cell or sample) times the field's observable matrix.  Cell
+weights come from closed-form antiderivatives, so the oscillation
+measurements carry no quadrature noise; smooth profiles fall back to
+trapezoid weights.  The weak identities of the limit are checked against
+the exact pairings of the limit's own evolved cells.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import erf
 
-from .characteristics import CharacteristicFlow, build_flow, evolve_cells
+from .characteristics import CharacteristicFlow, admissibility, build_flow, evolve_cells
 from .geometry import (
     DomainError,
     ManifoldParams,
@@ -153,56 +156,52 @@ def observable_matrix(states: StateU) -> np.ndarray:
     )
 
 
-def as_cell_field(profile: Profile) -> CellField:
-    if not profile.rough:
-        raise ValueError("as_cell_field needs a rough (piecewise-constant) profile")
-    breaks = profile.s0 + profile.ds * np.arange(profile.n + 1)
-    return CellField(breaks, profile.state())
-
-
 def _wind_range(lo_img, hi_img, g_lo, g_hi, period):
     k_lo = math.floor((g_lo - hi_img) / period) + 1
     k_hi = math.floor((g_hi - lo_img) / period)
     return range(k_lo, k_hi + 1)
 
 
+def _weights(source: Profile | CellField, g: TestFunction, period: float | None) -> np.ndarray:
+    """Integral of g over each cell of a cell field, or each sample of a smooth profile.
+
+    Cells integrate exactly through the antiderivative of g, smooth periodic
+    profiles by the rectangle rule over their own period, both summed over
+    the periodic images that meet g's support; without a period a cell field
+    is supported on its own breakpoint window.  Smooth constant-boundary
+    profiles take trapezoid weights.
+    """
+    if isinstance(source, CellField):
+        pts, size, rule = source.breaks, source.m, lambda x: np.diff(g.antiderivative(x))
+    elif source.boundary == "periodic":
+        pts, size, period = source.s_samples, source.n, source.period
+        rule = lambda x: source.ds * g(x)
+    else:
+        w = source.ds * g(source.s_samples)
+        w[[0, -1]] *= 0.5
+        return w
+    if period is None:
+        return rule(pts)
+    g_lo, g_hi = g.support()
+    w = np.zeros(size)
+    for k in _wind_range(pts[0], pts[-1], g_lo, g_hi, period):
+        w += rule(pts + k * period)
+    return w
+
+
+def _pairings(source: Profile | CellField, family: list[TestFunction],
+              period: float | None) -> np.ndarray:
+    """Pairings (n_family, 2 + 2d) of one field; its observables are built once."""
+    if isinstance(source, Profile) and source.rough:
+        source = CellField(source.s0 + source.ds * np.arange(source.n + 1), source.state())
+    obs = observable_matrix(source.states if isinstance(source, CellField) else source.state())
+    return np.stack([_weights(source, g, period) @ obs for g in family])
+
+
 def pairing_matrix(source: Profile | CellField, g: TestFunction,
                    period: float | None = None) -> np.ndarray:
-    """Full-line pairings of all perspective coordinates against g.
-
-    Cell fields integrate exactly via the antiderivative of g (summing over
-    the periodic images that meet g's support); smooth profiles use the
-    periodic rectangle sum (= trapezoid) at second order.  Without a period,
-    a cell field is read as supported on its own breakpoint window.
-    """
-    if isinstance(source, Profile) and source.rough:
-        source = as_cell_field(source)
-
-    if isinstance(source, CellField):
-        obs = observable_matrix(source.states)
-        breaks = source.breaks
-        g_lo, g_hi = g.support()
-        if period is None:
-            winds = [0]
-        else:
-            winds = _wind_range(breaks[0], breaks[-1], g_lo, g_hi, period)
-        out = np.zeros(obs.shape[-1])
-        for k in winds:
-            gv = g.antiderivative(breaks + k * period if period else breaks)
-            out += np.diff(gv) @ obs
-        return out
-
-    prof = source
-    obs = observable_matrix(prof.state())
-    s = prof.s_samples
-    if prof.boundary == "periodic":
-        per = prof.period
-        g_lo, g_hi = g.support()
-        out = np.zeros(obs.shape[-1])
-        for k in _wind_range(s[0], s[-1], g_lo, g_hi, per):
-            out += prof.ds * (g(s + k * per) @ obs)
-        return out
-    return np.trapezoid(g(s)[:, None] * obs, dx=prof.ds, axis=0)
+    """Full-line pairings of all perspective coordinates against g (weights as in `_weights`)."""
+    return _pairings(source, [g], period)[0]
 
 
 def pairing(source: Profile | CellField, g: TestFunction, observable: str,
@@ -291,8 +290,6 @@ def oscillate_profile(base: Profile, n: float, params: ManifoldParams | None = N
     if layout not in ("forward", "reversed"):
         raise ValueError("layout must be 'forward' or 'reversed'")
     if params is None:
-        from .characteristics import admissibility
-
         win = admissibility(base)
         params = ManifoldParams(alpha=win.alpha, delta=win.delta, d=base.d)
     period = base.period
@@ -339,11 +336,12 @@ def oscillate_profile(base: Profile, n: float, params: ManifoldParams | None = N
 
 def pairing_tables(fields_by_time: dict, family: list[TestFunction],
                    period: float | None = None) -> np.ndarray:
-    """Array of pairings, shape (n_times, n_family, 2 + 2d), times in key order."""
-    rows = []
-    for _, src in fields_by_time.items():
-        rows.append(np.stack([pairing_matrix(src, g, period) for g in family]))
-    return np.stack(rows)
+    """Array of pairings, shape (n_times, n_family, 2 + 2d), times in key order.
+
+    Each field's observable matrix is built once and freed before the next
+    field's; every test function then costs one weight vector and one mat-vec.
+    """
+    return np.stack([_pairings(src, family, period) for src in fields_by_time.values()])
 
 
 def weak_distance(table_a: np.ndarray, table_b: np.ndarray) -> dict:
@@ -378,65 +376,22 @@ def loglog_slope(n_values, gaps) -> float:
 # -- generalized-solution identities ---------------------------------------
 
 
-def _identity_rhs_h(flow: CharacteristicFlow, t: float, g: TestFunction) -> float:
-    """integral g(xi(t, y)) dy, exact over the piecewise-linear evolved curve."""
-    cells = evolve_cells(flow, t)
-    yb, sb = cells.y_breaks, cells.breaks
-    g_lo, g_hi = g.support()
-    total = 0.0
-    for k in _wind_range(sb[0], sb[-1], g_lo, g_hi, flow.s_period):
-        gv = g.antiderivative(sb + k * flow.s_period)
-        total += float(np.sum(np.diff(gv) / np.diff(sb) * np.diff(yb)))
-    return total
-
-
-def _identity_rhs_packets(flow: CharacteristicFlow, t: float, g: TestFunction,
-                          branch: int) -> np.ndarray:
-    """Transported-packet integrals of the weak identities, exactly.
-
-    branch = +1: integral (v+tau, eta-zeta)(0, xi0(sigma)) g(xi(t, sigma - t))
-    dsigma, which equals integral (q+1, Y-Z)(t, .) g ds because that packet
-    feeds (t, xi(t, y)) from xi0(y + t); branch = -1 is the (v-tau, eta+zeta)
-    packet with argument xi(t, sigma + t).  Everything is piecewise linear in
-    sigma once the segment breaks include B0 and B0 + 2*branch*t.
-    """
-    from .characteristics import _xi_only
-
-    yb = flow.y_edges
-    yp = flow.y_period
-    seg = np.unique(np.concatenate([
-        np.mod(yb[:-1] - yb[0], yp), np.mod(yb[:-1] + 2.0 * branch * t - yb[0], yp)
-    ])) + yb[0]
-    seg = np.concatenate([seg, [seg[0] + yp]])
-    mid = 0.5 * (seg[:-1] + seg[1:])
-    ap, am, cp, cm = flow.invariants_at(mid)
-    if branch > 0:
-        vals = np.concatenate([ap[:, None], cp], axis=1)
-    else:
-        vals = np.concatenate([am[:, None], cm], axis=1)
-    args = _xi_only(flow, t, seg - branch * t)
-    dsig = np.diff(seg)
-    darg = np.diff(args)
-    g_lo, g_hi = g.support()
-    total = np.zeros(vals.shape[1])
-    for k in _wind_range(args[0], args[-1], g_lo, g_hi, flow.s_period):
-        gv = g.antiderivative(args + k * flow.s_period)
-        total += (np.diff(gv) / darg * dsig) @ vals
-    return total
-
-
 def verify_generalized_solution(limit_table: np.ndarray, flow: CharacteristicFlow,
                                 family: list[TestFunction], times,
                                 tol: float = 1e-3, continuous_only: bool = True) -> dict:
     """Check the three weak transport identities of the limit pairings.
 
     limit_table has shape (n_times, n_family, 2+2d) in the (h, q, Y, Z)
-    stacking; the right-hand sides are computed exactly from the limit's own
-    initial data and straightening map (periodic rough flows).  Residuals:
+    stacking.  The right-hand sides
 
         h    : integral g h(t,.) ds          = integral g(xi(t, y)) dy
         q+-1 : integral (q +- 1)(t,.) g ds   = transported initial packets
         Y-+Z : integral (Y -+ Z)(t,.) g ds   = transported initial packets
+
+    are the exact pairings of the limit's own initial data evolved by
+    `evolve_cells` (periodic rough flows).  Residuals: the h and q gaps (the
+    integral of g cancels on both sides of q+-1) and max |dY -+ dZ| over the
+    Y and Z gaps.
 
     With continuous_only (default) indicator-type g are skipped: a jump of g
     inside an oscillation cell leaves an alignment-dependent O(1/n) floor in
@@ -447,23 +402,13 @@ def verify_generalized_solution(limit_table: np.ndarray, flow: CharacteristicFlo
     if flow.mode != "pc" or flow.s_period is None:
         raise ValueError("identity verification needs a periodic rough flow")
     d = flow.profile.d
-    res_h, res_q, res_yz = 0.0, 0.0, 0.0
-    for it, t in enumerate(times):
-        for ig, g in enumerate(family):
-            if continuous_only and g.kind == "indicator":
-                continue
-            row = limit_table[it, ig]
-            lhs_h = row[0]
-            lhs_q = row[1]
-            lhs_Y = row[2:2 + d]
-            lhs_Z = row[2 + d:]
-            res_h = max(res_h, abs(lhs_h - _identity_rhs_h(flow, t, g)))
-            rp = _identity_rhs_packets(flow, t, g, +1)   # (q+1, Y-Z) side
-            rm = _identity_rhs_packets(flow, t, g, -1)   # (q-1, Y+Z) side
-            res_q = max(res_q, abs(lhs_q + g.normalization - rp[0]),
-                        abs(lhs_q - g.normalization - rm[0]))
-            res_yz = max(res_yz, float(np.max(np.abs(lhs_Y - lhs_Z - rp[1:]))),
-                         float(np.max(np.abs(lhs_Y + lhs_Z - rm[1:]))))
+    rhs = pairing_tables({t: evolve_cells(flow, t) for t in times}, family, flow.s_period)
+    keep = [not (continuous_only and g.kind == "indicator") for g in family]
+    gap = (limit_table - rhs)[:, keep]
+    dY, dZ = gap[..., 2:2 + d], gap[..., 2 + d:]
+    res_h = float(np.max(np.abs(gap[..., 0]), initial=0.0))
+    res_q = float(np.max(np.abs(gap[..., 1]), initial=0.0))
+    res_yz = float(max(np.max(np.abs(dY - dZ), initial=0.0), np.max(np.abs(dY + dZ), initial=0.0)))
     return {
         "residual_h": res_h,
         "residual_q": res_q,
@@ -488,8 +433,6 @@ def completion_experiment(base: Profile, n_list, times, family: list[TestFunctio
     if family is None:
         family = default_family(base.s0, base.s0 + base.period)
     if params is None:
-        from .characteristics import admissibility
-
         win = admissibility(base)
         params = ManifoldParams(alpha=win.alpha, delta=win.delta, d=base.d)
     times = list(times)
@@ -505,8 +448,7 @@ def completion_experiment(base: Profile, n_list, times, family: list[TestFunctio
                                                       params.delta, membership_tol)
         osc_in_m = osc_in_m and bool(np.all(ok))
         flow = build_flow(osc, params.alpha, params.delta)
-        fields = {t: evolve_cells(flow, t) for t in times}
-        tables.append(pairing_tables(fields, family, period))
+        tables.append(pairing_tables({t: evolve_cells(flow, t) for t in times}, family, period))
     tables = np.stack(tables)
 
     limit_table = extrapolate_tables(n_eff, tables)
@@ -553,8 +495,7 @@ def completion_experiment(base: Profile, n_list, times, family: list[TestFunctio
     if compare_layouts:
         osc_r, _ = oscillate_profile(base, n_list[-1], params, m=m, layout="reversed")
         flow_r = build_flow(osc_r, params.alpha, params.delta)
-        fields_r = {t: evolve_cells(flow_r, t) for t in times}
-        table_r = pairing_tables(fields_r, family, period)
+        table_r = pairing_tables({t: evolve_cells(flow_r, t) for t in times}, family, period)
         report["layout_gap"] = float(np.max(np.abs(table_r - tables[-1])))
         report["layout_gap_scale"] = float(gaps[-1])
     return report

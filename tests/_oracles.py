@@ -1,11 +1,13 @@
 """Independent oracles shared by the test modules.
 
-These deliberately avoid the library code paths they are used to check:
-brute-force grid search for the Legendre dual, direct finite differences
-for derivatives, and naive quadrature for integrals.
+These deliberately avoid the library code paths they are used to check.
+The brute-force Legendre dual and the hull sampler live in
+`stringlab.validate`, whose `validate` battery runs them too.
 """
 
 import numpy as np
+
+from stringlab.validate import legendre_bruteforce, random_hull_states  # noqa: F401
 
 
 def lagrangian_reference(Y, W):
@@ -15,42 +17,3 @@ def lagrangian_reference(Y, W):
     yw = float(np.dot(Y, W))
     rad = 1.0 - w2 + y2 - y2 * w2 + yw * yw
     return -np.sqrt(rad)
-
-
-def legendre_bruteforce(Y, Z, rounds=4):
-    """Grid maximization of Z.W - L(Y, W) with progressive zoom.
-
-    The domain (1+Y^2)(1-W^2)+(YW)^2 >= 0 is contained in the ball
-    |W| <= sqrt(1+Y^2), which bounds the initial search box.
-    """
-    d = len(Y)
-    center = np.zeros(d)
-    half = float(np.sqrt(1.0 + np.dot(Y, Y)))
-    best = -np.inf
-    for r in range(rounds):
-        coarse = 41 if r == 0 else 21
-        axes = [np.linspace(center[k] - half, center[k] + half, coarse) for k in range(d)]
-        W = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
-        rad = (1.0 + np.dot(Y, Y)) * (1.0 - np.sum(W**2, axis=1)) + (W @ Y) ** 2
-        val = np.where(rad >= 0.0, W @ Z + np.sqrt(np.maximum(rad, 0.0)), -np.inf)
-        i = int(np.argmax(val))
-        best = max(best, float(val[i]))
-        step = 2.0 * half / (coarse - 1)
-        center, half = W[i], 2.0 * step
-    return best
-
-
-def random_hull_states(rng, n, alpha, delta, d=3):
-    """Uniformish samples of the solid product-of-slabs region CM cap G."""
-    from stringlab.geometry import state_from_blocks
-
-    a_p = rng.uniform(alpha + delta, alpha + min(1.0, 1.0 / delta), n)
-    a_m = rng.uniform(alpha - min(1.0, 1.0 / delta), alpha - delta, n)
-    blocks = []
-    for a in (a_p, a_m):
-        r = np.sqrt(1.0 - a**2)
-        dirs = rng.normal(size=(n, d))
-        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-        radii = r * rng.uniform(0.0, 1.0, n) ** (1.0 / d)
-        blocks.append(radii[:, None] * dirs)
-    return state_from_blocks(a_p, a_m, blocks[0], blocks[1])

@@ -149,6 +149,19 @@ def test_flow_requires_grid_containing_zero():
         build_flow(p)
 
 
+def test_one_sample_profiles():
+    # a smooth constant-boundary sample has no knot interval; a rough cell or a
+    # periodic smooth sample closes its own table
+    eta, zeta = np.full((1, 1), 0.1), np.zeros((1, 1))
+    one = np.array([0.7]), np.array([0.1])
+    with pytest.raises(DomainError, match=r"n = 1 at s0 = 0"):
+        build_flow(Profile(0.0, 0.5, *one, eta, zeta, "constant", rough=False))
+    for boundary, rough in (("constant", True), ("periodic", False), ("periodic", True)):
+        prof = Profile(-0.25, 0.5, *one, eta, zeta, boundary, rough=rough)
+        U = evolve_states(build_flow(prof), 0.8, np.array([0.0, 0.2]))
+        assert np.allclose(U.tau, 0.7, atol=1e-12) and np.allclose(U.v, 0.1, atol=1e-12)
+
+
 # -- xi evaluation ------------------------------------------------------------
 
 def test_xi_constant_state_closed_form():
@@ -437,6 +450,21 @@ def test_xi0_inverse_across_periods():
     y = np.linspace(-40.0, 40.0, 257)  # spans multiple straightened periods
     back = flow.xi0_inverse(flow.xi0(y))
     assert np.max(np.abs(back - y)) < 1e-9
+
+
+@pytest.mark.parametrize("base", [datasets.rough_manifold_base(101),
+                                  datasets.subrelativistic_wave_base(101),
+                                  datasets.rough_hull_base(64, d=1)],
+                         ids=["manifold", "subrel_wave", "hull_d1"])
+def test_evolved_cells_follow_straightening_map(base):
+    # on every evolved cell the breakpoints' preimages under xi(t, .) are
+    # spaced by ds / tau: the cell's state and its place agree
+    flow = build_flow(base)
+    for t in (0.0, 0.5, 2.0, -25.0, 37.7):
+        cells = evolve_cells(flow, t)
+        y = xi_time_inverse(flow, t, cells.breaks)
+        slope = np.diff(cells.breaks) / np.diff(y)
+        assert np.max(np.abs(slope - cells.states.tau)) < 1e-11, t
 
 
 def test_evolve_cells_requires_rough():

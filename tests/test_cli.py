@@ -108,7 +108,6 @@ def test_completion_command(tmp_path):
         "n_list": [8, 16, 32],
         "times": [0.0, 1.0],
         "samples_per_cell": 32,
-        "galilean_u": 0.9,   # too large: sub-test must be skipped with a reason
     })
     out = str(tmp_path / "out")
     assert main(["completion", "--config", cfg, "--out", out]) == 0
@@ -116,9 +115,6 @@ def test_completion_command(tmp_path):
     assert report["pass"]
     flags = {r["name"]: r["pass"] for r in report["results"] if "name" in r}
     assert flags["limit_is_nonrelativistic_generalized_string"]
-    detail = report["results"][-1]
-    assert detail["galilean_subtest"]["skipped"]
-    assert "delta" in detail["galilean_subtest"]["reason"]
     lines = open(os.path.join(out, "completion_gaps.csv")).read().splitlines()
     assert lines[0] == "n,g_id,t,pairing_gap"
 

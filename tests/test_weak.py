@@ -191,6 +191,28 @@ def test_layout_order_does_not_move_the_limit():
     assert gap_f < 4.0 / plan.n_eff and gap_r < 4.0 / plan.n_eff
 
 
+def test_pairing_tables_match_per_function_pairings():
+    # one observable matrix per field gives the per-g pairings; smooth
+    # constant profiles keep the trapezoid rule
+    rough = datasets.subrelativistic_wave_base(cells=101)
+    fam = default_family(rough.s0, rough.s0 + rough.period)
+    fields = {
+        "cells": evolve_cells(build_flow(rough), 0.7),
+        "rough": rough,
+        "smooth_periodic": datasets.smooth_hull_profile(n=256),
+        "smooth_constant": datasets.smooth_manifold_profile(n=256, boundary="constant"),
+    }
+    tables = pairing_tables(fields, fam, rough.period)
+    for row, src in zip(tables, fields.values()):
+        for g, got in zip(fam, row):
+            assert np.max(np.abs(got - pairing_matrix(src, g, rough.period))) < 1e-14
+    prof = fields["smooth_constant"]
+    obs = observable_matrix(prof.state())
+    for g, got in zip(fam, tables[-1]):
+        ref = np.trapezoid(g(prof.s_samples)[:, None] * obs, dx=prof.ds, axis=0)
+        assert np.max(np.abs(got - ref)) < 1e-14
+
+
 # -- distance, extrapolation, identities ---------------------------------------
 
 def test_weak_distance_identical_is_zero():
@@ -220,6 +242,24 @@ def test_identities_hold_for_exact_solution():
     rep = verify_generalized_solution(table, flow, fam, times, tol=1e-8)
     assert rep["pass"]
     assert max(rep["residual_h"], rep["residual_q"], rep["residual_yz"]) < 1e-10
+
+
+def test_identities_reject_a_perturbed_limit():
+    base = datasets.subrelativistic_wave_base(cells=101)
+    flow = build_flow(base)
+    fam = default_family(base.s0, base.s0 + base.period)
+    times = [0.0, 0.8]
+    table = pairing_tables({t: evolve_cells(flow, t) for t in times}, fam, base.period)
+    d = base.d
+    bad = table.copy()
+    bad[1, 0, 2 + d] += 1e-2          # Z_1 of a gaussian pairing
+    rep = verify_generalized_solution(bad, flow, fam, times)
+    assert not rep["pass"] and rep["residual_yz"] == pytest.approx(1e-2, rel=1e-6)
+    bad = table.copy()
+    bad[0, -1, 0] += 1e-2             # h of an indicator pairing
+    assert verify_generalized_solution(bad, flow, fam, times)["pass"]
+    rep = verify_generalized_solution(bad, flow, fam, times, continuous_only=False)
+    assert not rep["pass"] and rep["residual_h"] == pytest.approx(1e-2, rel=1e-6)
 
 
 def test_completion_experiment_flags():
