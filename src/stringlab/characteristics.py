@@ -35,6 +35,9 @@ data share one monotone knot table and one evaluator; smooth data use
 fourth-order quadrature and cubic Hermite interpolation (certified
 monotone interval by interval), piecewise constant (rough) data exact cell
 sums, linear interpolation and cell lookups for the transported packets.
+A rough table has one cell per run of equal samples, so its knots sit only
+where the data jump: an oscillated tiling with a few runs per oscillation
+cell evolves and pairs on its runs, not on its samples.
 
 Inversion.  Every state evaluation needs the y with xi(t, y) = s.  One
 vectorized, safeguarded Newton solver (`xi_time_inverse`) serves all of
@@ -46,7 +49,8 @@ bracket, falls back to bisection, and converges in about five steps.
 
 Periodic data are global in time exactly: with t = m Y_p + r, the solution
 satisfies U(t, s) = U(r, s - m Phi_p) (the shift taken modulo S_p), so
-`evolve_states` evaluates |t| = 1e9 as accurately as |t| < Y_p / 2.
+`evolve_states` and `evolve_cells` evaluate |t| = 1e9 as accurately as
+|t| < Y_p / 2.
 """
 
 from __future__ import annotations
@@ -136,7 +140,10 @@ class CharacteristicFlow:
     The initial curve is one monotone table: knots `y_edges` = y(s_i), values
     `xi_nodes` = s_i and `phi_nodes` = Phi(s_i), slopes `xi_slopes` = tau and
     `phi_slopes` = v, one per knot for smooth data (cubic Hermite) and one
-    per cell for rough data ("pc", linear).  All methods are pure and safe
+    per cell for rough data ("pc", linear).  A rough cell is a run of
+    consecutive samples with equal (tau, v, eta, zeta), so rough knots sit
+    only at the data's jumps, and `pk_values` holds one row per run (per
+    sample for smooth data).  All methods are pure and safe
     for concurrent callers.  `alpha`/`delta` record the admissible window
     used; the slopes are certified inside [delta - tol, 1/delta + tol].
     """
@@ -231,7 +238,8 @@ def build_flow(profile: Profile, alpha: float | None = None, delta: float | None
 
     The knots y(s) = integral_0^s dsigma/tau and Phi(s) = integral_0^s
     v/tau dsigma sit on the profile's own s-grid: exact cell sums for rough
-    data, the fourth-order `cumulative_integral` for smooth data, whose
+    data, taken at the edges of its runs of equal samples (its jumps), the
+    fourth-order `cumulative_integral` for smooth data, whose
     periodic tables close at s0 + S_p with full-period trapezoid sums Y_p
     and Phi_p.  One interpolation at s = 0 normalizes xi0(0) = phi0(0) = 0.
     Raises InadmissibleDataError through `admissibility`, and DomainError
@@ -249,12 +257,15 @@ def build_flow(profile: Profile, alpha: float | None = None, delta: float | None
         raise DomainError(f"a smooth constant-boundary table needs n >= 2 samples; "
                           f"got n = {n} at s0 = {profile.s0:.6g}")
     tau, v = profile.tau.copy(), profile.v.copy()
-    pk = np.column_stack([profile.v + profile.tau, profile.v - profile.tau,
-                          profile.eta - profile.zeta, profile.eta + profile.zeta])
+    knots = rows = slice(None)
     if profile.rough:
         dy = ds / tau
         y = np.concatenate([[0.0], np.cumsum(dy)])
         phi = np.concatenate([[0.0], np.cumsum(v * dy)])
+        # one cell per run of equal samples: the rough knots are the data's jumps
+        data = np.column_stack([tau, v, profile.eta, profile.zeta])
+        knots = np.flatnonzero(np.r_[True, np.any(data[1:] != data[:-1], axis=1), True])
+        rows = knots[:-1]
     else:
         y = cumulative_integral(1.0 / tau, ds, profile.boundary)
         phi = cumulative_integral(v / tau, ds, profile.boundary)
@@ -262,6 +273,8 @@ def build_flow(profile: Profile, alpha: float | None = None, delta: float | None
             y = np.append(y, ds * np.sum(1.0 / tau))
             phi = np.append(phi, ds * np.sum(v / tau))
             tau, v = np.append(tau, tau[0]), np.append(v, v[0])
+    tr, vr, er, zr = (a[rows] for a in (profile.tau, profile.v, profile.eta, profile.zeta))
+    pk = np.column_stack([vr + tr, vr - tr, er - zr, er + zr])
     s = profile.s0 + ds * np.arange(len(y))
     if not s[0] <= 0.0 <= s[-1]:
         raise DomainError("the grid window must contain s = 0 (normalization xi(0,0) = 0)")
@@ -275,8 +288,8 @@ def build_flow(profile: Profile, alpha: float | None = None, delta: float | None
 
     flow = CharacteristicFlow(
         profile, alpha, delta, "pc" if profile.rough else "smooth",
-        y_edges=y - at_zero(y, np.ones_like(tau)), xi_nodes=s, xi_slopes=tau,
-        phi_nodes=phi - at_zero(phi, v), phi_slopes=v,
+        y_edges=(y - at_zero(y, np.ones_like(tau)))[knots], xi_nodes=s[knots],
+        xi_slopes=tau[rows], phi_nodes=(phi - at_zero(phi, v))[knots], phi_slopes=v[rows],
         y_period=float(y[-1]) if periodic else None,
         s_period=n * ds if periodic else None,
         phi_period=float(phi[-1]) if periodic else None,
@@ -371,6 +384,19 @@ def xi_time_inverse(flow: CharacteristicFlow, t, s, y_tol: float = 1e-12):
     return y.reshape(shape)
 
 
+def _reduce_time(flow, t):
+    """(r, shift) with U(t, s) = U(r, s - shift): t = m Y_p + r, shift = m Phi_p mod S_p.
+
+    m = round(t / Y_p) for periodic flows, so |r| <= Y_p / 2; the shift is
+    reduced into [-S_p/2, S_p/2].  Aperiodic flows and m = 0 give (t, 0).
+    """
+    if flow.y_period is None:
+        return t, 0.0
+    m = np.round(t / flow.y_period)
+    shift = m * flow.phi_period
+    return t - m * flow.y_period, shift - flow.s_period * np.round(shift / flow.s_period)
+
+
 def _state_from_feet(flow, y, t):
     """U at (t, xi(t, y)): each invariant pair read off at its foot y +- t."""
     ap, _, cp, _ = flow.invariants_at(y + t)
@@ -381,21 +407,17 @@ def _state_from_feet(flow, y, t):
 def evolve_states(flow: CharacteristicFlow, t, s_points) -> StateU:
     """Exact solution state at times t and positions s_points (broadcast together).
 
-    Periodic flows evaluate far times exactly through one period shift:
-    xi0(y + Y_p) = xi0(y) + S_p and Phi(y + Y_p) = Phi(y) + Phi_p give
-    xi(m Y_p + r, y) = xi(r, y) + m Phi_p, so U(t, s) = U(r, s - m Phi_p)
-    with m = round(t / Y_p), the shift taken modulo S_p.  The feet y +- r
-    then stay within a period of the table; evaluated directly, the
-    d'Alembert sum at |t| = 1e9 would lose about nine digits to
-    cancellation.  For m = 0 nothing changes.
+    Periodic flows evaluate far times exactly through one period shift
+    (`_reduce_time`): xi0(y + Y_p) = xi0(y) + S_p and Phi(y + Y_p) =
+    Phi(y) + Phi_p give xi(m Y_p + r, y) = xi(r, y) + m Phi_p, so
+    U(t, s) = U(r, s - m Phi_p) with m = round(t / Y_p), the shift taken
+    modulo S_p.  The feet y +- r then stay within a period of the table;
+    evaluated directly, the d'Alembert sum at |t| = 1e9 would lose about
+    nine digits to cancellation.  For m = 0 nothing changes.
     """
     t, s = _finite("t", t), _finite("s_points", s_points)
-    if flow.y_period is not None:
-        m = np.round(t / flow.y_period)
-        shift = m * flow.phi_period
-        t = t - m * flow.y_period
-        s = s - (shift - flow.s_period * np.round(shift / flow.s_period))
-    return _state_from_feet(flow, xi_time_inverse(flow, t, s), t)
+    r, shift = _reduce_time(flow, t)
+    return _state_from_feet(flow, xi_time_inverse(flow, r, s - shift), r)
 
 
 def solve_augmented(source: Profile | CharacteristicFlow, t: float,
@@ -437,19 +459,23 @@ def evolve_cells(flow: CharacteristicFlow, t: float) -> CellField:
     """Exact piecewise-constant solution of rough data at time t.
 
     The state at (t, xi(t, y)) is constant between consecutive points of
-    {b - t} union {b + t}, b running over the initial cell edges; mapping
-    those y-breakpoints through xi(t, .) gives the exact evolved cells.
+    {b - t} union {b + t}, b running over the knots of the table (the jumps
+    of the initial data); mapping those y-breakpoints through xi(t, .) gives
+    the exact evolved cells.  Periodic flows evolve to the reduced time r of
+    `_reduce_time` and shift the breakpoints by m Phi_p (mod S_p), as
+    `evolve_states` does, so far times keep full accuracy.
     """
     if flow.mode != "pc":
         raise DomainError("evolve_cells requires a rough (piecewise-constant) flow")
     b = flow.y_edges
+    t, shift = _reduce_time(flow, t)
     if flow.y_period is not None:
         pts = np.unique(flow._wind(np.concatenate([b[:-1] - t, b[:-1] + t]))[0])
         breaks_y = np.append(pts, pts[0] + flow.y_period)
     else:
         breaks_y = np.unique(np.concatenate([b - t, b + t]))
     mid = 0.5 * (breaks_y[:-1] + breaks_y[1:])
-    return CellField(_xi_only(flow, t, breaks_y), _state_from_feet(flow, mid, t))
+    return CellField(_xi_only(flow, t, breaks_y) + shift, _state_from_feet(flow, mid, t))
 
 
 def reconstruct_string(flow: CharacteristicFlow, times, s_points,

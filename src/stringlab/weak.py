@@ -167,9 +167,11 @@ def _weights(source: Profile | CellField, g: TestFunction, period: float | None)
 
     Cells integrate exactly through the antiderivative of g, smooth periodic
     profiles by the rectangle rule over their own period, both summed over
-    the periodic images that meet g's support; without a period a cell field
-    is supported on its own breakpoint window.  Smooth constant-boundary
-    profiles take trapezoid weights.
+    the periodic images that meet g's support and, in each image, only over
+    the cells or samples that cover it (one searchsorted on the support
+    bounds); without a period a cell field is supported on its own
+    breakpoint window.  Smooth constant-boundary profiles take trapezoid
+    weights.
     """
     if isinstance(source, CellField):
         pts, size, rule = source.breaks, source.m, lambda x: np.diff(g.antiderivative(x))
@@ -183,9 +185,12 @@ def _weights(source: Profile | CellField, g: TestFunction, period: float | None)
     if period is None:
         return rule(pts)
     g_lo, g_hi = g.support()
+    ks = np.asarray(_wind_range(pts[0], pts[-1], g_lo, g_hi, period), dtype=float)
+    lo, hi = np.searchsorted(pts, [g_lo - ks * period, g_hi - ks * period])
+    c = len(pts) - size  # a cell needs both its breaks, a sample only itself
     w = np.zeros(size)
-    for k in _wind_range(pts[0], pts[-1], g_lo, g_hi, period):
-        w += rule(pts + k * period)
+    for k, a, b in zip(ks, np.maximum(lo - c, 0), np.minimum(hi + 1, len(pts))):
+        w[a:b - c] += rule(pts[a:b] + k * period)
     return w
 
 
@@ -456,7 +461,10 @@ def completion_experiment(base: Profile, n_list, times, family: list[TestFunctio
     gaps = gap_tg.max(axis=(1, 2))
     per_time = gap_tg.max(axis=2)
     slope = -loglog_slope(n_eff, gaps)  # decay exponent p in gap ~ n^-p
-    uniformity = float(np.max(per_time.max(axis=1) / per_time.min(axis=1)))
+    # max/min gap over times per level, over the levels whose smallest gap is
+    # positive: a level pairing exactly like its limit at some time has no ratio
+    lo, hi = per_time.min(axis=1), per_time.max(axis=1)
+    uniformity = float(np.max(hi[lo > 0.0] / lo[lo > 0.0], initial=1.0))
 
     # direct evolution of the exact weak limit of the tiling
     limit_prof = plans[-1].limit_profile()

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -6,6 +7,8 @@ import pytest
 from stringlab import datasets
 from stringlab.characteristics import (
     InadmissibleDataError,
+    _state_from_feet,
+    _xi_only,
     admissibility,
     build_flow,
     evolve_cells,
@@ -21,8 +24,9 @@ from stringlab.characteristics import (
     xi_wave_residual,
 )
 from stringlab.geometry import DomainError, in_cm, in_g, in_m
-from stringlab.profiles import Profile, cubic_interp
+from stringlab.profiles import CellField, Profile, cubic_interp
 from stringlab.waves import dalembert_wave_solve, oscillatory_family_init, wave_to_augmented
+from stringlab.weak import _weights, default_family, observable_matrix, oscillate_profile, pairing_tables
 
 KAPPA = 2.0 ** -0.5
 
@@ -362,23 +366,48 @@ def test_periodic_time_reduction_matches_direct_evaluation(rough):
         assert np.max(np.abs(U.zeta - 0.5 * (cm - cp))) < 1e-10
 
 
-def test_rough_reduction_matches_evolved_cells_at_large_time():
-    # evolve_cells builds the cells from y +- t independently of the
-    # inversion; away from its breakpoints (computed at the raw t, so good
-    # to about 1e-7 here) each point must take its cell's state
+def test_evolve_cells_reduces_periodic_time():
+    # evolve_cells at t = m Y_p + r evolves to r and shifts by m Phi_p; at
+    # moderate m the unreduced d'Alembert breakpoints are still accurate, so
+    # both routes list the same cells (from different starts in the period)
     flow = build_flow(datasets.rough_manifold_base(cells=101, alpha=0.2))
-    s = np.linspace(-6.0, 6.0, 401)
+    S = flow.s_period
+
+    def wrap(x):
+        return x - S * np.round(x / S)
+
+    b = flow.y_edges
+    for t in (2 * flow.y_period + 0.3, -3 * flow.y_period - 1.1):
+        pts = np.unique(flow._wind(np.concatenate([b[:-1] - t, b[:-1] + t]))[0])
+        y = np.append(pts, pts[0] + flow.y_period)
+        direct = _xi_only(flow, t, y)
+        want = _state_from_feet(flow, 0.5 * (y[:-1] + y[1:]), t)
+        cells = evolve_cells(flow, t)
+        assert cells.m == len(y) - 1
+        k = int(np.argmin(np.abs(wrap(cells.breaks[:-1] - direct[0]))))
+        assert np.max(np.abs(wrap(np.roll(cells.breaks[:-1], -k) - direct[:-1]))) < 1e-10
+        for f in ("tau", "v", "eta", "zeta"):
+            assert np.array_equal(np.roll(getattr(cells.states, f), -k, axis=0),
+                                  getattr(want, f)), (t, f)
+
+
+def test_rough_reduction_matches_evolved_cells_at_large_time():
+    # evolve_cells builds the cells from y +- r independently of the
+    # inversion; its breakpoints are reduced like evolve_states' positions,
+    # so points 1e-9 inside either end of every cell take that cell's state
+    # (unreduced, the breakpoints at |t| = 1e9 are good to only about 1e-7)
+    flow = build_flow(datasets.rough_manifold_base(cells=101, alpha=0.2))
     for t in (1e9, -1e9):
         cells = evolve_cells(flow, t)
         b = cells.breaks
-        s_in = b[0] + np.mod(s - b[0], flow.s_period)
-        k = np.searchsorted(b, s_in, side="right") - 1
-        far = np.minimum(s_in - b[k], b[k + 1] - s_in) > 1e-4
-        assert np.count_nonzero(far) > 300
-        U = evolve_states(flow, t, s[far])
-        want = cells.states
-        for got, ref in ((U.tau, want.tau), (U.v, want.v), (U.eta, want.eta), (U.zeta, want.zeta)):
-            assert np.max(np.abs(got - ref[k[far]])) < 1e-12
+        wide = np.flatnonzero(np.diff(b) > 1e-8)
+        assert len(wide) > 190
+        for s in (b[wide] + 1e-9, b[wide + 1] - 1e-9):
+            U = evolve_states(flow, t, s)
+            want = cells.states
+            for got, ref in ((U.tau, want.tau), (U.v, want.v), (U.eta, want.eta),
+                             (U.zeta, want.zeta)):
+                assert np.max(np.abs(got - ref[wide])) < 1e-12
 
 
 def test_finite_propagation_exact_tails():
@@ -450,6 +479,49 @@ def test_xi0_inverse_across_periods():
     y = np.linspace(-40.0, 40.0, 257)  # spans multiple straightened periods
     back = flow.xi0_inverse(flow.xi0(y))
     assert np.max(np.abs(back - y)) < 1e-9
+
+
+def test_rough_tables_knot_at_the_data_jumps():
+    # an oscillated tiling holds at most four equal-state runs per oscillation
+    # cell: one table cell per run, knots at the run edges only
+    osc, _ = oscillate_profile(datasets.subrelativistic_wave_base(101), 32, m=64)
+    flow = build_flow(osc)
+    data = np.column_stack([osc.tau, osc.v, osc.eta, osc.zeta])
+    edges = np.flatnonzero(np.r_[True, np.any(data[1:] != data[:-1], axis=1), True])
+    runs = len(edges) - 1
+    assert len(flow.y_edges) == runs + 1 and 8 * runs < osc.n
+    # a twin whose eta differs at every sample keeps tau and v, so its
+    # per-sample table holds the same cumulative sums at every sample edge
+    twin = dataclasses.replace(osc, eta=osc.eta + 1e-3 * np.arange(osc.n)[:, None])
+    full = build_flow(twin, flow.alpha, flow.delta)
+    assert len(full.y_edges) == osc.n + 1
+    for f in ("y_edges", "xi_nodes", "phi_nodes"):
+        assert np.array_equal(getattr(flow, f), getattr(full, f)[edges]), f
+    for f in ("xi_slopes", "phi_slopes"):
+        assert np.array_equal(getattr(flow, f), getattr(full, f)[edges[:-1]]), f
+    for t in (0.5, -25.0, 37.7):
+        cells = evolve_cells(flow, t)
+        U = evolve_states(flow, t, 0.5 * (cells.breaks[:-1] + cells.breaks[1:]))
+        for f in ("tau", "v", "eta", "zeta"):
+            assert np.array_equal(getattr(U, f), getattr(cells.states, f)), (t, f)
+    # the run cells pair like one cell per sample; the per-sample sums are
+    # taken exactly, since a mat-vec over its 25,856 cells rounds to ~2e-12
+    fam = default_family(osc.s0, osc.s0 + osc.period)
+    got = pairing_tables({0.0: evolve_cells(flow, 0.0)}, fam, osc.period)[0]
+    per_sample = CellField(osc.s0 + osc.ds * np.arange(osc.n + 1), osc.state())
+    obs = observable_matrix(per_sample.states)
+    for g, row in zip(fam, got):
+        terms = _weights(per_sample, g, osc.period)[:, None] * obs
+        assert np.max(np.abs(row - [math.fsum(col) for col in terms.T])) < 1e-13, g.label
+
+
+def test_rough_tables_without_runs_knot_every_sample():
+    base = datasets.rough_manifold_base(101)
+    flow = build_flow(base)
+    assert len(flow.y_edges) == base.n + 1
+    assert np.array_equal(flow.xi_nodes, base.s0 + base.ds * np.arange(base.n + 1))
+    assert np.array_equal(flow.xi_slopes, base.tau) and np.array_equal(flow.phi_slopes, base.v)
+    assert np.array_equal(flow.pk_values[:, 2:5], base.eta - base.zeta)
 
 
 @pytest.mark.parametrize("base", [datasets.rough_manifold_base(101),

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -206,6 +208,21 @@ def test_pairing_tables_match_per_function_pairings():
     for row, src in zip(tables, fields.values()):
         for g, got in zip(fam, row):
             assert np.max(np.abs(got - pairing_matrix(src, g, rough.period))) < 1e-14
+    # each periodic image sums g only over the cells or samples covering its
+    # support; the sum over every cell of every image is the same pairing
+    cells, smooth = fields["cells"], fields["smooth_periodic"]
+
+    def exact(g, x):
+        return np.diff(g.antiderivative(x))
+
+    full_sums = [(cells.breaks, cells.states, exact),
+                 (rough.s0 + rough.ds * np.arange(rough.n + 1), rough.state(), exact),
+                 (smooth.s_samples, smooth.state(), lambda g, x: smooth.ds * g(x))]
+    for row, (pts, states, rule) in zip(tables, full_sums):
+        obs = observable_matrix(states)
+        for g, got in zip(fam, row):
+            ref = sum(rule(g, pts + k * rough.period) for k in range(-5, 6)) @ obs
+            assert np.max(np.abs(got - ref)) < 1e-11, g.label
     prof = fields["smooth_constant"]
     obs = observable_matrix(prof.state())
     for g, got in zip(fam, tables[-1]):
@@ -347,4 +364,5 @@ def test_completion_manifold_base_is_trivial():
     assert rep["limit_in_M"]
     assert not rep["limit_is_nonrelativistic_generalized_string"]
     assert max(rep["gaps"]) < 1e-10
+    assert math.isfinite(rep["uniformity_ratio"])
     assert rep["identities"]["pass"]
