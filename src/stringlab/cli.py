@@ -8,9 +8,11 @@
 
 Configs are JSON, or flat `key = value` text with dotted keys for nesting
 (`grid.n = 4096`).  Exit codes: 0 success, 1 validation failure, 2 bad
-input or configuration.  All artifacts are deterministic for a fixed seed:
-CSV files use 17-significant-digit floats and LF endings, JSON reports are
-key-sorted, and no timestamps are emitted.
+input or configuration, 3 internal error (a fault of the program, such as
+an inversion that misses its residual bound, never of the input).  All
+artifacts are deterministic for a fixed seed: CSV files use
+17-significant-digit floats and LF endings, JSON reports are key-sorted,
+and no timestamps are emitted.
 """
 
 from __future__ import annotations
@@ -330,6 +332,9 @@ def main(argv=None) -> int:
     except (ConfigError, InadmissibleDataError, DomainError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RuntimeError as exc:
+        print(f"internal error: {str(exc).removeprefix('internal error: ')}", file=sys.stderr)
+        return 3
     print(json.dumps({"experiment": report["experiment"], "pass": report["pass"]},
                      sort_keys=True))
     return 0 if report["pass"] else 1

@@ -17,11 +17,6 @@ from .profiles import Profile
 TWO_PI = 2.0 * np.pi
 
 
-def default_grid(n: int = 4096):
-    """The house grid: s in [-2 pi, 2 pi), periodic."""
-    return -TWO_PI, 2.0 * TWO_PI / n, n
-
-
 def _unit_direction(s, phase, swing, d):
     """Smoothly rotating unit vectors in R^d with |d/ds| <= ~2*swing."""
     s = np.asarray(s, dtype=float)

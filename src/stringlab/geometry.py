@@ -229,15 +229,6 @@ def galilean_shift(U: StateU, u: float) -> StateU:
     return StateU(U.tau.copy(), U.v + u, U.eta.copy(), U.zeta.copy())
 
 
-def _branch_residuals(U: StateU):
-    """Per-branch sphere residuals a^2 + |c|^2 - 1 for eps = +1, -1."""
-    out = []
-    for eps in SIGN_BRANCHES:
-        a, c = U.block(eps)
-        out.append(a**2 + np.sum(c**2, axis=-1) - 1.0)
-    return out
-
-
 def in_g(U: StateU, alpha: float, delta: float, tol: float = 1e-10):
     """delta <= tau +- (v - alpha) <= 1/delta on both branches."""
     ok = True

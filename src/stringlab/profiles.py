@@ -263,15 +263,33 @@ def write_snapshot(csv_path: str, profile: Profile, meta: dict | None = None) ->
 
 
 def read_snapshot(csv_path: str) -> tuple[Profile, dict]:
-    """Inverse of write_snapshot; lossless up to the 17-digit float format."""
+    """Inverse of write_snapshot; lossless up to the 17-digit float format.
+
+    The CSV must match its sidecar: 3 + 2d columns, grid.n rows, and an `s`
+    column on the sidecar's grid to 1e-12 relative (floored at one cell
+    width, so a node at s = 0 is not held to an exact zero).  A mismatch
+    raises ValueError naming the file and the first bad data row, counted
+    from 1 after the header.
+    """
     with open(csv_path + ".meta.json") as fh:
         meta = json.load(fh)
-    data = np.loadtxt(csv_path, delimiter=",", skiprows=1, ndmin=2)
-    d = meta["grid"]["d"]
-    tau = data[:, 1]
-    v = data[:, 2]
-    eta = data[:, 3:3 + d]
-    zeta = data[:, 3 + d:3 + 2 * d]
-    prof = Profile(meta["grid"]["s0"], meta["grid"]["ds"], tau, v, eta, zeta,
-                   meta["boundary"], meta["rough"])
+    try:
+        data = np.loadtxt(csv_path, delimiter=",", skiprows=1, ndmin=2)
+    except ValueError as exc:
+        raise ValueError(f"{csv_path}: {exc}") from None
+    n, d = meta["grid"]["n"], meta["grid"]["d"]
+    if data.shape[1] != 3 + 2 * d:
+        raise ValueError(f"{csv_path}: row 1 has {data.shape[1]} columns; "
+                         f"the sidecar's d = {d} needs {3 + 2 * d}")
+    if data.shape[0] != n:
+        raise ValueError(f"{csv_path}: {data.shape[0]} rows where the sidecar's grid.n = {n} "
+                         f"(first bad row {min(data.shape[0], n) + 1})")
+    prof = Profile(meta["grid"]["s0"], meta["grid"]["ds"], data[:, 1], data[:, 2],
+                   data[:, 3:3 + d], data[:, 3 + d:], meta["boundary"], meta["rough"])
+    s = prof.s_samples
+    off = ~(np.abs(data[:, 0] - s) <= 1e-12 * np.maximum(np.abs(s), prof.ds))
+    if off.any():
+        i = int(np.argmax(off))
+        raise ValueError(f"{csv_path}: row {i + 1} has s = {data[i, 0]!r}, "
+                         f"off the sidecar grid's s = {s[i]!r}")
     return prof, meta

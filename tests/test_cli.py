@@ -84,6 +84,26 @@ def test_simulate_rejects_inadmissible_csv(tmp_path, capsys):
     assert "v - tau" in err and "v + tau" in err  # names the violating pair
 
 
+def test_internal_error_exits_3(tmp_path, monkeypatch, capsys):
+    def faulty(cfg, out_dir, tol):
+        raise RuntimeError("internal error: inversion residual 1.607e-07")
+
+    monkeypatch.setattr("stringlab.cli.cmd_simulate", faulty)
+    cfg = write_json(tmp_path / "sim.json", {"initial": {"kind": "smooth_m"}})
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+    assert capsys.readouterr().err.strip() == "internal error: inversion residual 1.607e-07"
+
+
+def test_value_error_still_exits_2(tmp_path, monkeypatch, capsys):
+    def bad_input(cfg, out_dir, tol):
+        raise ValueError("grid.n must be positive")
+
+    monkeypatch.setattr("stringlab.cli.cmd_simulate", bad_input)
+    cfg = write_json(tmp_path / "sim.json", {"initial": {"kind": "smooth_m"}})
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.strip() == "error: grid.n must be positive"
+
+
 def test_thm1_command(tmp_path):
     cfg = write_json(tmp_path / "t.json", {
         "n_list": [8, 16, 32],

@@ -5,6 +5,7 @@ from stringlab import datasets
 from stringlab.characteristics import build_flow, solve_augmented
 from stringlab.finite_volume import (
     CFLError,
+    ConservativeState,
     advance,
     conservation_totals,
     flux,
@@ -50,6 +51,65 @@ def test_signal_speed_matches_rescaled_speeds():
     assert max_signal_speed(Y, Z) == pytest.approx(np.max(np.abs(v) + tau), abs=1e-15)
 
 
+def _reference_step(st, dt, cfl_max=0.9):
+    """The cell-major Rusanov step, written from `flux` and `max_signal_speed`."""
+    speed = max_signal_speed(st.Y, st.Z)
+    if dt * speed > cfl_max * st.ds:
+        raise CFLError("reference step above the CFL bound")
+    lo, hi = (-1, 0) if st.boundary == "periodic" else (0, -1)
+    Y = np.concatenate([st.Y[lo][None], st.Y, st.Y[hi][None]])
+    Z = np.concatenate([st.Z[lo][None], st.Z, st.Z[hi][None]])
+    fY, fZ, q, _ = flux(Y, Z)
+    h = np.sqrt(1.0 + np.sum(Y**2, -1) + np.sum(Z**2, -1) + q**2)
+    a_cell = (np.abs(q) + 1.0) / h
+    a_iface = np.maximum(a_cell[:-1], a_cell[1:])[:, None]
+    FY = 0.5 * (fY[:-1] + fY[1:]) - 0.5 * a_iface * (Y[1:] - Y[:-1])
+    FZ = 0.5 * (fZ[:-1] + fZ[1:]) - 0.5 * a_iface * (Z[1:] - Z[:-1])
+    lam = dt / st.ds
+    return ConservativeState(st.s0, st.ds, st.Y - lam * (FY[1:] - FY[:-1]),
+                             st.Z - lam * (FZ[1:] - FZ[:-1]), st.boundary)
+
+
+def _reference_advance(st, t_final, cfl=0.9):
+    t, steps = 0.0, 0
+    while t < t_final - 1e-14:
+        dt = min(cfl * st.ds / max_signal_speed(st.Y, st.Z), t_final - t)
+        st = _reference_step(st, dt, cfl + 1e-12)
+        t += dt
+        steps += 1
+    return st, steps
+
+
+KERNEL_CASES = [
+    pytest.param(dict(n=256, d=3, boundary="periodic"), id="periodic-d3"),
+    pytest.param(dict(n=200, d=1, boundary="constant"), id="constant-d1"),
+]
+
+
+@pytest.mark.parametrize("kw", KERNEL_CASES)
+def test_step_matches_cell_major_reference(kw):
+    st = from_profile(datasets.smooth_manifold_profile(**kw))
+    dt = 0.8 * st.ds / max_signal_speed(st.Y, st.Z)
+    got, want = lax_friedrichs_step(st, dt), _reference_step(st, dt)
+    assert np.array_equal(got.Y, want.Y) and np.array_equal(got.Z, want.Z)
+    assert got.Y.shape == st.Y.shape and got.boundary == st.boundary
+
+
+@pytest.mark.parametrize("kw", KERNEL_CASES)
+def test_advance_matches_cell_major_reference_over_50_steps(kw):
+    st = from_profile(datasets.smooth_manifold_profile(**kw))
+    # the time 50 full reference steps reach
+    ref, t50 = st, 0.0
+    for _ in range(50):
+        dt = 0.9 * ref.ds / max_signal_speed(ref.Y, ref.Z)
+        ref = _reference_step(ref, dt, 0.9 + 1e-12)
+        t50 += dt
+    want, want_steps = _reference_advance(st, t50)
+    got, steps = advance(st, t50)
+    assert steps == want_steps == 50
+    assert np.array_equal(got.Y, want.Y) and np.array_equal(got.Z, want.Z)
+
+
 def test_constant_state_is_a_fixed_point():
     p = datasets.constant_profile(0.6, 0.1, [0.3, 0, 0], [0.2, 0.1, 0], n=64)
     st = from_profile(p)
@@ -62,6 +122,15 @@ def test_cfl_guard():
     st = from_profile(p)
     with pytest.raises(CFLError):
         lax_friedrichs_step(st, 10.0 * st.ds)
+    # 1% above the bound still raises, on periodic d = 3 and constant d = 1 data
+    for kw in (dict(n=256, d=3), dict(n=200, d=1, boundary="constant")):
+        st = from_profile(datasets.smooth_manifold_profile(**kw))
+        bound = 0.9 * st.ds / max_signal_speed(st.Y, st.Z)
+        lax_friedrichs_step(st, 0.99 * bound)
+        with pytest.raises(CFLError):
+            lax_friedrichs_step(st, 1.01 * bound)
+        with pytest.raises(CFLError):
+            lax_friedrichs_step(st, 1.01 * bound / 0.9, cfl_max=1.0)
 
 
 def test_discrete_conservation_under_periodic_boundary():

@@ -126,6 +126,60 @@ def test_snapshot_roundtrip(tmp_path):
     assert open(path).read() == open(path2).read()
 
 
+def _tampered_snapshot(tmp_path, edit, rough=True):
+    """A valid n = 12, d = 2 snapshot whose CSV lines (header first) pass through `edit`."""
+    rng = np.random.default_rng(2)
+    n, d = 12, 2
+    p = Profile(-0.3, 0.05, rng.uniform(0.4, 1.0, n), rng.uniform(-0.2, 0.2, n),
+                rng.normal(size=(n, d)), rng.normal(size=(n, d)), "constant", rough=rough)
+    path = str(tmp_path / "snap.csv")
+    write_snapshot(path, p)
+    with open(path) as fh:
+        lines = fh.read().splitlines()
+    with open(path, "w") as fh:
+        fh.write("\n".join(edit(lines)) + "\n")
+    return path
+
+
+def test_read_snapshot_rejects_an_extra_column(tmp_path):
+    path = _tampered_snapshot(tmp_path, lambda ls: [ln + ",0" for ln in ls])
+    with pytest.raises(ValueError, match=r"snap\.csv: row 1 has 8 columns; the sidecar's d = 2 needs 7"):
+        read_snapshot(path)
+    # a ragged row names the file and that row
+    path = _tampered_snapshot(tmp_path, lambda ls: ls[:4] + [ls[4] + ",0"] + ls[5:])
+    with pytest.raises(ValueError, match=r"snap\.csv: .*at row 4"):
+        read_snapshot(path)
+
+
+def test_read_snapshot_rejects_a_missing_column(tmp_path):
+    path = _tampered_snapshot(tmp_path, lambda ls: [ln.rsplit(",", 1)[0] for ln in ls])
+    with pytest.raises(ValueError, match=r"snap\.csv: row 1 has 6 columns; the sidecar's d = 2 needs 7"):
+        read_snapshot(path)
+
+
+def test_read_snapshot_rejects_a_row_count_off_the_sidecar(tmp_path):
+    path = _tampered_snapshot(tmp_path, lambda ls: ls[:-1])
+    with pytest.raises(ValueError, match=r"snap\.csv: 11 rows where the sidecar's grid.n = 12 "
+                                         r"\(first bad row 12\)"):
+        read_snapshot(path)
+
+
+@pytest.mark.parametrize("rough", [True, False])
+def test_read_snapshot_rejects_a_shifted_s_row(tmp_path, rough):
+    def shift_row_5(lines):
+        s, rest = lines[5].split(",", 1)
+        lines[5] = f"{float(s) + 1e-9!r},{rest}"
+        return lines
+
+    path = _tampered_snapshot(tmp_path, shift_row_5, rough)
+    with pytest.raises(ValueError, match=r"snap\.csv: row 5 has s = .* off the sidecar grid"):
+        read_snapshot(path)
+    # the untouched snapshot still reads
+    path = _tampered_snapshot(tmp_path, lambda ls: ls, rough)
+    p, _ = read_snapshot(path)
+    assert p.n == 12 and p.rough == rough
+
+
 def test_cell_field_widths():
     cf = CellField(np.array([0.0, 0.5, 2.0]),
                    StateU(np.array([1.0, 2.0]), np.zeros(2), np.zeros((2, 1)), np.zeros((2, 1))))
