@@ -29,15 +29,18 @@ Evolution is evaluation: there is no time stepping, and discretization
 error lives only in the initial-curve tables and field interpolation.
 
 The ODE dy xi0 = tau(0, xi0) is separable, so the tables come from
-quadrature on the profile's own s-grid: y(s) = integral_0^s dsigma/tau and
-Phi(s) = integral_0^s v/tau dsigma at every grid point.  Smooth and rough
-data share one monotone knot table and one evaluator; smooth data use
-fourth-order quadrature and cubic Hermite interpolation (certified
-monotone interval by interval), piecewise constant (rough) data exact cell
-sums, linear interpolation and cell lookups for the transported packets.
-A rough table has one cell per run of equal samples, so its knots sit only
-where the data jump: an oscillated tiling with a few runs per oscillation
-cell evolves and pairs on its runs, not on its samples.
+quadrature at the data's own s-points: y(s) = integral_0^s dsigma/tau and
+Phi(s) = integral_0^s v/tau dsigma.  Smooth and rough data share one
+monotone knot table and one evaluator; smooth data use fourth-order
+quadrature on their grid and cubic Hermite interpolation (certified
+monotone interval by interval), rough data exact cell sums, linear
+interpolation and cell lookups for the transported packets.  Rough data
+are run cells from the start: a CellField of any cell widths, whose
+knots sit only where the data jump (a rough Profile is compressed once to
+its runs of equal samples).  An oscillated tiling with a few runs per
+oscillation cell is built, evolved and paired on its runs, never on its
+samples, and `evolve_cells` returns a CellField of the same kind, so an
+evolved field is initial data again.
 
 Inversion.  Every state evaluation needs the y with xi(t, y) = s.  One
 vectorized, safeguarded Newton solver (`xi_time_inverse`) serves all of
@@ -81,34 +84,39 @@ class AdmissibilityWindow:
     inf_v_plus_tau: float
 
 
-def admissibility(profile: Profile, delta_cap: float = 1.0 - 1e-12) -> AdmissibilityWindow:
+def admissibility(source: Profile | CellField,
+                  delta_cap: float = 1.0 - 1e-12) -> AdmissibilityWindow:
     """Best centering alpha and largest window half-width delta for the data.
 
-    Global solvability requires v - tau < v' + tau' between any two samples;
-    the optimal alpha is the midpoint of [sup(v - tau), inf(v + tau)] and the
-    returned delta also respects the upper bound tau +- (v - alpha) <= 1/delta.
-    Raises InadmissibleDataError carrying the violating sample pair.
+    Global solvability requires v - tau < v' + tau' between any two samples
+    (cells of a CellField); the optimal alpha is the midpoint of
+    [sup(v - tau), inf(v + tau)] and the returned delta also respects the
+    upper bound tau +- (v - alpha) <= 1/delta.  Raises
+    InadmissibleDataError carrying the violating sample (cell) pair.
     """
+    if isinstance(source, CellField):
+        U, s = source.states, 0.5 * (source.breaks[:-1] + source.breaks[1:])
+    else:
+        U, s = source.state(), source.s_samples
     for name in ("tau", "v"):
-        bad = np.flatnonzero(~np.isfinite(getattr(profile, name)))
+        vals = getattr(U, name)
+        bad = np.flatnonzero(~np.isfinite(vals))
         if bad.size:
             i = int(bad[0])
             raise InadmissibleDataError(
-                f"{name} must be finite; {name}[{i}] = {getattr(profile, name)[i]} "
-                f"at s = {profile.s_samples[i]:.6g}",
+                f"{name} must be finite; {name}[{i}] = {vals[i]} at s = {s[i]:.6g}",
                 pair=(i, i),
             )
-    if np.any(profile.tau <= 0.0):
-        i = int(np.argmin(profile.tau))
+    if np.any(U.tau <= 0.0):
+        i = int(np.argmin(U.tau))
         raise InadmissibleDataError(
-            f"tau must be positive; tau = {profile.tau[i]:.6g} at s = {profile.s_samples[i]:.6g}",
+            f"tau must be positive; tau = {U.tau[i]:.6g} at s = {s[i]:.6g}",
             pair=(i, i),
         )
-    wm = profile.v - profile.tau
-    wp = profile.v + profile.tau
+    wm = U.v - U.tau
+    wp = U.v + U.tau
     i = int(np.argmax(wm))
     j = int(np.argmin(wp))
-    s = profile.s_samples
     if wm[i] >= wp[j]:
         raise InadmissibleDataError(
             "no admissible window: "
@@ -140,15 +148,19 @@ class CharacteristicFlow:
     The initial curve is one monotone table: knots `y_edges` = y(s_i), values
     `xi_nodes` = s_i and `phi_nodes` = Phi(s_i), slopes `xi_slopes` = tau and
     `phi_slopes` = v, one per knot for smooth data (cubic Hermite) and one
-    per cell for rough data ("pc", linear).  A rough cell is a run of
-    consecutive samples with equal (tau, v, eta, zeta), so rough knots sit
-    only at the data's jumps, and `pk_values` holds one row per run (per
-    sample for smooth data).  All methods are pure and safe
-    for concurrent callers.  `alpha`/`delta` record the admissible window
-    used; the slopes are certified inside [delta - tol, 1/delta + tol].
+    per cell for rough data ("pc", linear).  Rough data are a CellField (a
+    rough Profile is compressed to one cell per run of equal samples), so
+    rough knots sit only at the data's jumps and `pk_values` holds one row
+    per cell (per sample for smooth data).  `profile` is the Profile the
+    flow was built from (None for a CellField); the evaluators read only `d`,
+    the period and, for the smooth packet interpolation, its grid.  All
+    methods are pure and safe for concurrent callers.  `alpha`/`delta`
+    record the admissible window used; the slopes are certified inside
+    [delta - tol, 1/delta + tol].
     """
 
-    profile: Profile
+    profile: Profile | None
+    d: int
     alpha: float
     delta: float
     mode: str  # "smooth" or "pc"
@@ -164,6 +176,10 @@ class CharacteristicFlow:
     # packet samples (n, 2 + 2d): [v+tau, v-tau, eta-zeta, eta+zeta]
     pk_values: np.ndarray
     pk_slopes: np.ndarray | None = None
+
+    @property
+    def boundary(self) -> str:
+        return "constant" if self.s_period is None else "periodic"
 
     # -- initial curve -----------------------------------------------------
 
@@ -181,15 +197,15 @@ class CharacteristicFlow:
         k = np.searchsorted(self.y_edges, y, side="right") - 1
         return y, wind, np.clip(k, 0, len(self.y_edges) - 2)
 
-    def _table(self, y, values, slopes, period, deriv):
-        """One table of the initial curve at y, or its y-derivative.
+    def _table(self, cell, values, slopes, period, deriv):
+        """One table of the initial curve at a `_cell` lookup, or its y-derivative.
 
         Smooth tables are cubic Hermite between the knots, rough ones linear
         on each cell.  Periodic tables wind by whole y-periods, each adding
         `period`; the others continue linearly with their end slopes.  The
         derivative is that of the interpolant, the end slope beyond the ends.
         """
-        y, wind, k = self._cell(y)
+        y, wind, k = cell
         knots = self.y_edges
         if self.mode == "pc":
             val = slopes[k] if deriv else values[k] + (y - knots[k]) * slopes[k]
@@ -206,13 +222,19 @@ class CharacteristicFlow:
         val = np.where(y < lo, values[0] + slopes[0] * (y - lo), val)
         return np.where(y > hi, values[-1] + slopes[-1] * (y - hi), val)
 
+    def _xi_table(self, cell, deriv=False):
+        return self._table(cell, self.xi_nodes, self.xi_slopes, self.s_period, deriv)
+
+    def _phi_table(self, cell, deriv=False):
+        return self._table(cell, self.phi_nodes, self.phi_slopes, self.phi_period, deriv)
+
     def xi0(self, y, deriv=False):
         """Initial curve xi(0, y), defined for every real y (its slope with deriv)."""
-        return self._table(y, self.xi_nodes, self.xi_slopes, self.s_period, deriv)
+        return self._xi_table(self._cell(y), deriv)
 
     def phi0(self, y, deriv=False):
         """Antiderivative of v(0, xi0(.)), normalized to vanish at y = 0."""
-        return self._table(y, self.phi_nodes, self.phi_slopes, self.phi_period, deriv)
+        return self._phi_table(self._cell(y), deriv)
 
     def xi0_inverse(self, s):
         """Monotone inversion of the initial curve: xi_time_inverse at t = 0."""
@@ -222,7 +244,7 @@ class CharacteristicFlow:
 
     def invariants_at(self, y):
         """(v+tau, v-tau, eta-zeta, eta+zeta) of the initial data at xi0(y)."""
-        d = self.profile.d
+        d = self.d
         if self.mode == "pc":
             p = self.pk_values[self._cell(y)[2]]
         else:
@@ -232,76 +254,89 @@ class CharacteristicFlow:
         return p[..., 0], p[..., 1], p[..., 2:2 + d], p[..., 2 + d:]
 
 
-def build_flow(profile: Profile, alpha: float | None = None, delta: float | None = None,
-               slope_tol: float = 1e-9) -> CharacteristicFlow:
+def build_flow(source: Profile | CellField, alpha: float | None = None,
+               delta: float | None = None, slope_tol: float = 1e-9) -> CharacteristicFlow:
     """Construct the straightening map for admissible initial data.
 
     The knots y(s) = integral_0^s dsigma/tau and Phi(s) = integral_0^s
-    v/tau dsigma sit on the profile's own s-grid: exact cell sums for rough
-    data, taken at the edges of its runs of equal samples (its jumps), the
-    fourth-order `cumulative_integral` for smooth data, whose
+    v/tau dsigma sit at the data's own s-points.  Rough data are cells
+    (a CellField, or a rough Profile compressed to its runs of equal
+    samples by `Profile.runs`), of any widths: y and Phi are the exact
+    cumulative sums of width/tau and v width/tau at the breaks, and one
+    linear step inside the cell holding s = 0 (wound by the period when
+    the breaks do not span 0) normalizes xi0(0) = phi0(0) = 0.  Smooth
+    profiles use the fourth-order `cumulative_integral` on their grid, whose
     periodic tables close at s0 + S_p with full-period trapezoid sums Y_p
-    and Phi_p.  One interpolation at s = 0 normalizes xi0(0) = phi0(0) = 0.
+    and Phi_p, and one Hermite interpolation at s = 0.
     Raises InadmissibleDataError through `admissibility`, and DomainError
-    for a one-sample smooth constant-boundary profile (no knot interval), a
+    for a one-sample smooth constant-boundary profile (no knot interval), an
+    aperiodic window without s = 0, a
     slope outside [delta - tol, 1/delta + tol] (unreachable after
     admissibility) or a smooth interval that fails the Fritsch-Carlson
     monotonicity test a, b > 0, a^2 + b^2 <= 9.
     """
     if alpha is None or delta is None:
-        win = admissibility(profile)
+        win = admissibility(source)
         alpha, delta = win.alpha, win.delta
-    n, ds = profile.n, profile.ds
-    periodic = profile.boundary == "periodic"
-    if n < 2 and not (profile.rough or periodic):
-        raise DomainError(f"a smooth constant-boundary table needs n >= 2 samples; "
-                          f"got n = {n} at s0 = {profile.s0:.6g}")
-    tau, v = profile.tau.copy(), profile.v.copy()
-    knots = rows = slice(None)
-    if profile.rough:
-        dy = ds / tau
+    profile = source if isinstance(source, Profile) else None
+    rough = profile is None or profile.rough
+    if rough:
+        cells = source if profile is None else profile.runs()
+        U, s, s_period = cells.states, cells.breaks, cells.period
+        tau, v = U.tau, U.v
+        dy = cells.widths() / tau
         y = np.concatenate([[0.0], np.cumsum(dy)])
         phi = np.concatenate([[0.0], np.cumsum(v * dy)])
-        # one cell per run of equal samples: the rough knots are the data's jumps
-        data = np.column_stack([tau, v, profile.eta, profile.zeta])
-        knots = np.flatnonzero(np.r_[True, np.any(data[1:] != data[:-1], axis=1), True])
-        rows = knots[:-1]
+        # s = 0 wound by whole periods into the breaks' window, and its cell
+        wind = 0.0 if s_period is None else math.floor((0.0 - s[0]) / s_period)
+        zero = 0.0 if s_period is None else 0.0 - wind * s_period
+        if s_period is None and not s[0] <= 0.0 <= s[-1]:
+            raise DomainError("the cell window must contain s = 0 (normalization xi(0,0) = 0)")
+        j = min(max(int(np.searchsorted(s, zero, side="right")) - 1, 0), len(tau) - 1)
+
+        def at_zero(table, w):  # the table at s = 0; its s-slope is w / tau
+            return table[j] + (zero - s[j]) / tau[j] * w[j] + wind * table[-1]
     else:
+        n, ds = profile.n, profile.ds
+        periodic = profile.boundary == "periodic"
+        if n < 2 and not periodic:
+            raise DomainError(f"a smooth constant-boundary table needs n >= 2 samples; "
+                              f"got n = {n} at s0 = {profile.s0:.6g}")
+        U, tau, v = profile.state(), profile.tau.copy(), profile.v.copy()
         y = cumulative_integral(1.0 / tau, ds, profile.boundary)
         phi = cumulative_integral(v / tau, ds, profile.boundary)
         if periodic:  # the Euler-Maclaurin end correction vanishes over a full period
             y = np.append(y, ds * np.sum(1.0 / tau))
             phi = np.append(phi, ds * np.sum(v / tau))
             tau, v = np.append(tau, tau[0]), np.append(v, v[0])
-    tr, vr, er, zr = (a[rows] for a in (profile.tau, profile.v, profile.eta, profile.zeta))
-    pk = np.column_stack([vr + tr, vr - tr, er - zr, er + zr])
-    s = profile.s0 + ds * np.arange(len(y))
-    if not s[0] <= 0.0 <= s[-1]:
-        raise DomainError("the grid window must contain s = 0 (normalization xi(0,0) = 0)")
-    j = min(int((0.0 - profile.s0) / ds), len(s) - 2)
+        s = profile.s0 + ds * np.arange(len(y))
+        s_period = n * ds if periodic else None
+        if not s[0] <= 0.0 <= s[-1]:
+            raise DomainError("the grid window must contain s = 0 (normalization xi(0,0) = 0)")
+        j = min(int((0.0 - profile.s0) / ds), len(s) - 2)
 
-    def at_zero(table, w):  # the table at s = 0; its s-slope is w / tau
-        if profile.rough:
-            return table[j] + (0.0 - s[j]) / tau[j] * w[j]
-        return _hermite((0.0 - s[j]) / ds, ds, table[j], table[j + 1],
-                        w[j] / tau[j], w[j + 1] / tau[j + 1])
+        def at_zero(table, w):  # the table at s = 0; its s-slope is w / tau
+            return _hermite((0.0 - s[j]) / ds, ds, table[j], table[j + 1],
+                            w[j] / tau[j], w[j + 1] / tau[j + 1])
 
+    pk = np.column_stack([U.v + U.tau, U.v - U.tau, U.eta - U.zeta, U.eta + U.zeta])
+    periodic = s_period is not None
     flow = CharacteristicFlow(
-        profile, alpha, delta, "pc" if profile.rough else "smooth",
-        y_edges=(y - at_zero(y, np.ones_like(tau)))[knots], xi_nodes=s[knots],
-        xi_slopes=tau[rows], phi_nodes=(phi - at_zero(phi, v))[knots], phi_slopes=v[rows],
+        profile, U.eta.shape[1], alpha, delta, "pc" if rough else "smooth",
+        y_edges=y - at_zero(y, np.ones_like(tau)), xi_nodes=s,
+        xi_slopes=tau, phi_nodes=phi - at_zero(phi, v), phi_slopes=v,
         y_period=float(y[-1]) if periodic else None,
-        s_period=n * ds if periodic else None,
+        s_period=s_period,
         phi_period=float(phi[-1]) if periodic else None,
         pk_values=pk,
-        pk_slopes=None if profile.rough else centered_slopes(pk, ds, profile.boundary),
+        pk_slopes=None if rough else centered_slopes(pk, profile.ds, profile.boundary),
     )
     if np.min(tau) < delta - slope_tol or np.max(tau) > 1.0 / delta + slope_tol:
         raise DomainError("initial-curve slope escaped [delta, 1/delta]")
-    if not profile.rough:
+    if not rough:
         # Fritsch & Carlson (SIAM J. Numer. Anal. 17, 1980): a Hermite interval is
         # monotone if its end slopes over the secant have a, b > 0, a^2 + b^2 <= 9
-        secant = ds / np.diff(y)
+        secant = profile.ds / np.diff(y)
         a, b = tau[:-1] / secant, tau[1:] / secant
         bad = np.flatnonzero((a <= 0.0) | (b <= 0.0) | (a * a + b * b > 9.0))
         if bad.size:
@@ -322,11 +357,13 @@ def xi_evaluate(flow: CharacteristicFlow, t, y):
 
 
 def _xi_only(flow, t, y, deriv=False):
-    """xi(t, y) by d'Alembert; with deriv, dy xi from the tables' own slopes."""
-    yp = y + t
-    ym = y - t
-    return (0.5 * (flow.xi0(yp, deriv) + flow.xi0(ym, deriv))
-            + 0.5 * (flow.phi0(yp, deriv) - flow.phi0(ym, deriv)))
+    """xi(t, y) by d'Alembert; with deriv, dy xi from the tables' own slopes.
+
+    Each foot y +- t is located once (`_cell`) and both tables read off it.
+    """
+    fp, fm = flow._cell(y + t), flow._cell(y - t)
+    return (0.5 * (flow._xi_table(fp, deriv) + flow._xi_table(fm, deriv))
+            + 0.5 * (flow._phi_table(fp, deriv) - flow._phi_table(fm, deriv)))
 
 
 def _finite(name, a):
@@ -420,6 +457,14 @@ def evolve_states(flow: CharacteristicFlow, t, s_points) -> StateU:
     return _state_from_feet(flow, xi_time_inverse(flow, r, s - shift), r)
 
 
+def _source_profile(flow):
+    """The Profile a flow was built from; its grid and sampling shape the output."""
+    if flow.profile is None:
+        raise ValueError("this flow was built from a CellField, which has no sample grid; "
+                         "use evolve_cells or evolve_states")
+    return flow.profile
+
+
 def solve_augmented(source: Profile | CharacteristicFlow, t: float,
                     s_out: np.ndarray | None = None) -> Profile:
     """Evaluate the global solution at time t on a uniform output grid.
@@ -429,7 +474,7 @@ def solve_augmented(source: Profile | CharacteristicFlow, t: float,
     boundary mode and sampling semantics unless `s_out` overrides positions.
     """
     flow = source if isinstance(source, CharacteristicFlow) else build_flow(source)
-    prof = flow.profile
+    prof = _source_profile(flow)
     if s_out is None:
         s_pts = prof.s_samples
         s0, ds = prof.s0, prof.ds
@@ -463,7 +508,8 @@ def evolve_cells(flow: CharacteristicFlow, t: float) -> CellField:
     of the initial data); mapping those y-breakpoints through xi(t, .) gives
     the exact evolved cells.  Periodic flows evolve to the reduced time r of
     `_reduce_time` and shift the breakpoints by m Phi_p (mod S_p), as
-    `evolve_states` does, so far times keep full accuracy.
+    `evolve_states` does, so far times keep full accuracy.  The field keeps
+    the flow's period, so it builds the flow of its own evolution.
     """
     if flow.mode != "pc":
         raise DomainError("evolve_cells requires a rough (piecewise-constant) flow")
@@ -475,7 +521,10 @@ def evolve_cells(flow: CharacteristicFlow, t: float) -> CellField:
     else:
         breaks_y = np.unique(np.concatenate([b - t, b + t]))
     mid = 0.5 * (breaks_y[:-1] + breaks_y[1:])
-    return CellField(_xi_only(flow, t, breaks_y) + shift, _state_from_feet(flow, mid, t))
+    # xi(t, .) increases strictly, but two breaks_y a rounding apart can map
+    # one ulp out of order; such a pair is one break
+    breaks = np.maximum.accumulate(_xi_only(flow, t, breaks_y) + shift)
+    return CellField(breaks, _state_from_feet(flow, mid, t), flow.s_period)
 
 
 def reconstruct_string(flow: CharacteristicFlow, times, s_points,
@@ -494,7 +543,7 @@ def reconstruct_string(flow: CharacteristicFlow, times, s_points,
     ds = float(s_pts[1] - s_pts[0])
     if not s_pts[0] <= 0.0 <= s_pts[-1]:
         raise ValueError("s_points must contain 0 for the X(0,0) = 0 normalization")
-    if float(np.min(flow.profile.tau)) < 0.5 * flow.delta:
+    if float(np.min(flow.xi_slopes)) < 0.5 * flow.delta:
         raise DomainError("degenerate state: tau below delta/2")
     times = list(times)
     if not times:
@@ -511,7 +560,7 @@ def reconstruct_string(flow: CharacteristicFlow, times, s_points,
     tt = np.concatenate(nodes)
     U = evolve_states(flow, tt, np.zeros_like(tt))
     rate = -U.zeta - U.v[:, None] * U.eta / U.tau[:, None]
-    anchor = {0.0: np.zeros(flow.profile.d)}
+    anchor = {0.0: np.zeros(flow.d)}
     for (a, b), vals in zip(legs, np.split(rate, np.cumsum([len(x) for x in nodes])[:-1])):
         w = np.ones(len(vals))
         w[1:-1:2] = 4.0
@@ -530,7 +579,7 @@ def reconstruct_string(flow: CharacteristicFlow, times, s_points,
         prim = cumulative_integral(dxds[k], ds, "constant")
         at0 = cubic_interp(s_pts[0], ds, prim, np.zeros(1), "constant")[0]
         graphs.append(StringGraph(t, float(s_pts[0]), ds, prim - at0 + anchor[t], dxds[k],
-                                  dxdt[k], flow.profile.boundary))
+                                  dxdt[k], flow.boundary))
     return graphs
 
 
@@ -616,7 +665,7 @@ def galilean_on_solution(flow: CharacteristicFlow, u: float, times, s_grid) -> l
     raises); evaluation uses the original flow at the shifted positions, so
     no resampling error enters.
     """
-    prof = flow.profile
+    prof = _source_profile(flow)
     shifted = Profile(prof.s0, prof.ds, prof.tau, prof.v + u, prof.eta, prof.zeta,
                       prof.boundary, prof.rough)
     admissibility(shifted)

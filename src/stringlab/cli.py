@@ -277,7 +277,7 @@ def cmd_completion(cfg: dict, out_dir: str) -> dict:
                 rows.append([nv, g_id, t, report["per_tg_gaps"][i][j][k]])
     _write_csv(out_dir, "completion_gaps.csv", ["n", "g_id", "t", "pairing_gap"], rows)
 
-    slope_ok = 0.8 <= report["slope"] <= 1.3
+    slope_ok = report["slope"] is not None and 0.8 <= report["slope"] <= 1.3
     checks = {
         "slope_in_band": slope_ok,
         "uniform_in_time": report["uniformity_ratio"] < 3.0,

@@ -98,7 +98,7 @@ def _rusanov(Yp, Zp, ds: float, periodic: bool, dt: float | None, cfl_max: float
     speed = float(np.max(a_cell))
     if dt is None:
         dt = min(cfl_max * ds / speed, cap)
-    elif dt * speed > cfl_max * ds:
+    elif dt > cfl_max * ds / speed:  # the bound as printed and as `advance` steps
         raise CFLError(f"dt = {dt:.3e} exceeds CFL {cfl_max} * ds / speed = "
                        f"{cfl_max * ds / speed:.3e}")
     half_a = 0.5 * np.maximum(a_cell[:-1], a_cell[1:])

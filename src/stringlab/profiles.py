@@ -135,19 +135,55 @@ def cumulative_integral(f: np.ndarray, dx: float, boundary: str = "constant") ->
 class CellField:
     """Piecewise-constant states between arbitrary ascending breakpoints.
 
-    The exact representation of an evolved rough profile: `states` holds one
-    state per cell [breaks[k], breaks[k+1]).
+    The one representation of rough data, initial or evolved: `states` holds
+    one state per cell [breaks[k], breaks[k+1]).  With a `period` the field
+    repeats with that period (the breaks span one period); without one it
+    extends with its end states beyond the breaks (constant boundary).
     """
 
     breaks: np.ndarray
     states: StateU
+    period: float | None = None
+
+    def __post_init__(self):
+        self.breaks = np.asarray(self.breaks, dtype=float)
+        m = len(self.breaks) - 1
+        if self.breaks.ndim != 1 or m < 1 or self.states.tau.shape != (m,):
+            raise ValueError(f"a cell field needs m >= 1 cells with m + 1 breaks; got "
+                             f"{self.breaks.shape} breaks and {self.states.tau.shape} states")
+        U = self.states
+        for name, a in (("breaks", self.breaks), ("tau", U.tau), ("v", U.v), ("eta", U.eta),
+                        ("zeta", U.zeta)):
+            if not np.all(np.isfinite(a)):
+                raise ValueError(f"cell field {name} must be finite")
+        if np.any(np.diff(self.breaks) < 0.0):
+            raise ValueError("cell field breaks must ascend")
+        span = self.breaks[-1] - self.breaks[0]
+        if self.period is not None and not abs(span - self.period) <= 1e-9 * self.period:
+            raise ValueError(f"a periodic cell field's breaks must span its period "
+                             f"{self.period!r}; they span {span!r}")
 
     @property
     def m(self) -> int:
         return len(self.breaks) - 1
 
+    n = m  # cell count, read like a Profile's sample count
+
+    @property
+    def d(self) -> int:
+        return self.states.d
+
     def widths(self) -> np.ndarray:
         return np.diff(self.breaks)
+
+    def merged(self) -> CellField:
+        """The same field with every run of adjacent exactly equal states as one cell."""
+        U = self.states
+        data = np.column_stack([U.tau, U.v, U.eta, U.zeta])
+        start = np.flatnonzero(np.r_[True, np.any(data[1:] != data[:-1], axis=1)])
+        return CellField(self.breaks[np.r_[start, self.m]],
+                         StateU(U.tau[start], U.v[start], U.eta[start], U.zeta[start]),
+                         self.period)
 
 
 @dataclass
@@ -211,6 +247,15 @@ class Profile:
     def state(self) -> StateU:
         return StateU(self.tau, self.v, self.eta, self.zeta)
 
+    def runs(self) -> CellField:
+        """The rough profile as cells: one per run of consecutive equal samples.
+
+        Breaks sit at the run edges s0 + i ds (the data's jumps); each cell
+        holds its run's state; periodic profiles keep their period.
+        """
+        return CellField(self.s0 + self.ds * np.arange(self.n + 1), self.state(),
+                         self.period if self.boundary == "periodic" else None).merged()
+
     def packed(self) -> np.ndarray:
         """All components side by side, shape (n, 2 + 2d)."""
         return np.concatenate(
@@ -269,10 +314,17 @@ def read_snapshot(csv_path: str) -> tuple[Profile, dict]:
     column on the sidecar's grid to 1e-12 relative (floored at one cell
     width, so a node at s = 0 is not held to an exact zero).  A mismatch
     raises ValueError naming the file and the first bad data row, counted
-    from 1 after the header.
+    from 1 after the header; a sidecar without one of the grid keys n, d,
+    s0, ds or without boundary or rough raises ValueError naming the
+    sidecar and the key.
     """
     with open(csv_path + ".meta.json") as fh:
         meta = json.load(fh)
+    grid = meta.get("grid")
+    for key in ("grid.n", "grid.d", "grid.s0", "grid.ds", "boundary", "rough"):
+        node, name = (grid, key[5:]) if key.startswith("grid.") else (meta, key)
+        if not isinstance(node, dict) or name not in node:
+            raise ValueError(f"{csv_path}.meta.json: missing key {key!r}")
     try:
         data = np.loadtxt(csv_path, delimiter=",", skiprows=1, ndmin=2)
     except ValueError as exc:

@@ -46,9 +46,14 @@ def _random_states(rng, n, d=3):
 
 
 def random_hull_states(rng, n, alpha, delta, d=3) -> StateU:
-    """Uniformish samples of the solid product-of-slabs region CM cap G."""
-    a_p = rng.uniform(alpha + delta, alpha + min(1.0, 1.0 / delta), n)
-    a_m = rng.uniform(alpha - min(1.0, 1.0 / delta), alpha - delta, n)
+    """Uniformish samples of the solid product-of-slabs region CM cap G.
+
+    a+ = v + tau ranges over [alpha + delta, min(1, alpha + 1/delta)] and
+    a- = v - tau over [max(-1, alpha - 1/delta), alpha - delta]; both are
+    nonempty for |alpha| + delta < 1.
+    """
+    a_p = rng.uniform(alpha + delta, min(1.0, alpha + 1.0 / delta), n)
+    a_m = rng.uniform(max(-1.0, alpha - 1.0 / delta), alpha - delta, n)
     blocks = []
     for a in (a_p, a_m):
         r = np.sqrt(1.0 - a**2)

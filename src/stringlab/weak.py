@@ -11,18 +11,22 @@ valued in CM cap G splits (extremal decomposition) into at most four
 M cap G points whose tau and v agree with the sample, so tiling an
 oscillation cell with those points in proportion to their weights leaves
 every windowed average of (h, q, Y, Z) on the original profile.  As the
-cell count n grows, the tiled profiles converge weak-* to the hull profile
+cell count n grows, the tilings converge weak-* to the hull profile
 while staying exactly on the constraint manifold; evolving them with the
 characteristic solver and pairing realizes the completion experiment:
 constraint-manifold (relativistic) data whose weak limit is a hull
-(subrelativistic) generalized solution.
+(subrelativistic) generalized solution.  A tiling is born as its runs of
+equal states (a CellField, at most four runs per oscillation cell); it is
+checked, evolved and paired on those runs, and `OscillationPlan.samples`
+gives the same tiling sample by sample.
 
 Every pairing is one weight vector per test function (the integral of g
 over each cell or sample) times the field's observable matrix.  Cell
 weights come from closed-form antiderivatives, so the oscillation
-measurements carry no quadrature noise; smooth profiles fall back to
-trapezoid weights.  The weak identities of the limit are checked against
-the exact pairings of the limit's own evolved cells.
+measurements carry no quadrature noise; rough profiles pair on their runs
+and smooth profiles fall back to trapezoid weights.  The weak identities
+of the limit are checked against the exact pairings of the limit's own
+evolved cells.
 """
 
 from __future__ import annotations
@@ -196,9 +200,12 @@ def _weights(source: Profile | CellField, g: TestFunction, period: float | None)
 
 def _pairings(source: Profile | CellField, family: list[TestFunction],
               period: float | None) -> np.ndarray:
-    """Pairings (n_family, 2 + 2d) of one field; its observables are built once."""
+    """Pairings (n_family, 2 + 2d) of one field; its observables are built once.
+
+    A rough profile pairs on its runs of equal samples (`Profile.runs`).
+    """
     if isinstance(source, Profile) and source.rough:
-        source = CellField(source.s0 + source.ds * np.arange(source.n + 1), source.state())
+        source = source.runs()
     obs = observable_matrix(source.states if isinstance(source, CellField) else source.state())
     return np.stack([_weights(source, g, period) @ obs for g in family])
 
@@ -264,6 +271,33 @@ class OscillationPlan:
             self.base.boundary, rough=True,
         )
 
+    def samples(self) -> Profile:
+        """The tiling as a rough profile, `samples_per_cell` samples per oscillation cell.
+
+        Sample j of an oscillation cell (counted from its far end in the
+        reversed layout) holds the decomposition point whose share of the
+        cell covers it; a smooth base decomposes at every sample.  Its runs
+        (`Profile.runs`) are the cells that `oscillate_profile` returns.
+        """
+        base, m = self.base, self.samples_per_cell
+        total = self.cells * m
+        ds = base.period / total
+        ordinal = np.arange(total) % m
+        if self.layout == "reversed":
+            ordinal = m - 1 - ordinal
+        if self.counts is not None:
+            _, tau, v, eta, zeta = self.point_states
+            src = (np.arange(total) // (self.cells // base.n * m)) % base.n
+            thr = np.cumsum(self.counts, axis=1)[src]
+        else:
+            U = base.fields_at(base.s0 + (np.arange(total) + 0.5) * ds)
+            w, tau, v, eta, zeta = decompose_to_m_arrays(U, self.params)
+            src = np.arange(total)
+            thr = np.cumsum(w, axis=1) * m
+        pick = np.minimum(np.sum(thr <= (ordinal[:, None] + 0.5), axis=1), 3)
+        return Profile(base.s0, ds, tau[src, pick], v[src, pick], eta[src, pick],
+                       zeta[src, pick], "periodic", rough=True)
+
 
 def _largest_remainder(weights: np.ndarray, m: int) -> np.ndarray:
     """Integer apportionment of m slots to rows of weights (sum to 1)."""
@@ -278,15 +312,21 @@ def _largest_remainder(weights: np.ndarray, m: int) -> np.ndarray:
 
 
 def oscillate_profile(base: Profile, n: float, params: ManifoldParams | None = None,
-                      m: int = 64, layout: str = "forward") -> tuple[Profile, OscillationPlan]:
+                      m: int = 64, layout: str = "forward") -> tuple[CellField, OscillationPlan]:
     """Tile hull data with manifold states at ~n oscillation cells per unit length.
 
-    Every emitted sample lies in M cap G (the extremal decomposition keeps
-    tau and v); within each oscillation cell the decomposition points occupy
-    sample runs proportional to their weights (off by at most one sample).
-    The cell count snaps to a multiple of the base grid, so rough bases
-    decompose once per base cell and quarter weights tile exactly when m is
-    a multiple of 4.  Requires n >= 2 per unit length and a periodic base.
+    Returns the tiling as its runs of equal states, a periodic CellField,
+    and the plan (`plan.samples()` is the same tiling sampled at m samples
+    per oscillation cell).  Every state lies in M cap G (the extremal
+    decomposition keeps tau and v); within each oscillation cell the
+    decomposition points occupy runs of samples proportional to their
+    weights (off by at most one sample), in index order or, in the
+    reversed layout, backwards.  The cell count snaps to a multiple of the
+    base grid, so rough bases decompose once per base cell, each oscillation
+    cell holds at most four runs, and quarter weights tile exactly when m is
+    a multiple of 4.  Empty runs are dropped and adjacent equal states
+    merged, as `Profile.runs` does on the samples.  Requires n >= 2 per unit
+    length and a periodic base.
     """
     if n < 2:
         raise ValueError("need at least 2 oscillation cells per unit length")
@@ -297,46 +337,28 @@ def oscillate_profile(base: Profile, n: float, params: ManifoldParams | None = N
     if params is None:
         win = admissibility(base)
         params = ManifoldParams(alpha=win.alpha, delta=win.delta, d=base.d)
-    period = base.period
-    k = max(1, round(n * period / base.n))
+    k = max(1, round(n * base.period / base.n))
     cells = k * base.n
-    n_eff = cells / period
+    n_eff = cells / base.period
+    if not base.rough:
+        plan = OscillationPlan(n, n_eff, cells, m, layout, 1.0 / m, base, params)
+        return plan.samples().runs(), plan
+
+    w, tau, v, eta, zeta = decompose_to_m_arrays(base.state(), params)
+    counts = _largest_remainder(w, m)
+    plan = OscillationPlan(n, n_eff, cells, m, layout, float(np.max(np.abs(counts / m - w))),
+                           base, params, counts, (w, tau, v, eta, zeta))
+    # the four runs of every oscillation cell in layout order, k cells per base cell
+    src = np.repeat(np.arange(base.n), 4 * k)
+    pick = np.tile([0, 1, 2, 3] if layout == "forward" else [3, 2, 1, 0], cells)
+    size = counts[src, pick]
+    src, pick, size = src[size > 0], pick[size > 0], size[size > 0]
     total = cells * m
-    ds = period / total
-    s = base.s0 + (np.arange(total) + 0.5) * ds
-    ordinal = np.arange(total) % m
-    if layout == "reversed":
-        ordinal = m - 1 - ordinal
-
-    if base.rough:
-        w, tau, v, eta, zeta = decompose_to_m_arrays(base.state(), params)
-        counts = _largest_remainder(w, m)
-        thresholds = np.cumsum(counts, axis=1)          # (base.n, 4)
-        cell_of = (np.arange(total) // (k * m)) % base.n
-        thr = thresholds[cell_of]
-        pick = np.sum(thr <= (ordinal[:, None] + 0.5), axis=1)
-        src = cell_of
-        quant = float(np.max(np.abs(counts / m - w)))
-        point_states = (w, tau, v, eta, zeta)
-    else:
-        U = base.fields_at(s)
-        w, tau, v, eta, zeta = decompose_to_m_arrays(U, params)
-        thr = np.cumsum(w, axis=1) * m
-        pick = np.sum(thr <= (ordinal[:, None] + 0.5), axis=1)
-        src = np.arange(total)
-        counts = None
-        quant = 1.0 / m
-        point_states = None
-
-    pick = np.minimum(pick, 3)
-    out = Profile(
-        base.s0, ds,
-        tau[src, pick], v[src, pick], eta[src, pick], zeta[src, pick],
-        "periodic", rough=True,
-    )
-    plan = OscillationPlan(n, n_eff, cells, m, layout, quant, base, params,
-                           counts, point_states)
-    return out, plan
+    ds = base.period / total
+    runs = CellField(base.s0 + ds * np.r_[0, np.cumsum(size)],
+                     StateU(tau[src, pick], v[src, pick], eta[src, pick], zeta[src, pick]),
+                     total * ds)
+    return runs.merged(), plan
 
 
 def pairing_tables(fields_by_time: dict, family: list[TestFunction],
@@ -406,7 +428,7 @@ def verify_generalized_solution(limit_table: np.ndarray, flow: CharacteristicFlo
     """
     if flow.mode != "pc" or flow.s_period is None:
         raise ValueError("identity verification needs a periodic rough flow")
-    d = flow.profile.d
+    d = flow.d
     rhs = pairing_tables({t: evolve_cells(flow, t) for t in times}, family, flow.s_period)
     keep = [not (continuous_only and g.kind == "indicator") for g in family]
     gap = (limit_table - rhs)[:, keep]
@@ -430,10 +452,14 @@ def completion_experiment(base: Profile, n_list, times, family: list[TestFunctio
     """End-to-end completion run: oscillate, evolve, pair, extrapolate, verify.
 
     Returns a report with the weak-distance decay of the oscillated sequence
-    (slope of the gap to the extrapolated limit), the time-uniformity ratio,
+    (slope of the gap to the extrapolated limit; None when fewer than two
+    levels have a positive gap), the time-uniformity ratio,
     the transport-identity residuals of the limit, and the membership verdicts
     showing a hull-valued (non-relativistic) limit of manifold-valued
-    (relativistic) data whenever the base leaves the manifold.
+    (relativistic) data whenever the base leaves the manifold.  Per level it
+    also gives the sizes that set the cost: the tiling's `runs`, the largest
+    `evolved_cells` count over the times, and the plan's
+    `max_weight_quantization`.
     """
     if family is None:
         family = default_family(base.s0, base.s0 + base.period)
@@ -444,23 +470,30 @@ def completion_experiment(base: Profile, n_list, times, family: list[TestFunctio
     period = base.period
 
     n_eff, tables, osc_in_m = [], [], True
-    plans = []
+    plans, runs, evolved = [], [], []
     for n in n_list:
         osc, plan = oscillate_profile(base, n, params, m=m)
         plans.append(plan)
         n_eff.append(plan.n_eff)
-        ok = in_m(osc.state(), membership_tol) & in_g(osc.state(), params.alpha,
-                                                      params.delta, membership_tol)
+        runs.append(osc.m)
+        # the run states are exactly the distinct states of the tiling's samples
+        ok = in_m(osc.states, membership_tol) & in_g(osc.states, params.alpha,
+                                                     params.delta, membership_tol)
         osc_in_m = osc_in_m and bool(np.all(ok))
         flow = build_flow(osc, params.alpha, params.delta)
-        tables.append(pairing_tables({t: evolve_cells(flow, t) for t in times}, family, period))
+        fields = {t: evolve_cells(flow, t) for t in times}
+        evolved.append(max(f.m for f in fields.values()))
+        tables.append(pairing_tables(fields, family, period))
     tables = np.stack(tables)
 
     limit_table = extrapolate_tables(n_eff, tables)
     gap_tg = np.max(np.abs(tables - limit_table[None]), axis=3)  # (n, t, g)
     gaps = gap_tg.max(axis=(1, 2))
     per_time = gap_tg.max(axis=2)
-    slope = -loglog_slope(n_eff, gaps)  # decay exponent p in gap ~ n^-p
+    # decay exponent p in gap ~ n^-p, fitted over the levels with a positive
+    # gap; a tiling that pairs exactly like its limit at all but one level has none
+    pos = gaps > 0.0
+    slope = -loglog_slope(np.asarray(n_eff)[pos], gaps[pos]) if np.sum(pos) >= 2 else None
     # max/min gap over times per level, over the levels whose smallest gap is
     # positive: a level pairing exactly like its limit at some time has no ratio
     lo, hi = per_time.min(axis=1), per_time.max(axis=1)
@@ -485,6 +518,9 @@ def completion_experiment(base: Profile, n_list, times, family: list[TestFunctio
 
     report = {
         "n_values": [float(x) for x in n_eff],
+        "runs": runs,
+        "evolved_cells": evolved,
+        "max_weight_quantization": [p.max_weight_quantization for p in plans],
         "times": [float(t) for t in times],
         "family": [g.label for g in family],
         "gaps": gaps.tolist(),

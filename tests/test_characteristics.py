@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stringlab import datasets
 from stringlab.characteristics import (
@@ -25,6 +27,7 @@ from stringlab.characteristics import (
 )
 from stringlab.geometry import DomainError, in_cm, in_g, in_m
 from stringlab.profiles import CellField, Profile, cubic_interp
+from stringlab.validate import random_hull_states
 from stringlab.waves import dalembert_wave_solve, oscillatory_family_init, wave_to_augmented
 from stringlab.weak import _weights, default_family, observable_matrix, oscillate_profile, pairing_tables
 
@@ -484,19 +487,30 @@ def test_xi0_inverse_across_periods():
 def test_rough_tables_knot_at_the_data_jumps():
     # an oscillated tiling holds at most four equal-state runs per oscillation
     # cell: one table cell per run, knots at the run edges only
-    osc, _ = oscillate_profile(datasets.subrelativistic_wave_base(101), 32, m=64)
-    flow = build_flow(osc)
+    runs, plan = oscillate_profile(datasets.subrelativistic_wave_base(101), 32, m=64)
+    osc = plan.samples()
+    flow = build_flow(runs)
     data = np.column_stack([osc.tau, osc.v, osc.eta, osc.zeta])
     edges = np.flatnonzero(np.r_[True, np.any(data[1:] != data[:-1], axis=1), True])
-    runs = len(edges) - 1
-    assert len(flow.y_edges) == runs + 1 and 8 * runs < osc.n
+    assert runs.m == len(edges) - 1 and len(flow.y_edges) == runs.m + 1 and 8 * runs.m < osc.n
+    # the sampled tiling compresses to the same runs and builds the same flow
+    same = build_flow(osc, flow.alpha, flow.delta)
+    for f in ("y_edges", "xi_nodes", "xi_slopes", "phi_nodes", "phi_slopes", "pk_values"):
+        assert np.array_equal(getattr(flow, f), getattr(same, f)), f
+    # tau = kappa and v = 0 throughout, so y = s / kappa and Phi = 0 exactly:
+    # one sum per run keeps the table to rounding
+    kappa = 2.0 ** -0.5
+    assert np.max(np.abs(flow.y_edges - flow.xi_nodes / kappa)) < 1e-12
+    assert not np.any(flow.phi_nodes)
     # a twin whose eta differs at every sample keeps tau and v, so its
-    # per-sample table holds the same cumulative sums at every sample edge
+    # per-sample table holds the same cumulative sums at every sample edge,
+    # up to the rounding of 25,856 sample-by-sample terms (~3e-12)
     twin = dataclasses.replace(osc, eta=osc.eta + 1e-3 * np.arange(osc.n)[:, None])
     full = build_flow(twin, flow.alpha, flow.delta)
     assert len(full.y_edges) == osc.n + 1
-    for f in ("y_edges", "xi_nodes", "phi_nodes"):
-        assert np.array_equal(getattr(flow, f), getattr(full, f)[edges]), f
+    assert np.array_equal(flow.xi_nodes, full.xi_nodes[edges])
+    for f in ("y_edges", "phi_nodes"):
+        assert np.max(np.abs(getattr(flow, f) - getattr(full, f)[edges])) < 1e-11, f
     for f in ("xi_slopes", "phi_slopes"):
         assert np.array_equal(getattr(flow, f), getattr(full, f)[edges[:-1]]), f
     for t in (0.5, -25.0, 37.7):
@@ -504,15 +518,115 @@ def test_rough_tables_knot_at_the_data_jumps():
         U = evolve_states(flow, t, 0.5 * (cells.breaks[:-1] + cells.breaks[1:]))
         for f in ("tau", "v", "eta", "zeta"):
             assert np.array_equal(getattr(U, f), getattr(cells.states, f)), (t, f)
-    # the run cells pair like one cell per sample; the per-sample sums are
-    # taken exactly, since a mat-vec over its 25,856 cells rounds to ~2e-12
+    # the run cells pair like one cell per sample, and so does the sampled
+    # tiling (paired on its runs); the per-sample sums are taken exactly,
+    # since a mat-vec over its 25,856 cells rounds to ~2e-12
     fam = default_family(osc.s0, osc.s0 + osc.period)
-    got = pairing_tables({0.0: evolve_cells(flow, 0.0)}, fam, osc.period)[0]
+    got = pairing_tables({0.0: evolve_cells(flow, 0.0), 1.0: osc}, fam, osc.period)
     per_sample = CellField(osc.s0 + osc.ds * np.arange(osc.n + 1), osc.state())
     obs = observable_matrix(per_sample.states)
-    for g, row in zip(fam, got):
+    for k, g in enumerate(fam):
         terms = _weights(per_sample, g, osc.period)[:, None] * obs
-        assert np.max(np.abs(row - [math.fsum(col) for col in terms.T])) < 1e-13, g.label
+        exact = [math.fsum(col) for col in terms.T]
+        assert np.max(np.abs(got[:, k] - exact)) < 1e-13, g.label
+
+
+RUN_FREE = [datasets.rough_manifold_base(101), datasets.rough_manifold_base(101, alpha=0.2),
+            datasets.rough_hull_base(64, d=1)]
+RUN_FREE_IDS = ["manifold", "manifold_alpha", "hull_d1"]
+
+
+@pytest.mark.parametrize("base", RUN_FREE, ids=RUN_FREE_IDS)
+def test_run_free_tables_are_the_per_sample_sums(base):
+    # every sample its own run: the cell sums of width / tau agree with the
+    # sample-by-sample sums ds / tau, normalized at s = 0, to rounding
+    flow = build_flow(base)
+    ds, s = base.ds, base.s0 + base.ds * np.arange(base.n + 1)
+    j = int((0.0 - base.s0) / ds)
+    for table, w in (("y_edges", np.ones(base.n)), ("phi_nodes", base.v)):
+        ref = np.r_[0.0, np.cumsum(w * ds / base.tau)]
+        ref -= ref[j] + (0.0 - s[j]) / base.tau[j] * w[j]
+        assert np.max(np.abs(getattr(flow, table) - ref)) < 1e-12, table
+    assert flow.y_period == pytest.approx(np.sum(ds / base.tau), abs=1e-12)
+
+
+@pytest.mark.parametrize("rough", [False, True], ids=["smooth", "rough"])
+def test_xi_one_lookup_per_foot(rough):
+    # _xi_only locates each foot once and reads both tables off it: the same
+    # numbers as evaluating each table at each foot on its own
+    flow = build_flow(datasets.rough_manifold_base(101, alpha=0.2) if rough
+                      else datasets.smooth_manifold_profile(n=512))
+    y = np.linspace(-30.0, 30.0, 1001)
+    for t in (0.0, 0.3, -25.0, 1e3):
+        for deriv in (False, True):
+            ref = (0.5 * (flow.xi0(y + t, deriv) + flow.xi0(y - t, deriv))
+                   + 0.5 * (flow.phi0(y + t, deriv) - flow.phi0(y - t, deriv)))
+            assert np.array_equal(_xi_only(flow, t, y, deriv), ref), (t, deriv)
+
+
+def _assert_same_cells(a, b, s_tol=1e-12, u_tol=4e-16):
+    """Two periodic cell fields are one function of s: the same jumps to s_tol
+    and the same states to u_tol.
+
+    Cells narrower than s_tol (slivers where two breaks coincide to rounding)
+    are dropped first, and breaks between states equal to u_tol do not count
+    as jumps.  States agree to rounding, not bit for bit: a field stores
+    (tau, v, eta, zeta), and re-forming the invariants v +- tau from them for
+    the next evolution rounds once.
+    """
+    fields = []
+    for cf in (a, b):
+        keep = np.diff(cf.breaks) >= s_tol
+        U = cf.states
+        data = np.column_stack([U.tau, U.v, U.eta, U.zeta])[keep]
+        breaks = np.r_[cf.breaks[:-1][keep], cf.breaks[-1]]
+        jump = np.any(np.abs(data - np.roll(data, 1, axis=0)) > u_tol, axis=1)
+        fields.append((breaks, data, np.mod(breaks[:-1][jump], cf.period)))
+    ja, jb = fields[0][2], fields[1][2]
+    assert len(ja) == len(jb) > 0
+    gap = np.abs(ja[:, None] - jb[None, :])
+    gap = np.minimum(gap, a.period - gap)
+    assert max(gap.min(axis=0).max(), gap.min(axis=1).max()) < s_tol
+    for (b0, d0, _), (b1, d1, _) in ((fields[0], fields[1]), (fields[1], fields[0])):
+        mid = 0.5 * (b0[:-1] + b0[1:])
+        k = np.searchsorted(b1, b1[0] + np.mod(mid - b1[0], a.period), side="right") - 1
+        assert np.max(np.abs(d1[np.clip(k, 0, len(d1) - 1)] - d0)) <= u_tol
+
+
+SEMIGROUP_BASES = [datasets.subrelativistic_wave_base(101),
+                   datasets.rough_manifold_base(101, alpha=0.2),
+                   datasets.rough_hull_base(64, d=1)]
+
+
+@pytest.mark.parametrize("base", SEMIGROUP_BASES, ids=["subrel_wave", "manifold_alpha", "hull_d1"])
+def test_evolved_cells_are_a_semigroup(base):
+    # an evolved CellField is rough initial data: evolving it by t2 is
+    # evolving the original by t1 + t2
+    flow = build_flow(base)
+    for t1 in (0.5, -25.0, 37.7):
+        mid = evolve_cells(flow, t1)
+        assert mid.period == flow.s_period
+        again = build_flow(mid)
+        for t2 in (0.5, -25.0, 37.7):
+            _assert_same_cells(evolve_cells(again, t2), evolve_cells(flow, t1 + t2))
+        # and evolving back by -t1 gives the initial runs
+        _assert_same_cells(evolve_cells(again, -t1), base.runs())
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 24), d=st.sampled_from([1, 3]),
+       t1=st.floats(-40.0, 40.0), t2=st.floats(-40.0, 40.0))
+def test_semigroup_on_random_admissible_cells(seed, n, d, t1, t2):
+    # random hull states on cells of random widths, in a window that need not
+    # contain s = 0 (the normalization winds by the period)
+    rng = np.random.default_rng(seed)
+    alpha, delta = rng.uniform(-0.3, 0.3), rng.uniform(0.2, 0.6)
+    U = random_hull_states(rng, n, alpha, delta, d)
+    breaks = rng.uniform(-8.0, 2.0) + np.r_[0.0, np.cumsum(rng.uniform(0.05, 1.0, n))]
+    flow = build_flow(CellField(breaks, U, float(breaks[-1] - breaks[0])))
+    assert flow.xi0(0.0) == pytest.approx(0.0, abs=1e-12)
+    _assert_same_cells(evolve_cells(build_flow(evolve_cells(flow, t1)), t2),
+                       evolve_cells(flow, t1 + t2))
 
 
 def test_rough_tables_without_runs_knot_every_sample():

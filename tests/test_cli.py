@@ -84,6 +84,22 @@ def test_simulate_rejects_inadmissible_csv(tmp_path, capsys):
     assert "v - tau" in err and "v + tau" in err  # names the violating pair
 
 
+def test_simulate_csv_with_a_sidecar_missing_grid_n_exits_2(tmp_path, capsys):
+    p = Profile(-np.pi, 2 * np.pi / 16, np.full(16, 0.7), np.zeros(16), np.zeros((16, 1)),
+                np.zeros((16, 1)), rough=True)
+    csv_path = str(tmp_path / "init.csv")
+    write_snapshot(csv_path, p, {})
+    with open(csv_path + ".meta.json") as fh:
+        meta = json.load(fh)
+    del meta["grid"]["n"]
+    with open(csv_path + ".meta.json", "w") as fh:
+        json.dump(meta, fh)
+    cfg = write_json(tmp_path / "sim.json",
+                     {"initial": {"kind": "csv", "path": csv_path}, "times": [0.5]})
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "init.csv.meta.json: missing key 'grid.n'" in capsys.readouterr().err
+
+
 def test_internal_error_exits_3(tmp_path, monkeypatch, capsys):
     def faulty(cfg, out_dir, tol):
         raise RuntimeError("internal error: inversion residual 1.607e-07")
@@ -135,6 +151,13 @@ def test_completion_command(tmp_path):
     assert report["pass"]
     flags = {r["name"]: r["pass"] for r in report["results"] if "name" in r}
     assert flags["limit_is_nonrelativistic_generalized_string"]
+    # per level: the tiling's runs (four per oscillation cell of the 101-cell
+    # wave base), the largest evolved cell count and the weight quantization
+    (exp,) = [r for r in report["results"] if "name" not in r]
+    assert exp["runs"] == [404, 808, 1616]
+    assert len(exp["evolved_cells"]) == 3
+    assert all(r <= c <= 2 * r for r, c in zip(exp["runs"], exp["evolved_cells"]))
+    assert exp["max_weight_quantization"] == [0.0, 0.0, 0.0]
     lines = open(os.path.join(out, "completion_gaps.csv")).read().splitlines()
     assert lines[0] == "n,g_id,t,pairing_gap"
 

@@ -54,7 +54,7 @@ def test_signal_speed_matches_rescaled_speeds():
 def _reference_step(st, dt, cfl_max=0.9):
     """The cell-major Rusanov step, written from `flux` and `max_signal_speed`."""
     speed = max_signal_speed(st.Y, st.Z)
-    if dt * speed > cfl_max * st.ds:
+    if dt > cfl_max * st.ds / speed:
         raise CFLError("reference step above the CFL bound")
     lo, hi = (-1, 0) if st.boundary == "periodic" else (0, -1)
     Y = np.concatenate([st.Y[lo][None], st.Y, st.Y[hi][None]])
@@ -74,7 +74,7 @@ def _reference_advance(st, t_final, cfl=0.9):
     t, steps = 0.0, 0
     while t < t_final - 1e-14:
         dt = min(cfl * st.ds / max_signal_speed(st.Y, st.Z), t_final - t)
-        st = _reference_step(st, dt, cfl + 1e-12)
+        st = _reference_step(st, dt, cfl)
         t += dt
         steps += 1
     return st, steps
@@ -131,6 +131,16 @@ def test_cfl_guard():
             lax_friedrichs_step(st, 1.01 * bound)
         with pytest.raises(CFLError):
             lax_friedrichs_step(st, 1.01 * bound / 0.9, cfl_max=1.0)
+
+
+def test_cfl_step_at_exactly_the_bound_is_accepted():
+    # dt = cfl ds / speed is the bound the guard prints and `advance` steps
+    # at; (cfl ds / speed) speed may round one ulp above cfl ds, which the
+    # guard must not read as a violation
+    cfl = 0.9
+    st = from_profile(datasets.smooth_manifold_profile(n=200, d=1, boundary="constant"))
+    for _ in range(50):
+        st = lax_friedrichs_step(st, cfl * st.ds / max_signal_speed(st.Y, st.Z), cfl_max=cfl)
 
 
 def test_discrete_conservation_under_periodic_boundary():

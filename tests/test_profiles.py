@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -180,8 +182,40 @@ def test_read_snapshot_rejects_a_shifted_s_row(tmp_path, rough):
     assert p.n == 12 and p.rough == rough
 
 
+def _drop_sidecar_key(csv_path, key):
+    with open(csv_path + ".meta.json") as fh:
+        meta = json.load(fh)
+    node, name = (meta["grid"], key[5:]) if key.startswith("grid.") else (meta, key)
+    del node[name]
+    with open(csv_path + ".meta.json", "w") as fh:
+        json.dump(meta, fh)
+
+
+@pytest.mark.parametrize("key", ["grid.n", "grid.d", "grid.s0", "grid.ds", "boundary", "rough"])
+def test_read_snapshot_names_a_missing_sidecar_key(tmp_path, key):
+    path = _tampered_snapshot(tmp_path, lambda ls: ls)
+    _drop_sidecar_key(path, key)
+    with pytest.raises(ValueError, match=rf"snap\.csv\.meta\.json: missing key '{key}'"):
+        read_snapshot(path)
+
+
 def test_cell_field_widths():
     cf = CellField(np.array([0.0, 0.5, 2.0]),
                    StateU(np.array([1.0, 2.0]), np.zeros(2), np.zeros((2, 1)), np.zeros((2, 1))))
-    assert cf.m == 2
+    assert cf.m == cf.n == 2 and cf.d == 1
     assert np.allclose(cf.widths(), [0.5, 1.5])
+
+
+def test_cell_field_rejects_malformed_input():
+    U = StateU(np.array([1.0, 2.0]), np.zeros(2), np.zeros((2, 1)), np.zeros((2, 1)))
+    with pytest.raises(ValueError, match="m >= 1 cells with m \\+ 1 breaks"):
+        CellField(np.array([0.0, 2.0]), U)
+    with pytest.raises(ValueError, match="breaks must be finite"):
+        CellField(np.array([0.0, np.nan, 2.0]), U)
+    with pytest.raises(ValueError, match="tau must be finite"):
+        CellField(np.array([0.0, 1.0, 2.0]), StateU(np.array([1.0, np.inf]), U.v, U.eta, U.zeta))
+    with pytest.raises(ValueError, match="breaks must ascend"):
+        CellField(np.array([0.0, 1.5, 1.0]), U)
+    with pytest.raises(ValueError, match="must span its period"):
+        CellField(np.array([0.0, 1.0, 2.0]), U, period=2.5)
+    assert CellField(np.array([0.0, 1.0, 2.0]), U, period=2.0).period == 2.0

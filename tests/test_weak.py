@@ -126,19 +126,43 @@ def test_oscillate_manifold_base_is_identity():
     base = datasets.rough_manifold_base(cells=101)
     win = admissibility(base)
     params = ManifoldParams(alpha=win.alpha, delta=win.delta, d=3)
-    osc, plan = oscillate_profile(base, 8, params, m=16)
+    runs, plan = oscillate_profile(base, 8, params, m=16)
+    osc = plan.samples()
     # each base cell decomposes to itself, so the tiling repeats the base values
     # (up to one rounding from the block round-trip)
     k = osc.n // base.n
     assert np.max(np.abs(osc.tau.reshape(base.n, k) - base.tau[:, None])) == 0.0
     assert np.max(np.abs(osc.eta.reshape(base.n, k, 3) - base.eta[:, None, :])) < 1e-15
     assert plan.max_weight_quantization == 0.0
+    # one run per base cell
+    assert runs.m == base.n and np.array_equal(runs.states.tau, base.tau)
+
+
+@pytest.mark.parametrize("layout", ["forward", "reversed"])
+@pytest.mark.parametrize("base", [datasets.subrelativistic_wave_base(101),
+                                  datasets.rough_hull_base(64, d=1),
+                                  datasets.rough_manifold_base(101),
+                                  datasets.constant_profile(0.5, 0.0, [0, 0, 0], [0, 0, 0], n=8,
+                                                            rough=True)],
+                         ids=["subrel_wave", "hull_d1", "manifold", "constant_hull"])
+def test_oscillation_runs_are_the_runs_of_its_samples(base, layout):
+    # the tiling is built as runs; sampled and compressed again it gives the
+    # same breaks, states and period bit for bit
+    for n, m in ((8, 16), (32, 64), (128, 64)):
+        runs, plan = oscillate_profile(base, n, m=m, layout=layout)
+        again = plan.samples().runs()
+        assert runs.period == again.period and np.array_equal(runs.breaks, again.breaks)
+        for f in ("tau", "v", "eta", "zeta"):
+            assert np.array_equal(getattr(runs.states, f), getattr(again.states, f)), (n, f)
+        # at most four runs per oscillation cell
+        assert runs.m <= 4 * plan.cells
 
 
 def test_oscillate_constant_hull_state_four_phase():
     base = datasets.constant_profile(0.5, 0.0, [0, 0, 0], [0, 0, 0], n=8, rough=True)
     params = ManifoldParams(alpha=0.0, delta=0.4, d=3)
-    osc, plan = oscillate_profile(base, 16, params, m=16)
+    _, plan = oscillate_profile(base, 16, params, m=16)
+    osc = plan.samples()
     mu = np.sqrt(0.75)
     # four equal phases per oscillation cell, in layout order
     cell = osc.n // plan.cells
@@ -162,8 +186,8 @@ def test_oscillate_wave_limit_mirrors_relativistic_family():
                    base.boundary, rough=True)
     win = admissibility(base)
     params = ManifoldParams(alpha=win.alpha, delta=win.delta, d=3)
-    osc, plan = oscillate_profile(base, 16, params, m=16)
-    U = osc.state()
+    _, plan = oscillate_profile(base, 16, params, m=16)
+    U = plan.samples().state()
     assert np.all(in_m(U, 1e-10))
     assert np.all(in_g(U, win.alpha, win.delta, 1e-10))
     # the lift rides the second axis, echoing the transverse ripple mechanism
@@ -327,8 +351,8 @@ def test_strong_convergence_of_reconstructed_strings():
     X_lim = x_field(base)
     sups, n_eff = [], []
     for n in (8, 16, 32, 64):
-        osc, plan = oscillate_profile(base, n, params, m=32)
-        X_n = x_field(osc)
+        _, plan = oscillate_profile(base, n, params, m=32)
+        X_n = x_field(plan.samples())
         worst = 0.0
         for t in tt:
             worst = max(worst, float(np.max(np.abs(X_n(t, ss) - X_lim(t, ss)))))
@@ -346,7 +370,8 @@ def test_oscillation_quantization_d1():
     win = admissibility(base)
     params = ManifoldParams(alpha=win.alpha, delta=win.delta, d=1)
     m = 32
-    osc, plan = oscillate_profile(base, 8, params, m=m)
+    _, plan = oscillate_profile(base, 8, params, m=m)
+    osc = plan.samples()
     # generic d = 1 weights quantize to within one sample of the exact split
     assert 0.0 < plan.max_weight_quantization <= 1.0 / m
     assert np.all(in_m(osc.state(), 1e-10))
