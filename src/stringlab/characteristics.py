@@ -387,9 +387,14 @@ def xi_time_inverse(flow: CharacteristicFlow, t, s, y_tol: float = 1e-12):
     for rough ones.  Every evaluation narrows the bracket, and a step that
     leaves it or fails to halve the previous step is replaced by bisection,
     so the iteration cannot fail.  A point stops once its step is at most
-    y_tol (1 + |y|).  A non-finite t or s raises ValueError naming it.
+    y_tol (1 + |y|).  Periodic flows solve at the reduced time of
+    `_reduce_time` and add the whole y-periods back, so |t| = 1e9 inverts
+    as accurately as |t| < Y_p / 2.  A non-finite t or s raises ValueError
+    naming it.
     """
     t, s = _finite("t", t), _finite("s", s)
+    t, shift, lag = _reduce_time(flow, t)
+    s = s - shift
     e = s - _xi_only(flow, t, np.zeros_like(t))
     shape = e.shape
     t, s, e = (a.ravel() for a in np.broadcast_arrays(t, s, e))
@@ -418,20 +423,22 @@ def xi_time_inverse(flow: CharacteristicFlow, t, s, y_tol: float = 1e-12):
         if resid > 1e-8 * scale:
             # unreachable for a bi-Lipschitz curve; indicates a broken bracket
             raise RuntimeError(f"internal error: inversion residual {resid:.3e}")
-    return y.reshape(shape)
+    return y.reshape(shape) - lag
 
 
 def _reduce_time(flow, t):
-    """(r, shift) with U(t, s) = U(r, s - shift): t = m Y_p + r, shift = m Phi_p mod S_p.
+    """(r, shift, lag) with xi(t, y) = xi(r, y + lag) + shift, so U(t, s) = U(r, s - shift).
 
-    m = round(t / Y_p) for periodic flows, so |r| <= Y_p / 2; the shift is
-    reduced into [-S_p/2, S_p/2].  Aperiodic flows and m = 0 give (t, 0).
+    For periodic flows t = m Y_p + r with m = round(t / Y_p), so |r| <= Y_p / 2,
+    and m Phi_p = shift + j S_p with the shift in [-S_p/2, S_p/2]; the whole
+    s-periods j S_p dropped from the shift are lag = j Y_p in y.  Aperiodic
+    flows and m = 0 give (t, 0, 0).
     """
     if flow.y_period is None:
-        return t, 0.0
+        return t, 0.0, 0.0
     m = np.round(t / flow.y_period)
-    shift = m * flow.phi_period
-    return t - m * flow.y_period, shift - flow.s_period * np.round(shift / flow.s_period)
+    j = np.round(m * flow.phi_period / flow.s_period)
+    return t - m * flow.y_period, m * flow.phi_period - j * flow.s_period, j * flow.y_period
 
 
 def _state_from_feet(flow, y, t):
@@ -453,7 +460,7 @@ def evolve_states(flow: CharacteristicFlow, t, s_points) -> StateU:
     nine digits to cancellation.  For m = 0 nothing changes.
     """
     t, s = _finite("t", t), _finite("s_points", s_points)
-    r, shift = _reduce_time(flow, t)
+    r, shift, _ = _reduce_time(flow, t)
     return _state_from_feet(flow, xi_time_inverse(flow, r, s - shift), r)
 
 
@@ -491,10 +498,13 @@ def tau_slope_consistency(flow: CharacteristicFlow, t, s_points) -> float:
 
     Returns max |(s_{i+1}-s_i)/(y_{i+1}-y_i) - tau_mid|, a second-order
     consistency measure between the integrated curve and the packet route.
+    It is taken at the reduced time of `_reduce_time`, where the y are
+    small: whole periods change neither slope nor state.
     """
-    s = np.asarray(s_points, dtype=float)
-    y = xi_time_inverse(flow, t, s)
-    U = evolve_states(flow, t, s)
+    r, shift, _ = _reduce_time(flow, _finite("t", t))
+    s = np.asarray(s_points, dtype=float) - shift
+    y = xi_time_inverse(flow, r, s)
+    U = evolve_states(flow, r, s)
     slope = np.diff(s) / np.diff(y)
     tau_mid = 0.5 * (U.tau[1:] + U.tau[:-1])
     return float(np.max(np.abs(slope - tau_mid)))
@@ -514,12 +524,18 @@ def evolve_cells(flow: CharacteristicFlow, t: float) -> CellField:
     if flow.mode != "pc":
         raise DomainError("evolve_cells requires a rough (piecewise-constant) flow")
     b = flow.y_edges
-    t, shift = _reduce_time(flow, t)
+    t, shift, _ = _reduce_time(flow, t)
+    # breaks of the two families that agree to the rounding of the knots
+    # (within 64 ulps of their magnitude) are one break: a sliver between
+    # them would read its two feet from different cells
+    tol = 64.0 * np.spacing(np.max(np.abs(b)) + np.abs(t))
     if flow.y_period is not None:
-        pts = np.unique(flow._wind(np.concatenate([b[:-1] - t, b[:-1] + t]))[0])
+        pts = np.sort(flow._wind(np.concatenate([b[:-1] - t, b[:-1] + t]))[0])
+        pts = pts[np.diff(pts, prepend=pts[-1] - flow.y_period) > tol]
         breaks_y = np.append(pts, pts[0] + flow.y_period)
     else:
-        breaks_y = np.unique(np.concatenate([b - t, b + t]))
+        pts = np.sort(np.concatenate([b - t, b + t]))
+        breaks_y = pts[np.diff(pts, prepend=-np.inf) > tol]
     mid = 0.5 * (breaks_y[:-1] + breaks_y[1:])
     # xi(t, .) increases strictly, but two breaks_y a rounding apart can map
     # one ulp out of order; such a pair is one break

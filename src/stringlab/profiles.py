@@ -52,20 +52,11 @@ def centered_slopes(values: np.ndarray, ds: float, boundary: str) -> np.ndarray:
     return m
 
 
-def cubic_interp(x0: float, dx: float, values: np.ndarray, q, boundary: str = "periodic",
-                 slopes: np.ndarray | None = None):
-    """Cubic Hermite interpolation of uniform samples at query points q.
-
-    Slopes default to centered differences, giving a C^1 interpolant with
-    O(dx^3) error; pass exact slopes for Hermite data.  `values` may have
-    trailing axes; the query may be any shape.
-    """
-    values = np.asarray(values, dtype=float)
+def _locate(x0, dx, values, q, boundary):
+    """Sample interval [i, ip] holding each q (wrapped, or clamped to the window
+    for constant boundaries) and the local coordinate t, shaped like values[i]."""
     n = values.shape[0]
-    if slopes is None:
-        slopes = centered_slopes(values, dx, boundary)
-    q = np.asarray(q, dtype=float)
-    u = (q - x0) / dx
+    u = (np.asarray(q, dtype=float) - x0) / dx
     if boundary == "periodic":
         u = np.mod(u, n)
         i = np.minimum(u.astype(int), n - 1)
@@ -75,8 +66,21 @@ def cubic_interp(x0: float, dx: float, values: np.ndarray, q, boundary: str = "p
         i = np.minimum(u.astype(int), n - 2) if n >= 2 else np.zeros_like(u, dtype=int)
         ip = i + 1
     t = u - i
-    extra = values.ndim - 1
-    tt = t.reshape(t.shape + (1,) * extra)
+    return i, ip, t.reshape(t.shape + (1,) * (values.ndim - 1))
+
+
+def cubic_interp(x0: float, dx: float, values: np.ndarray, q, boundary: str = "periodic",
+                 slopes: np.ndarray | None = None):
+    """Cubic Hermite interpolation of uniform samples at query points q.
+
+    Slopes default to centered differences, giving a C^1 interpolant with
+    O(dx^3) error; pass exact slopes for Hermite data.  `values` may have
+    trailing axes; the query may be any shape.
+    """
+    values = np.asarray(values, dtype=float)
+    if slopes is None:
+        slopes = centered_slopes(values, dx, boundary)
+    i, ip, tt = _locate(x0, dx, values, q, boundary)
     f0, f1 = values[i], values[ip]
     m0, m1 = slopes[i] * dx, slopes[ip] * dx
     h00 = (1.0 + 2.0 * tt) * (1.0 - tt) ** 2
@@ -89,19 +93,7 @@ def cubic_interp(x0: float, dx: float, values: np.ndarray, q, boundary: str = "p
 def linear_interp(x0: float, dx: float, values: np.ndarray, q, boundary: str = "periodic"):
     """Piecewise-linear interpolation of uniform samples (O(dx^2))."""
     values = np.asarray(values, dtype=float)
-    n = values.shape[0]
-    q = np.asarray(q, dtype=float)
-    u = (q - x0) / dx
-    if boundary == "periodic":
-        u = np.mod(u, n)
-        i = np.minimum(u.astype(int), n - 1)
-        ip = np.mod(i + 1, n)
-    else:
-        u = np.clip(u, 0.0, n - 1.0)
-        i = np.minimum(u.astype(int), n - 2) if n >= 2 else np.zeros_like(u, dtype=int)
-        ip = i + 1
-    t = u - i
-    tt = t.reshape(t.shape + (1,) * (values.ndim - 1))
+    i, ip, tt = _locate(x0, dx, values, q, boundary)
     return (1.0 - tt) * values[i] + tt * values[ip]
 
 

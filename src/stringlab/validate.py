@@ -76,13 +76,17 @@ def legendre_bruteforce(Y, Z) -> float:
     for r in range(4):
         coarse = 41 if r == 0 else 21
         axes = [np.linspace(center[k] - half, center[k] + half, coarse) for k in range(d)]
-        W = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
-        rad = (1.0 + np.dot(Y, Y)) * (1.0 - np.sum(W**2, axis=1)) + (W @ Y) ** 2
-        val = np.where(rad >= 0.0, W @ Z + np.sqrt(np.maximum(rad, 0.0)), -np.inf)
-        i = int(np.argmax(val))
+        # |W|^2, W.Y and W.Z on the product grid, by broadcasting the axes
+        w2 = wy = wz = 0.0
+        for k, a in enumerate(axes):
+            a = a.reshape((1,) * k + (coarse,) + (1,) * (d - 1 - k))
+            w2, wy, wz = w2 + a * a, wy + a * Y[k], wz + a * Z[k]
+        rad = (1.0 + np.dot(Y, Y)) * (1.0 - w2) + wy**2
+        val = np.where(rad >= 0.0, wz + np.sqrt(np.maximum(rad, 0.0)), -np.inf)
+        i = np.unravel_index(int(np.argmax(val)), val.shape)
         best = max(best, float(val[i]))
         step = 2.0 * half / (coarse - 1)
-        center, half = W[i], 2.0 * step
+        center, half = np.array([a[j] for a, j in zip(axes, i)]), 2.0 * step
     return best
 
 

@@ -27,17 +27,44 @@ from .profiles import Profile, cubic_interp, linear_interp
 _TAIL_TOL = 1e-12
 
 
-@dataclass
 class StringGraph:
-    """Sampled string graph X(t, .) with its derivative fields."""
+    """Sampled string graph X(t, .) with its derivative fields dXds, dXdt.
 
-    t: float
-    s0: float
-    ds: float
-    X: np.ndarray      # (n, d)
-    dXds: np.ndarray   # (n, d)
-    dXdt: np.ndarray   # (n, d)
-    boundary: str = "periodic"
+    Built with arrays, or by `dalembert_wave_solve` with the derivative
+    fields deferred: they are then evaluated on the first read (or
+    assignment) of either one and kept.
+    """
+
+    def __init__(self, t: float, s0: float, ds: float, X: np.ndarray, dXds: np.ndarray | None,
+                 dXdt: np.ndarray | None, boundary: str = "periodic"):
+        self.t, self.s0, self.ds, self.X, self.boundary = t, s0, ds, X, boundary
+        self._dXds, self._dXdt = dXds, dXdt  # each (n, d)
+        self._derive = None  # pending () -> (dXds, dXdt), if deferred
+
+    def _derived(self):
+        if self._derive is not None:
+            self._dXds, self._dXdt = self._derive()
+            self._derive = None
+
+    @property
+    def dXds(self) -> np.ndarray:
+        self._derived()
+        return self._dXds
+
+    @dXds.setter
+    def dXds(self, value):
+        self._derived()
+        self._dXds = value
+
+    @property
+    def dXdt(self) -> np.ndarray:
+        self._derived()
+        return self._dXdt
+
+    @dXdt.setter
+    def dXdt(self, value):
+        self._derived()
+        self._dXdt = value
 
     @property
     def n(self) -> int:
@@ -195,7 +222,10 @@ def dalembert_wave_solve(init: WaveInitialData, t: float, s_out: np.ndarray | No
     X(t, s) = [X0(s + kt) + X0(s - kt)]/2 + (1/2k) * integral of V0 over
     [s - kt, s + kt]; derivative fields follow by differentiating the same
     formula, so the returned graph is consistent to interpolation accuracy
-    (exact when the initial data carry analytic callables).
+    (exact when the initial data carry analytic callables).  X is computed
+    now; dXds and dXdt are evaluated at the same two feet on their first
+    read, so a caller that reads only X never evaluates dx0 or v0.  They
+    read `init` then: mutate it only after the derivative fields are read.
     """
     if not np.isfinite(t):
         raise ValueError("t must be finite")
@@ -210,19 +240,25 @@ def dalembert_wave_solve(init: WaveInitialData, t: float, s_out: np.ndarray | No
     qm = s_out - k * t
     if init.boundary == "constant":
         _check_tails(init, np.concatenate([qp, qm]))
-    x0p, x0m = _eval_x0(init, qp), _eval_x0(init, qm)
-    dp, dm = _eval_dx0(init, qp), _eval_dx0(init, qm)
-    vp, vm = _eval_v0(init, qp), _eval_v0(init, qm)
-    X = 0.5 * (x0p + x0m)
-    dXds = 0.5 * (dp + dm)
-    dXdt = 0.5 * k * (dp - dm) + 0.5 * (vp + vm)
-    if np.any(init.v0):
+    X = 0.5 * (_eval_x0(init, qp) + _eval_x0(init, qm))
+    moving = bool(np.any(init.v0))
+    if moving:
         nodes = _v0_antiderivative_nodes(init)
         Qp = _eval_v0_antiderivative(init, nodes, qp)
         Qm = _eval_v0_antiderivative(init, nodes, qm)
         X = X + (Qp - Qm) / (2.0 * k)
-        dXds = dXds + (vp - vm) / (2.0 * k)
-    return StringGraph(t, s0_out, ds_out, X, dXds, dXdt, init.boundary)
+
+    def derive():
+        dp, dm = _eval_dx0(init, qp), _eval_dx0(init, qm)
+        vp, vm = _eval_v0(init, qp), _eval_v0(init, qm)
+        dXds = 0.5 * (dp + dm)
+        if moving:
+            dXds = dXds + (vp - vm) / (2.0 * k)
+        return dXds, 0.5 * k * (dp - dm) + 0.5 * (vp + vm)
+
+    g = StringGraph(t, s0_out, ds_out, X, None, None, init.boundary)
+    g._derive = derive
+    return g
 
 
 def branch_residuals(init: WaveInitialData):

@@ -369,6 +369,25 @@ def test_periodic_time_reduction_matches_direct_evaluation(rough):
         assert np.max(np.abs(U.zeta - 0.5 * (cm - cp))) < 1e-10
 
 
+@pytest.mark.parametrize("source", [
+    lambda: datasets.smooth_manifold_profile(n=512, d=3),
+    lambda: datasets.smooth_manifold_profile(n=512, d=3, alpha=0.2),
+    lambda: datasets.rough_manifold_base(cells=101, alpha=0.2),
+], ids=["smooth", "smooth_alpha", "rough_alpha"])
+def test_direct_inversions_reduce_periodic_time(source):
+    # xi_time_inverse and tau_slope_consistency solve at the reduced time, so
+    # |t| = 1e9 passes the 1e-8 residual check; the returned y is the true
+    # one (for alpha = 0.2, whole y-periods of size ~3e8 are added back): the
+    # direct d'Alembert sum at it gives back s to the rounding of its |t|-sized terms
+    flow = build_flow(source())
+    s = np.linspace(-6.0, 6.0, 97)
+    for t in (1e9, -1e9):
+        y = xi_time_inverse(flow, t, s)
+        assert np.max(np.abs(_xi_only(flow, t, y) - s)) <= 8 * np.spacing(1e9)
+        if flow.mode == "smooth":
+            assert tau_slope_consistency(flow, t, s) < 5e-4
+
+
 def test_evolve_cells_reduces_periodic_time():
     # evolve_cells at t = m Y_p + r evolves to r and shifts by m Phi_p; at
     # moderate m the unreduced d'Alembert breakpoints are still accurate, so
@@ -611,6 +630,23 @@ def test_evolved_cells_are_a_semigroup(base):
             _assert_same_cells(evolve_cells(again, t2), evolve_cells(flow, t1 + t2))
         # and evolving back by -t1 gives the initial runs
         _assert_same_cells(evolve_cells(again, -t1), base.runs())
+
+
+@pytest.mark.parametrize("base", SEMIGROUP_BASES, ids=["subrel_wave", "manifold_alpha", "hull_d1"])
+def test_reversal_leaves_no_sliver_cells(base):
+    # the breaks b - t + t and b + t - t agree to rounding and are one break,
+    # so every cell of the reversed field is wide and reads the initial run
+    # its midpoint lies in
+    flow, runs = build_flow(base), base.runs()
+    for t in (0.5, -25.0, 37.7):
+        back = evolve_cells(build_flow(evolve_cells(flow, t)), -t)
+        assert np.min(np.diff(back.breaks)) >= 1e-12
+        mid = 0.5 * (back.breaks[:-1] + back.breaks[1:])
+        k = np.searchsorted(runs.breaks, runs.breaks[0] + np.mod(mid - runs.breaks[0], runs.period),
+                            side="right") - 1
+        for name in ("tau", "v", "eta", "zeta"):
+            got, want = getattr(back.states, name), getattr(runs.states, name)[k]
+            assert np.max(np.abs(got - want)) <= 4e-16
 
 
 @settings(max_examples=25, deadline=None)

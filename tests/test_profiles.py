@@ -8,6 +8,7 @@ from stringlab.profiles import (
     CellField,
     Profile,
     cell_lookup,
+    centered_slopes,
     cubic_interp,
     cumulative_integral,
     fmt17,
@@ -45,6 +46,43 @@ def test_linear_interp_and_cell_lookup():
     assert list(cells) == [1.0, 2.0, 4.0]
     # periodic wrap
     assert cell_lookup(0.0, 1.0, vals, np.array([3.4]), "periodic")[0] == 1.0
+
+
+def _interp_one(x0, dx, values, slopes, q, boundary):
+    """Linear and cubic Hermite values at one query point, located by hand."""
+    n = len(values)
+    u = (q - x0) / dx
+    if boundary == "periodic":
+        u = u % n
+        i = min(int(u), n - 1)
+        ip = (i + 1) % n
+    else:
+        u = min(max(u, 0.0), n - 1.0)
+        i = min(int(u), n - 2)
+        ip = i + 1
+    t = np.float64(u - i)
+    lin = (1.0 - t) * values[i] + t * values[ip]
+    cub = ((1.0 + 2.0 * t) * (1.0 - t) ** 2 * values[i] + t * (1.0 - t) ** 2 * (slopes[i] * dx)
+           + t**2 * (3.0 - 2.0 * t) * values[ip] + t**2 * (t - 1.0) * (slopes[ip] * dx))
+    return lin, cub
+
+
+@pytest.mark.parametrize("boundary", ["periodic", "constant"])
+@pytest.mark.parametrize("shape", [(13,), (13, 3)], ids=["vector", "n_by_d"])
+def test_interpolants_locate_each_point_as_by_hand(boundary, shape):
+    # query points inside and outside the window [x0, x0 + (n - 1) dx]
+    rng = np.random.default_rng(3)
+    x0, dx = -1.3, 0.25
+    values = rng.normal(size=shape)
+    slopes = centered_slopes(values, dx, boundary)
+    q = np.r_[rng.uniform(-6.0, 6.0, 40), x0, x0 + 12 * dx, x0 + 13 * dx, x0 - 13 * dx].reshape(4, 11)
+    lin = linear_interp(x0, dx, values, q, boundary)
+    cub = cubic_interp(x0, dx, values, q, boundary)
+    assert lin.shape == cub.shape == q.shape + shape[1:]
+    for idx in np.ndindex(q.shape):
+        want_lin, want_cub = _interp_one(x0, dx, values, slopes, q[idx], boundary)
+        assert np.array_equal(lin[idx], want_lin)
+        assert np.array_equal(cub[idx], want_cub)
 
 
 def test_cumulative_integral_fourth_order():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from stringlab import waves
 from stringlab.geometry import SuperluminalError, in_cm, in_m
 from stringlab.waves import (
     StringGraph,
@@ -197,3 +198,87 @@ def test_area_coefficients_superluminal_guard():
                     np.full((4, 1), 1.5))
     with pytest.raises(SuperluminalError):
         g.area_coefficients()
+
+
+def _eager_solve(init, t):
+    """The d'Alembert formula with every field evaluated at call time."""
+    k = init.kappa
+    qp, qm = init.s_samples + k * t, init.s_samples - k * t
+    dp, dm = waves._eval_dx0(init, qp), waves._eval_dx0(init, qm)
+    vp, vm = waves._eval_v0(init, qp), waves._eval_v0(init, qm)
+    X = 0.5 * (waves._eval_x0(init, qp) + waves._eval_x0(init, qm))
+    dXds = 0.5 * (dp + dm)
+    if np.any(init.v0):
+        nodes = waves._v0_antiderivative_nodes(init)
+        X = X + (waves._eval_v0_antiderivative(init, nodes, qp)
+                 - waves._eval_v0_antiderivative(init, nodes, qm)) / (2.0 * k)
+        dXds = dXds + (vp - vm) / (2.0 * k)
+    return X, dXds, 0.5 * k * (dp - dm) + 0.5 * (vp + vm)
+
+
+def _sampled_moving_init():
+    n = 256
+    ds = 4.0 * np.pi / n
+    s = -2.0 * np.pi + ds * np.arange(n)
+    return WaveInitialData(0.6, -2.0 * np.pi, ds, np.c_[np.cos(s), np.sin(2 * s)],
+                           np.c_[np.sin(s), 0.3 * np.cos(s)], np.c_[-np.sin(s), 2 * np.cos(2 * s)])
+
+
+def _constant_boundary_init():
+    n = 256
+    ds = 0.05
+    s = -6.4 + ds * np.arange(n)
+    bump = np.exp(-4.0 * s**2)
+    return WaveInitialData(0.5, -6.4, ds, bump[:, None], 0.1 * bump[:, None],
+                           (-8.0 * s * bump)[:, None], boundary="constant")
+
+
+@pytest.mark.parametrize("make, times", [
+    (lambda: oscillatory_family_init(8, n=512), (0.3, -5.0, 7.7)),
+    (_sampled_moving_init, (0.3, -5.0, 7.7)),
+    (_constant_boundary_init, (0.3, -1.5, 20.0)),
+], ids=["analytic", "sampled_moving", "constant_boundary"])
+def test_deferred_fields_equal_the_eager_formula(make, times):
+    init = make()
+    for t in times:
+        g = dalembert_wave_solve(init, t)
+        X, dXds, dXdt = _eager_solve(init, t)
+        assert np.array_equal(g.X, X)
+        assert np.array_equal(g.dXds, dXds)
+        assert np.array_equal(g.dXdt, dXdt)
+
+
+def test_reading_x_never_evaluates_the_derivative_data():
+    calls = {"x0": 0, "dx0": 0, "v0": 0}
+
+    def counted(name, f):
+        def wrapped(s):
+            calls[name] += 1
+            return f(s)
+        return wrapped
+
+    ref = oscillatory_family_init(5, n=256)
+    init = wave_initial_from_functions(
+        ref.kappa, counted("x0", ref.x0_fn), counted("v0", lambda s: 0.1 * ref.dx0_fn(s)),
+        counted("dx0", ref.dx0_fn), n=256)
+    calls.update(x0=0, dx0=0, v0=0)
+    g = dalembert_wave_solve(init, 0.9)
+    assert g.X.shape == (256, 3)
+    assert calls == {"x0": 2, "dx0": 0, "v0": 0}
+    first = g.dXds
+    assert g.dXds is first
+    assert calls == {"x0": 2, "dx0": 2, "v0": 2}
+    g.dXdt
+    assert calls == {"x0": 2, "dx0": 2, "v0": 2}
+
+
+def test_assigning_a_deferred_field_keeps_the_other():
+    init = _sampled_moving_init()
+    _, dXds, dXdt = _eager_solve(init, 0.8)
+    g = dalembert_wave_solve(init, 0.8)
+    g.dXdt = 2.0 * g.dXdt
+    assert np.array_equal(g.dXdt, 2.0 * dXdt)
+    assert np.array_equal(g.dXds, dXds)
+    h = dalembert_wave_solve(init, 0.8)
+    h.dXds = np.zeros_like(dXds)
+    assert np.array_equal(h.dXdt, dXdt) and not np.any(h.dXds)
