@@ -7,14 +7,12 @@ strings accumulate onto subrelativistic generalized ones.
 """
 
 from .geometry import (
-    ConvexDecomposition,
     DomainError,
     ManifoldParams,
     SIGN_BRANCHES,
     StateHQYZ,
     StateU,
     SuperluminalError,
-    decompose_to_m,
     decompose_to_m_arrays,
     dual_fields,
     embed_state,

@@ -23,12 +23,12 @@ branch eps in {+1, -1}:
 
 In the (a, c) block coordinates, CM cap G is a product of solid spherical
 slabs and M cap G the product of their boundary spheres; that structure is
-what `decompose_to_m` exploits.
+what `decompose_to_m_arrays` exploits.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -310,24 +310,6 @@ def membership(U: StateU, set_id: str, params: ManifoldParams | None = None,
     raise ValueError(f"unknown constraint set {set_id!r}; expected one of {MEMBERSHIP_SETS}")
 
 
-@dataclass
-class ConvexDecomposition:
-    """Convex combination sum_i w_i U_i of at most four manifold states."""
-
-    weights: list = field(default_factory=list)
-    states: list = field(default_factory=list)
-
-    def __len__(self) -> int:
-        return len(self.weights)
-
-    def recombined(self) -> StateU:
-        tau = sum(w * s.tau for w, s in zip(self.weights, self.states))
-        v = sum(w * s.v for w, s in zip(self.weights, self.states))
-        eta = sum(w * s.eta for w, s in zip(self.weights, self.states))
-        zeta = sum(w * s.zeta for w, s in zip(self.weights, self.states))
-        return StateU(tau, v, eta, zeta)
-
-
 # Relative slack below which a block already sits on its sphere and is kept
 # as-is instead of being lifted (avoids sqrt-of-roundoff perturbations).
 _DEGENERATE_REL = 1e-12
@@ -400,7 +382,7 @@ def decompose_to_m_arrays(U: StateU, params: ManifoldParams, tol: float = 1e-10)
     """
     ok = in_cm(U, tol) & in_g(U, params.alpha, params.delta, tol)
     if not np.all(ok):
-        raise DomainError("decompose_to_m requires states in CM cap G")
+        raise DomainError("decompose_to_m_arrays requires states in CM cap G")
 
     a_p, c_p = U.block(1)
     a_m, c_m = U.block(-1)
@@ -419,19 +401,3 @@ def decompose_to_m_arrays(U: StateU, params: ManifoldParams, tol: float = 1e-10)
     v = np.broadcast_to(U.v[..., None], w.shape).copy()
     return w, tau, v, eta, zeta
 
-
-def decompose_to_m(U: StateU, params: ManifoldParams, tol: float = 1e-10) -> ConvexDecomposition:
-    """Extremal decomposition of a single CM cap G state into M cap G points.
-
-    Weighted recombination reproduces the input exactly; at most two points
-    per sign block, four total.  Raises DomainError outside CM cap G.
-    """
-    if U.tau.shape != ():
-        raise ValueError("decompose_to_m is pointwise; use decompose_to_m_arrays")
-    w, tau, v, eta, zeta = decompose_to_m_arrays(U, params, tol)
-    dec = ConvexDecomposition()
-    for i in range(4):
-        if w[i] > 0.0:
-            dec.weights.append(float(w[i]))
-            dec.states.append(StateU(tau[i], v[i], eta[i], zeta[i]))
-    return dec

@@ -63,8 +63,8 @@ def _locate(x0, dx, values, q, boundary):
         ip = np.mod(i + 1, n)
     else:
         u = np.clip(u, 0.0, n - 1.0)
-        i = np.minimum(u.astype(int), n - 2) if n >= 2 else np.zeros_like(u, dtype=int)
-        ip = i + 1
+        i = np.minimum(u.astype(int), max(n - 2, 0))
+        ip = np.minimum(i + 1, n - 1)  # one sample reads as a constant
     t = u - i
     return i, ip, t.reshape(t.shape + (1,) * (values.ndim - 1))
 

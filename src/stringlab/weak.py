@@ -26,7 +26,8 @@ weights come from closed-form antiderivatives, so the oscillation
 measurements carry no quadrature noise; rough profiles pair on their runs
 and smooth profiles fall back to trapezoid weights.  The weak identities
 of the limit are checked against the exact pairings of the limit's own
-evolved cells.
+evolved cells.  scipy is imported only when a Gaussian antiderivative is
+first evaluated, so importing the package loads numpy alone.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import erf
 
 from .characteristics import CharacteristicFlow, admissibility, build_flow, evolve_cells
 from .geometry import (
@@ -112,6 +112,8 @@ class TestFunction:
     def antiderivative(self, s):
         s = np.asarray(s, dtype=float)
         if self.kind == "gaussian":
+            from scipy.special import erf
+
             return self.p2 * _SQRT_HALF_PI * erf((s - self.p1) / (self.p2 * _SQRT2))
         if self.kind == "hat":
             x = np.clip(s - self.p1, -self.p2, self.p2)

@@ -7,7 +7,6 @@ from stringlab.geometry import (
     StateHQYZ,
     StateU,
     SuperluminalError,
-    decompose_to_m,
     decompose_to_m_arrays,
     dual_fields,
     embed_state,
@@ -200,31 +199,28 @@ def test_membership_forms_agree_mixed_verdicts():
 
 def test_decompose_reference_point():
     params = ManifoldParams(alpha=0.0, delta=0.4, d=3)
-    dec = decompose_to_m(StateU(0.5, 0.0, np.zeros(3), np.zeros(3)), params)
-    assert len(dec) == 4
-    assert dec.weights == [0.25, 0.25, 0.25, 0.25]
+    w, tau, v, eta, zeta = decompose_to_m_arrays(StateU(0.5, 0.0, np.zeros(3), np.zeros(3)), params)
+    assert w.tolist() == [0.25, 0.25, 0.25, 0.25]
     mu = round(np.sqrt(0.75), 12)
-    got = sorted((tuple(float(x) for x in np.round(st.eta, 12)),
-                  tuple(float(x) for x in np.round(st.zeta, 12)))
-                 for st in dec.states)
+    got = sorted((tuple(float(x) for x in np.round(e, 12)),
+                  tuple(float(x) for x in np.round(z, 12)))
+                 for e, z in zip(eta, zeta))
     want = sorted([((mu, 0.0, 0.0), (0.0, 0.0, 0.0)),
                    ((-mu, 0.0, 0.0), (0.0, 0.0, 0.0)),
                    ((0.0, 0.0, 0.0), (mu, 0.0, 0.0)),
                    ((0.0, 0.0, 0.0), (-mu, 0.0, 0.0))])
     assert got == want
-    for st in dec.states:
-        assert st.tau == 0.5 and st.v == 0.0
+    assert np.all(tau == 0.5) and np.all(v == 0.0)
 
 
 def test_decompose_manifold_point_is_identity():
     params = ManifoldParams(alpha=0.0, delta=0.4, d=3)
     Y0 = np.array([0.6, 0.8, 0.0])
     U = StateU(KAPPA, 0.0, KAPPA * Y0, np.zeros(3))
-    dec = decompose_to_m(U, params)
-    assert len(dec) == 1 and dec.weights == [1.0]
-    st = dec.states[0]
-    assert st.tau == U.tau and st.v == U.v
-    assert np.array_equal(st.eta, U.eta) and np.array_equal(st.zeta, U.zeta)
+    w, tau, v, eta, zeta = decompose_to_m_arrays(U, params)
+    assert w.tolist() == [1.0, 0.0, 0.0, 0.0]
+    assert tau[0] == U.tau and v[0] == U.v
+    assert np.array_equal(eta[0], U.eta) and np.array_equal(zeta[0], U.zeta)
 
 
 @pytest.mark.parametrize("d", [1, 3])
@@ -246,7 +242,7 @@ def test_decompose_random_hull_states(d):
 def test_decompose_precondition():
     params = ManifoldParams(alpha=0.0, delta=0.4, d=3)
     with pytest.raises(DomainError):
-        decompose_to_m(StateU(0.9, 0.5, 0.8 * np.ones(3), np.zeros(3)), params)
+        decompose_to_m_arrays(StateU(0.9, 0.5, 0.8 * np.ones(3), np.zeros(3)), params)
 
 
 def test_hull_segments_stay_inside():

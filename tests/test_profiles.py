@@ -85,6 +85,21 @@ def test_interpolants_locate_each_point_as_by_hand(boundary, shape):
         assert np.array_equal(cub[idx], want_cub)
 
 
+@pytest.mark.parametrize("boundary", ["constant", "periodic"])
+@pytest.mark.parametrize("shape", [(1,), (1, 3)])
+def test_interpolants_read_one_sample_as_a_constant(boundary, shape):
+    values = np.arange(1.0, 1.0 + np.prod(shape)).reshape(shape) / 7.0
+    q = np.array([[0.0, 0.3, 1.0], [-4.2, 2.5, 9.75]])  # the sample, inside, outside
+    want = np.broadcast_to(values[0], q.shape + shape[1:])
+    for got in (linear_interp(0.0, 1.0, values, q, boundary),
+                cubic_interp(0.0, 1.0, values, q, boundary)):
+        assert got.shape == want.shape
+        if boundary == "constant":
+            assert np.array_equal(got, want)
+        else:  # the periodic local coordinate weights the one sample twice
+            np.testing.assert_allclose(got, want, rtol=4e-16, atol=0.0)
+
+
 def test_cumulative_integral_fourth_order():
     errs = []
     for n in (65, 129, 257):

@@ -1,4 +1,9 @@
+import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -48,6 +53,52 @@ def test_antiderivatives_match_values():
         lo, hi = g.support(1e-18)
         assert g.antiderivative(np.array([hi]))[0] - g.antiderivative(np.array([lo]))[0] \
             == pytest.approx(g.normalization, abs=1e-12)
+
+
+_SCIPY_GUARD = textwrap.dedent("""
+    import json, math, os, sys
+
+    import numpy as np
+
+    def scipy_modules():
+        return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+    import stringlab
+    from stringlab import cli
+    from stringlab.weak import TestFunction
+
+    seen = {"import": scipy_modules()}
+    cfg = os.path.join(sys.argv[1], "sim.json")
+    with open(cfg, "w") as fh:
+        json.dump({"initial": {"kind": "smooth_m", "d": 3}, "grid": {"n": 256},
+                   "times": [0.3], "cross_check_fv": {"enabled": False}}, fh)
+    out = os.path.join(sys.argv[1], "out")
+    seen["simulate_exit"] = cli.main(["simulate", "--config", cfg, "--out", out])
+    seen["report"] = os.path.isfile(os.path.join(out, "simulate_report.json"))
+    seen["simulate"] = scipy_modules()
+
+    x = np.linspace(-3.0, 4.0, 301)
+    got = TestFunction.gaussian(0.3, 0.7).antiderivative(x)
+    from scipy.special import erf
+    want = 0.7 * math.sqrt(math.pi / 2) * erf((x - 0.3) / (0.7 * math.sqrt(2.0)))
+    seen["gaussian_equal"] = bool(np.array_equal(got, want))
+    print(json.dumps(seen))
+""")
+
+
+def test_scipy_waits_for_the_first_gaussian_antiderivative(tmp_path):
+    # a fresh interpreter: this one has long since imported scipy
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", _SCIPY_GUARD, str(tmp_path)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert seen["import"] == []
+    # the run reached its report (exit 1 is a membership verdict, not a crash)
+    assert seen["simulate_exit"] in (0, 1) and seen["report"]
+    assert seen["simulate"] == []
+    assert seen["gaussian_equal"]
 
 
 def test_test_function_validation():
