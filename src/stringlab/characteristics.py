@@ -48,7 +48,10 @@ them: the initial-curve inverse (t = 0), solves and string
 reconstruction.  Times and positions are arrays that broadcast together,
 so a whole set of slices or a whole anchor line is one call.  Newton uses
 the exact slope of the tables' own interpolants inside the Lipschitz
-bracket, falls back to bisection, and converges in about five steps.
+bracket, falls back to bisection, and converges in about five steps.  Each
+step is one evaluation: each foot is located once and read for value and
+slope together, and `evolve_states` reads its states off the feet of the
+final residual evaluation.
 
 Periodic data are global in time exactly: with t = m Y_p + r, the solution
 satisfies U(t, s) = U(r, s - m Phi_p) (the shift taken modulo S_p), so
@@ -130,15 +133,15 @@ def admissibility(source: Profile | CellField,
     return AdmissibilityWindow(alpha, delta, float(wm[i]), float(wp[j]))
 
 
-def _hermite(u, h, f0, f1, m0, m1, deriv=False):
-    """Cubic Hermite through (f0, m0), (f1, m1) at u in [0, 1] of a width-h cell (d/dy if deriv)."""
-    m0, m1 = m0 * h, m1 * h
-    if deriv:
-        return (6.0 * u * (u - 1.0) * (f0 - f1) + (1.0 - u) * (1.0 - 3.0 * u) * m0
-                + u * (3.0 * u - 2.0) * m1) / h
+def _hermite_weights(u):
+    """Cubic Hermite weights at u in [0, 1] of (f0, h m0, f1, h m1) in the value."""
     w = 1.0 - u
-    return (1.0 + 2.0 * u) * w * w * f0 + u * w * w * m0 + u * u * (3.0 - 2.0 * u) * f1 \
-        + u * u * (u - 1.0) * m1
+    return (1.0 + 2.0 * u) * w * w, u * w * w, u * u * (3.0 - 2.0 * u), u * u * (u - 1.0)
+
+
+def _hermite_slope_weights(u):
+    """Cubic Hermite weights at u in [0, 1] of (f0 - f1, h m0, h m1) in h d/dy."""
+    return 6.0 * u * (u - 1.0), (1.0 - u) * (1.0 - 3.0 * u), u * (3.0 * u - 2.0)
 
 
 @dataclass
@@ -197,44 +200,60 @@ class CharacteristicFlow:
         k = np.searchsorted(self.y_edges, y, side="right") - 1
         return y, wind, np.clip(k, 0, len(self.y_edges) - 2)
 
-    def _table(self, cell, values, slopes, period, deriv):
-        """One table of the initial curve at a `_cell` lookup, or its y-derivative.
+    def _tables(self, cell, value=True, slope=False):
+        """Both tables of the initial curve at a `_cell` lookup, in one pass.
 
-        Smooth tables are cubic Hermite between the knots, rough ones linear
-        on each cell.  Periodic tables wind by whole y-periods, each adding
-        `period`; the others continue linearly with their end slopes.  The
-        derivative is that of the interpolant, the end slope beyond the ends.
+        Returns (xi0, Phi), their y-slopes (dxi0, dPhi) with value=False and
+        slope=True, or (xi0, Phi, dxi0, dPhi) with both.  The tables share
+        their knots, so the cell width, the local coordinate and the
+        interpolation weights are computed once, and each knot array is
+        gathered once for the value and the slope.  Smooth tables are cubic
+        Hermite between the knots, rough ones linear on each cell.  Periodic
+        tables wind by whole y-periods, each adding the table's period; the
+        others continue linearly with their end slopes.  The slope is that
+        of the interpolant, the end slope beyond the ends.
         """
         y, wind, k = cell
         knots = self.y_edges
+        tables = ((self.xi_nodes, self.xi_slopes, self.s_period),
+                  (self.phi_nodes, self.phi_slopes, self.phi_period))
+        vals, ders = [], []
         if self.mode == "pc":
-            val = slopes[k] if deriv else values[k] + (y - knots[k]) * slopes[k]
+            dy = y - knots[k]
+            for values, slopes, _ in tables:
+                m = slopes[k]
+                if value:
+                    vals.append(values[k] + dy * m)
+                if slope:
+                    ders.append(m)
         else:
             h = knots[k + 1] - knots[k]
             u = (y - knots[k]) / h
-            val = _hermite(np.clip(u, 0.0, 1.0) if deriv else u, h, values[k], values[k + 1],
-                           slopes[k], slopes[k + 1], deriv)
-        if deriv:
-            return val
-        if self.y_period is not None:
-            return val + wind * period
-        lo, hi = knots[0], knots[-1]
-        val = np.where(y < lo, values[0] + slopes[0] * (y - lo), val)
-        return np.where(y > hi, values[-1] + slopes[-1] * (y - hi), val)
-
-    def _xi_table(self, cell, deriv=False):
-        return self._table(cell, self.xi_nodes, self.xi_slopes, self.s_period, deriv)
-
-    def _phi_table(self, cell, deriv=False):
-        return self._table(cell, self.phi_nodes, self.phi_slopes, self.phi_period, deriv)
+            bv = _hermite_weights(u) if value else None
+            bd = _hermite_slope_weights(np.clip(u, 0.0, 1.0)) if slope else None
+            for values, slopes, _ in tables:
+                f0, f1, m0, m1 = values[k], values[k + 1], slopes[k] * h, slopes[k + 1] * h
+                if value:
+                    vals.append(bv[0] * f0 + bv[1] * m0 + bv[2] * f1 + bv[3] * m1)
+                if slope:
+                    ders.append((bd[0] * (f0 - f1) + bd[1] * m0 + bd[2] * m1) / h)
+        if value:
+            lo, hi = knots[0], knots[-1]
+            for i, (values, slopes, period) in enumerate(tables):
+                if self.y_period is not None:
+                    vals[i] = vals[i] + wind * period
+                else:
+                    val = np.where(y < lo, values[0] + slopes[0] * (y - lo), vals[i])
+                    vals[i] = np.where(y > hi, values[-1] + slopes[-1] * (y - hi), val)
+        return (*vals, *ders)
 
     def xi0(self, y, deriv=False):
         """Initial curve xi(0, y), defined for every real y (its slope with deriv)."""
-        return self._xi_table(self._cell(y), deriv)
+        return self._tables(self._cell(y), not deriv, deriv)[0]
 
     def phi0(self, y, deriv=False):
         """Antiderivative of v(0, xi0(.)), normalized to vanish at y = 0."""
-        return self._phi_table(self._cell(y), deriv)
+        return self._tables(self._cell(y), not deriv, deriv)[1]
 
     def xi0_inverse(self, s):
         """Monotone inversion of the initial curve: xi_time_inverse at t = 0."""
@@ -244,14 +263,26 @@ class CharacteristicFlow:
 
     def invariants_at(self, y):
         """(v+tau, v-tau, eta-zeta, eta+zeta) of the initial data at xi0(y)."""
+        k, xi = _foot(self, y)
+        (ap, cp), (am, cm) = self._carried(k, xi, 1), self._carried(k, xi, -1)
+        return ap, am, cp, cm
+
+    def _carried(self, k, xi, sign):
+        """The invariants a foot carries: (v + tau, eta - zeta) for the + foot
+        (sign 1), (v - tau, eta + zeta) for the - foot (sign -1).
+
+        Rough flows read them off the foot's knot interval k; smooth flows
+        interpolate only those 1 + d packet columns at s = xi, the foot's
+        xi0.  Each reads only its own argument (`_foot` gives both).
+        """
         d = self.d
         if self.mode == "pc":
-            p = self.pk_values[self._cell(y)[2]]
-        else:
-            s = self.xi0(y)
-            p = cubic_interp(self.profile.s0, self.profile.ds, self.pk_values, s,
-                             self.profile.boundary, slopes=self.pk_slopes)
-        return p[..., 0], p[..., 1], p[..., 2:2 + d], p[..., 2 + d:]
+            p = self.pk_values[k]
+            return (p[..., 0], p[..., 2:2 + d]) if sign > 0 else (p[..., 1], p[..., 2 + d:])
+        cols = np.r_[0, 2:2 + d] if sign > 0 else np.r_[1, 2 + d:2 + 2 * d]
+        p = cubic_interp(self.profile.s0, self.profile.ds, self.pk_values[:, cols], xi,
+                         self.profile.boundary, slopes=self.pk_slopes[:, cols])
+        return p[..., 0], p[..., 1:]
 
 
 def build_flow(source: Profile | CellField, alpha: float | None = None,
@@ -315,9 +346,11 @@ def build_flow(source: Profile | CellField, alpha: float | None = None,
             raise DomainError("the grid window must contain s = 0 (normalization xi(0,0) = 0)")
         j = min(int((0.0 - profile.s0) / ds), len(s) - 2)
 
+        b = _hermite_weights((0.0 - s[j]) / ds)
+
         def at_zero(table, w):  # the table at s = 0; its s-slope is w / tau
-            return _hermite((0.0 - s[j]) / ds, ds, table[j], table[j + 1],
-                            w[j] / tau[j], w[j + 1] / tau[j + 1])
+            return (b[0] * table[j] + b[1] * (w[j] / tau[j] * ds) + b[2] * table[j + 1]
+                    + b[3] * (w[j + 1] / tau[j + 1] * ds))
 
     pk = np.column_stack([U.v + U.tau, U.v - U.tau, U.eta - U.zeta, U.eta + U.zeta])
     periodic = s_period is not None
@@ -350,10 +383,9 @@ def build_flow(source: Profile | CellField, alpha: float | None = None,
 
 def xi_evaluate(flow: CharacteristicFlow, t, y):
     """(xi, dt xi, dy xi) at (t, y) from the d'Alembert formulas."""
-    y = np.asarray(y, dtype=float)
-    ap, _, _, _ = flow.invariants_at(y + t)
-    _, am, _, _ = flow.invariants_at(y - t)
-    return _xi_only(flow, t, y), 0.5 * (ap + am), 0.5 * (ap - am)
+    (cp, p), (cm, m) = _feet(flow, t, np.asarray(y, dtype=float))
+    ap, am = flow._carried(cp[2], p[0], 1)[0], flow._carried(cm[2], m[0], -1)[0]
+    return _dalembert(p, m), 0.5 * (ap + am), 0.5 * (ap - am)
 
 
 def _xi_only(flow, t, y, deriv=False):
@@ -361,9 +393,26 @@ def _xi_only(flow, t, y, deriv=False):
 
     Each foot y +- t is located once (`_cell`) and both tables read off it.
     """
-    fp, fm = flow._cell(y + t), flow._cell(y - t)
-    return (0.5 * (flow._xi_table(fp, deriv) + flow._xi_table(fm, deriv))
-            + 0.5 * (flow._phi_table(fp, deriv) - flow._phi_table(fm, deriv)))
+    p, m = (flow._tables(flow._cell(f), not deriv, deriv) for f in (y + t, y - t))
+    return _dalembert(p, m)
+
+
+def _dalembert(p, m):
+    """xi(t, y) from the (xi0, Phi) reads at the feet y + t and y - t, or dy xi from their slopes."""
+    return 0.5 * (p[0] + m[0]) + 0.5 * (p[1] - m[1])
+
+
+def _feet(flow, t, y, slope=False):
+    """The feet y + t and y - t, each located once: per foot its `_cell` lookup
+    and the tables read there, (xi0, Phi) or with slope (xi0, Phi, dxi0, dPhi)."""
+    return [(c, flow._tables(c, slope=slope)) for c in (flow._cell(y + t), flow._cell(y - t))]
+
+
+def _foot(flow, y):
+    """What `CharacteristicFlow._carried` reads at a foot y: its knot
+    interval k and, for smooth flows, xi0 there (None for rough ones)."""
+    cell = flow._cell(y)
+    return cell[2], None if flow.mode == "pc" else flow._tables(cell)[0]
 
 
 def _finite(name, a):
@@ -384,13 +433,25 @@ def xi_time_inverse(flow: CharacteristicFlow, t, s, y_tol: float = 1e-12):
     put the root in [e delta, e/delta] (in [e/delta, e delta] for e < 0).
     Newton starts at the bracket midpoint and steps with the exact slope of
     the tables' interpolants: cubic Hermite for smooth flows, the cell slopes
-    for rough ones.  Every evaluation narrows the bracket, and a step that
-    leaves it or fails to halve the previous step is replaced by bisection,
-    so the iteration cannot fail.  A point stops once its step is at most
-    y_tol (1 + |y|).  Periodic flows solve at the reduced time of
-    `_reduce_time` and add the whole y-periods back, so |t| = 1e9 inverts
-    as accurately as |t| < Y_p / 2.  A non-finite t or s raises ValueError
-    naming it.
+    for rough ones.  Each step is one evaluation: each foot y +- t is
+    located once and both tables give their value and y-slope off one
+    gather of the knot data (`_feet`).  Every evaluation narrows the
+    bracket, and a step that leaves it or fails to halve the previous step
+    is replaced by bisection, so the iteration cannot fail.  A point stops
+    once its step is at most y_tol (1 + |y|).  Periodic flows solve at the
+    reduced time of `_reduce_time` and add the whole y-periods back, so
+    |t| = 1e9 inverts as accurately as |t| < Y_p / 2.  A non-finite t or s
+    raises ValueError naming it.
+    """
+    return _inverse(flow, t, s, y_tol)[0]
+
+
+def _inverse(flow, t, s, y_tol=1e-12):
+    """`xi_time_inverse`, and the feet of its final residual evaluation.
+
+    The feet are those of the solution y at the reduced time, shaped like
+    it, each as its (k, xi0) pair of `_foot`, so `evolve_states` reads its
+    states off them.
     """
     t, s = _finite("t", t), _finite("s", s)
     t, shift, lag = _reduce_time(flow, t)
@@ -408,22 +469,25 @@ def xi_time_inverse(flow: CharacteristicFlow, t, s, y_tol: float = 1e-12):
         if not live.size:
             break
         tl, yl = t[live], y[live]
-        f = _xi_only(flow, tl, yl) - s[live]
+        (_, p), (_, m) = _feet(flow, tl, yl, slope=True)
+        f = _dalembert(p, m) - s[live]
         lo_l = np.where(f < 0.0, yl, lo[live])
         hi_l = np.where(f < 0.0, hi[live], yl)
-        newton = f / _xi_only(flow, tl, yl, True)
+        newton = f / _dalembert(p[2:], m[2:])
         y_new = yl - newton
         bisect = (y_new < lo_l) | (y_new > hi_l) | (np.abs(newton) > 0.5 * np.abs(step[live]))
         y_new = np.where(bisect, 0.5 * (lo_l + hi_l), y_new)
         lo[live], hi[live], y[live], step[live] = lo_l, hi_l, y_new, y_new - yl
         live = live[np.abs(y_new - yl) > y_tol * (1.0 + np.abs(y_new))]
+    t, s, y = (a.reshape(shape) for a in (t, s, y))
+    feet = _feet(flow, t, y)
     if y.size:
-        resid = float(np.max(np.abs(_xi_only(flow, t, y) - s)))
+        resid = float(np.max(np.abs(_dalembert(feet[0][1], feet[1][1]) - s)))
         scale = 1.0 + float(np.max(np.abs(s)))
         if resid > 1e-8 * scale:
             # unreachable for a bi-Lipschitz curve; indicates a broken bracket
             raise RuntimeError(f"internal error: inversion residual {resid:.3e}")
-    return y.reshape(shape) - lag
+    return y - lag, [(c[2], None if flow.mode == "pc" else tables[0]) for c, tables in feet]
 
 
 def _reduce_time(flow, t):
@@ -442,10 +506,16 @@ def _reduce_time(flow, t):
 
 
 def _state_from_feet(flow, y, t):
-    """U at (t, xi(t, y)): each invariant pair read off at its foot y +- t."""
-    ap, _, cp, _ = flow.invariants_at(y + t)
-    _, am, _, cm = flow.invariants_at(y - t)
-    return StateU(0.5 * (ap - am), 0.5 * (ap + am), 0.5 * (cp + cm), 0.5 * (cm - cp))
+    """U at (t, xi(t, y)): each invariant pair read off at its foot y +- t,
+    one foot at a time."""
+    return _state(flow._carried(*_foot(flow, y + t), 1), flow._carried(*_foot(flow, y - t), -1))
+
+
+def _state(plus, minus):
+    """U from the invariants the + foot carries, (v + tau, eta - zeta), and
+    those the - foot carries, (v - tau, eta + zeta)."""
+    (ap, ep), (am, em) = plus, minus
+    return StateU(0.5 * (ap - am), 0.5 * (ap + am), 0.5 * (ep + em), 0.5 * (em - ep))
 
 
 def evolve_states(flow: CharacteristicFlow, t, s_points) -> StateU:
@@ -457,11 +527,14 @@ def evolve_states(flow: CharacteristicFlow, t, s_points) -> StateU:
     U(t, s) = U(r, s - m Phi_p) with m = round(t / Y_p), the shift taken
     modulo S_p.  The feet y +- r then stay within a period of the table;
     evaluated directly, the d'Alembert sum at |t| = 1e9 would lose about
-    nine digits to cancellation.  For m = 0 nothing changes.
+    nine digits to cancellation.  For m = 0 nothing changes.  The states
+    are read off the feet of the inversion's final residual evaluation, so
+    no foot is located or evaluated twice.
     """
     t, s = _finite("t", t), _finite("s_points", s_points)
     r, shift, _ = _reduce_time(flow, t)
-    return _state_from_feet(flow, xi_time_inverse(flow, r, s - shift), r)
+    (kp, xp), (km, xm) = _inverse(flow, r, s - shift)[1]
+    return _state(flow._carried(kp, xp, 1), flow._carried(km, xm, -1))
 
 
 def _source_profile(flow):
@@ -608,8 +681,7 @@ def residual_string(graphs: list[StringGraph], dt: float) -> np.ndarray:
     """
     if len(graphs) < 3:
         raise ValueError("need at least three time levels")
-    ds = graphs[0].ds
-    periodic = graphs[0].boundary == "periodic"
+    ds, boundary = graphs[0].ds, graphs[0].boundary
     P, Q = [], []
     for g in graphs:
         _, B, C, D = g.area_coefficients()
@@ -617,13 +689,8 @@ def residual_string(graphs: list[StringGraph], dt: float) -> np.ndarray:
         Q.append(C[:, None] * g.dXdt + D[:, None] * g.dXds)
     out = []
     for k in range(1, len(graphs) - 1):
-        dP = (P[k + 1] - P[k - 1]) / (2.0 * dt)
-        if periodic:
-            dQ = (np.roll(Q[k], -1, axis=0) - np.roll(Q[k], 1, axis=0)) / (2.0 * ds)
-            out.append(dP - dQ)
-        else:
-            dQ = (Q[k][2:] - Q[k][:-2]) / (2.0 * ds)
-            out.append(dP[1:-1] - dQ)
+        r = (P[k + 1] - P[k - 1]) / (2.0 * dt) - centered_slopes(Q[k], ds, boundary)
+        out.append(r if boundary == "periodic" else r[1:-1])
     return np.stack(out)
 
 
@@ -636,17 +703,8 @@ def residual_augmented(profiles: list[Profile], dt: float) -> dict:
     """
     if len(profiles) < 3:
         raise ValueError("need at least three time levels")
-    ds = profiles[0].ds
-    periodic = profiles[0].boundary == "periodic"
-
-    def ds_of(f):
-        if periodic:
-            return (np.roll(f, -1, axis=0) - np.roll(f, 1, axis=0)) / (2.0 * ds)
-        pad = np.empty_like(f)
-        pad[1:-1] = (f[2:] - f[:-2]) / (2.0 * ds)
-        pad[0] = pad[1]
-        pad[-1] = pad[-2]
-        return pad
+    ds, boundary = profiles[0].ds, profiles[0].boundary
+    periodic = boundary == "periodic"
 
     res = {"tau": [], "v": [], "eta": [], "zeta": []}
     for k in range(1, len(profiles) - 1):
@@ -655,8 +713,9 @@ def residual_augmented(profiles: list[Profile], dt: float) -> dict:
         dt_v = (pp.v - pm.v) / (2.0 * dt)
         dt_eta = (pp.eta - pm.eta) / (2.0 * dt)
         dt_zeta = (pp.zeta - pm.zeta) / (2.0 * dt)
-        s_tau, s_v = ds_of(p0.tau), ds_of(p0.v)
-        s_eta, s_zeta = ds_of(p0.eta), ds_of(p0.zeta)
+        # s-slopes; the one-sided edge slopes of constant boundaries are dropped below
+        s_tau, s_v, s_eta, s_zeta = (centered_slopes(f, ds, boundary)
+                                     for f in (p0.tau, p0.v, p0.eta, p0.zeta))
         v0, tau0 = p0.v, p0.tau
         r_tau = dt_tau + v0 * s_tau - tau0 * s_v
         r_v = dt_v + v0 * s_v - tau0 * s_tau

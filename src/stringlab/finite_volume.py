@@ -14,10 +14,12 @@ compete with it.
 
 Each step derives (h, q) once, from the padded state, and reads the CFL
 speed, the cell fluxes and the interface speeds off that one pair.  The
-step works on component-major (d, n + 2) copies of Y and Z, so every
-component sum is a sum of contiguous rows; `advance` transposes once on
-entry and once on exit.  `flux` and `max_signal_speed` stay the cell-major
-(n, d) reference that the tests compare the step against.
+step works in place on one component-major (2, d, n + 2) copy of (Y, Z),
+so every component sum is a sum of contiguous rows and both fields move in
+one pass; `advance` transposes once on entry and once on exit, and
+allocates the step's scratch arrays once for all its steps.  `flux` and
+`max_signal_speed` stay the cell-major (n, d) reference that the tests
+compare the step against.
 """
 
 from __future__ import annotations
@@ -73,76 +75,107 @@ def max_signal_speed(Y, Z) -> float:
     return float(np.max((np.abs(q) + 1.0) / h))
 
 
-def _rusanov(Yp, Zp, ds: float, periodic: bool, dt: float | None, cfl_max: float,
+def _rusanov(W, work, ds: float, periodic: bool, dt: float | None, cfl_max: float,
              cap: float = np.inf) -> float:
-    """One Rusanov update of padded component-major (d, n + 2) fields, in place.
+    """One Rusanov update of the padded fields W = (Y, Z), shape (2, d, n + 2), in place.
 
-    Fills the two ghost columns, derives (h, q) once by explicit component
-    sums in `hamiltonian`'s order, and reads the cell speeds, the fluxes and
-    the interface speeds off that one pair.  With `dt=None` the step is
+    Fills the ghost columns, derives (h, q) once by explicit component sums
+    in `hamiltonian`'s order, and reads the cell speeds, the fluxes and the
+    interface speeds off that one pair.  Y and Z move together: their
+    fluxes (Z + qY)/h and (Y + qZ)/h are one expression over W and its
+    field-swapped view.  Every intermediate is written into the scratch of
+    `_scratch`, so a step allocates nothing, and each element sees the same
+    operations in the same order as the expression form
+    0.5 * (f[:-1] + f[1:]) - half_a * (Y[1:] - Y[:-1]), so the result is
+    bit-identical to it.  With `dt=None` the step is
     min(cfl_max * ds / speed, cap); an explicit `dt` above the CFL bound
     raises CFLError.  Returns the step taken.
     """
+    cells, half, f, F = work
+    q, h, a, tmp = cells
     lo, hi = (-2, 1) if periodic else (1, -2)
-    for F in (Yp, Zp):
-        F[:, 0], F[:, -1] = F[:, lo], F[:, hi]
-    q = Yp[0] * Zp[0]
-    y2 = Yp[0] * Yp[0]
-    z2 = Zp[0] * Zp[0]
-    for k in range(1, Yp.shape[0]):
-        q += Yp[k] * Zp[k]
-        y2 += Yp[k] * Yp[k]
-        z2 += Zp[k] * Zp[k]
-    h = np.sqrt(1.0 + y2 + z2 + q * q)
-    a_cell = (np.abs(q) + 1.0) / h
-    speed = float(np.max(a_cell))
+    W[..., 0], W[..., -1] = W[..., lo], W[..., hi]
+    # q = Y.Z, and (Y^2, Z^2) accumulated in the rows of h and a, component by component
+    Y, Z = W
+    sq = cells[1:3]
+    np.multiply(Y[0], Z[0], out=q)
+    np.multiply(W[:, 0], W[:, 0], out=sq)
+    for k in range(1, W.shape[1]):
+        q += np.multiply(Y[k], Z[k], out=tmp)
+        sq += np.multiply(W[:, k], W[:, k], out=f[:, 0])  # f is free until the fluxes
+    h += 1.0  # h = sqrt(1 + Y^2 + Z^2 + q^2)
+    h += a
+    h += np.multiply(q, q, out=tmp)
+    np.sqrt(h, out=h)
+    np.abs(q, out=a)  # the cell speeds (|q| + 1) / h
+    a += 1.0
+    a /= h
+    speed = float(np.max(a))
     if dt is None:
         dt = min(cfl_max * ds / speed, cap)
     elif dt > cfl_max * ds / speed:  # the bound as printed and as `advance` steps
         raise CFLError(f"dt = {dt:.3e} exceeds CFL {cfl_max} * ds / speed = "
                        f"{cfl_max * ds / speed:.3e}")
-    half_a = 0.5 * np.maximum(a_cell[:-1], a_cell[1:])
-    lam = dt / ds
-    for Yk, Zk in zip(Yp, Zp):
-        fY = (Zk + q * Yk) / h
-        fZ = (Yk + q * Zk) / h
-        FY = 0.5 * (fY[:-1] + fY[1:]) - half_a * (Yk[1:] - Yk[:-1])
-        FZ = 0.5 * (fZ[:-1] + fZ[1:]) - half_a * (Zk[1:] - Zk[:-1])
-        Yk[1:-1] -= lam * (FY[1:] - FY[:-1])
-        Zk[1:-1] -= lam * (FZ[1:] - FZ[:-1])
+    np.maximum(a[:-1], a[1:], out=half)
+    half *= 0.5
+    np.multiply(q, W, out=f)  # the cell fluxes of Y and Z, read before either moves
+    f += W[::-1]
+    f /= h
+    np.add(f[..., :-1], f[..., 1:], out=F)  # the interface fluxes
+    F *= 0.5
+    D = f[..., :-1]  # the cell fluxes are spent: their buffer takes the differences
+    np.subtract(W[..., 1:], W[..., :-1], out=D)
+    D *= half
+    F -= D
+    np.subtract(F[..., 1:], F[..., :-1], out=D[..., :-1])
+    D[..., :-1] *= dt / ds
+    W[..., 1:-1] -= D[..., :-1]
     return dt
 
 
-def _padded(state: ConservativeState):
-    """Component-major (d, n + 2) copies of Y and Z; the kernel fills the ghosts."""
-    Yp = np.empty((state.d, state.n + 2))
-    Zp = np.empty((state.d, state.n + 2))
-    Yp[:, 1:-1] = state.Y.T
-    Zp[:, 1:-1] = state.Z.T
-    return Yp, Zp
+def _padded(state: ConservativeState) -> np.ndarray:
+    """Component-major (2, d, n + 2) copy of (Y, Z); the kernel fills the ghosts."""
+    W = np.empty((2, state.d, state.n + 2))
+    W[0, :, 1:-1] = state.Y.T
+    W[1, :, 1:-1] = state.Z.T
+    return W
 
 
-def _unpadded(state: ConservativeState, Yp, Zp) -> ConservativeState:
-    return ConservativeState(state.s0, state.ds, Yp[:, 1:-1].T.copy(), Zp[:, 1:-1].T.copy(),
+def _scratch(d: int, n: int):
+    """The work arrays of `_rusanov` on n cells of d components: four cell
+    rows (q, h, the cell speeds, a product), half the interface speeds, the
+    cell fluxes (2, d, n + 2) and the interface fluxes (2, d, n + 1)."""
+    return (np.empty((4, n + 2)), np.empty(n + 1), np.empty((2, d, n + 2)),
+            np.empty((2, d, n + 1)))
+
+
+def _unpadded(state: ConservativeState, W) -> ConservativeState:
+    return ConservativeState(state.s0, state.ds, W[0, :, 1:-1].T.copy(), W[1, :, 1:-1].T.copy(),
                              state.boundary)
 
 
 def lax_friedrichs_step(state: ConservativeState, dt: float, cfl_max: float = 0.9) -> ConservativeState:
     """One conservative Rusanov update; raises CFLError above cfl_max."""
-    Yp, Zp = _padded(state)
-    _rusanov(Yp, Zp, state.ds, state.boundary == "periodic", dt, cfl_max)
-    return _unpadded(state, Yp, Zp)
+    W = _padded(state)
+    _rusanov(W, _scratch(state.d, state.n), state.ds, state.boundary == "periodic", dt, cfl_max)
+    return _unpadded(state, W)
 
 
 def advance(state: ConservativeState, t_final: float, cfl: float = 0.9) -> tuple[ConservativeState, int]:
-    """March to t_final with dt = cfl * ds / speed, re-bounded every step."""
-    Yp, Zp = _padded(state)
+    """March to t_final with dt = cfl * ds / speed, re-bounded every step.
+
+    The padded fields and the kernel's scratch are allocated once per call
+    and reused by every step.
+    """
+    W = _padded(state)
+    work = _scratch(state.d, state.n)
     periodic = state.boundary == "periodic"
     t, steps = 0.0, 0
     while t < t_final - 1e-14:
-        t += _rusanov(Yp, Zp, state.ds, periodic, None, cfl, t_final - t)
+        t += _rusanov(W, work, state.ds, periodic, None, cfl, t_final - t)
         steps += 1
-    return _unpadded(state, Yp, Zp), steps
+    del work  # freed before the output copies, so the two never coexist
+    return _unpadded(state, W), steps
 
 
 def conservation_totals(state: ConservativeState) -> dict:

@@ -222,10 +222,13 @@ def dalembert_wave_solve(init: WaveInitialData, t: float, s_out: np.ndarray | No
     X(t, s) = [X0(s + kt) + X0(s - kt)]/2 + (1/2k) * integral of V0 over
     [s - kt, s + kt]; derivative fields follow by differentiating the same
     formula, so the returned graph is consistent to interpolation accuracy
-    (exact when the initial data carry analytic callables).  X is computed
-    now; dXds and dXdt are evaluated at the same two feet on their first
-    read, so a caller that reads only X never evaluates dx0 or v0.  They
-    read `init` then: mutate it only after the derivative fields are read.
+    (exact when the initial data carry analytic callables).  Each field is
+    evaluated in one pass over both feet: the points s + kt and s - kt are
+    concatenated once, and x0, the v0 antiderivative, dx0 and v0 are each
+    called once on that array and split.  X is computed now; dXds and dXdt
+    are evaluated on their first read, so a caller that reads only X never
+    evaluates dx0 or v0.  They read `init` then: mutate it only after the
+    derivative fields are read.
     """
     if not np.isfinite(t):
         raise ValueError("t must be finite")
@@ -236,21 +239,20 @@ def dalembert_wave_solve(init: WaveInitialData, t: float, s_out: np.ndarray | No
     else:
         s_out = np.asarray(s_out, dtype=float)
         s0_out, ds_out = float(s_out[0]), float(s_out[1] - s_out[0]) if len(s_out) > 1 else init.ds
-    qp = s_out + k * t
-    qm = s_out - k * t
+    n = len(s_out)
+    feet = np.concatenate([s_out + k * t, s_out - k * t])  # the + feet, then the - feet
     if init.boundary == "constant":
-        _check_tails(init, np.concatenate([qp, qm]))
-    X = 0.5 * (_eval_x0(init, qp) + _eval_x0(init, qm))
+        _check_tails(init, feet)
+    x = _eval_x0(init, feet)
+    X = 0.5 * (x[:n] + x[n:])
     moving = bool(np.any(init.v0))
     if moving:
-        nodes = _v0_antiderivative_nodes(init)
-        Qp = _eval_v0_antiderivative(init, nodes, qp)
-        Qm = _eval_v0_antiderivative(init, nodes, qm)
-        X = X + (Qp - Qm) / (2.0 * k)
+        Q = _eval_v0_antiderivative(init, _v0_antiderivative_nodes(init), feet)
+        X = X + (Q[:n] - Q[n:]) / (2.0 * k)
 
     def derive():
-        dp, dm = _eval_dx0(init, qp), _eval_dx0(init, qm)
-        vp, vm = _eval_v0(init, qp), _eval_v0(init, qm)
+        dx, v = _eval_dx0(init, feet), _eval_v0(init, feet)
+        dp, dm, vp, vm = dx[:n], dx[n:], v[:n], v[n:]
         dXds = 0.5 * (dp + dm)
         if moving:
             dXds = dXds + (vp - vm) / (2.0 * k)

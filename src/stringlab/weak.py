@@ -292,13 +292,21 @@ class OscillationPlan:
             src = (np.arange(total) // (self.cells // base.n * m)) % base.n
             thr = np.cumsum(self.counts, axis=1)[src]
         else:
-            U = base.fields_at(base.s0 + (np.arange(total) + 0.5) * ds)
-            w, tau, v, eta, zeta = decompose_to_m_arrays(U, self.params)
+            w, tau, v, eta, zeta = decompose_to_m_arrays(_interpolated(base, total).state(),
+                                                         self.params)
             src = np.arange(total)
             thr = np.cumsum(w, axis=1) * m
         pick = np.minimum(np.sum(thr <= (ordinal[:, None] + 0.5), axis=1), 3)
         return Profile(base.s0, ds, tau[src, pick], v[src, pick], eta[src, pick],
                        zeta[src, pick], "periodic", rough=True)
+
+
+def _interpolated(base: Profile, total: int) -> Profile:
+    """A smooth base interpolated at the centres of `total` equal cells of its
+    period: the states that `OscillationPlan.samples` decomposes."""
+    ds = base.period / total
+    return Profile.from_state(base.s0, ds, base.fields_at(base.s0 + (np.arange(total) + 0.5) * ds),
+                              "periodic", rough=True)
 
 
 def _largest_remainder(weights: np.ndarray, m: int) -> np.ndarray:
@@ -327,8 +335,11 @@ def oscillate_profile(base: Profile, n: float, params: ManifoldParams | None = N
     base grid, so rough bases decompose once per base cell, each oscillation
     cell holds at most four runs, and quarter weights tile exactly when m is
     a multiple of 4.  Empty runs are dropped and adjacent equal states
-    merged, as `Profile.runs` does on the samples.  Requires n >= 2 per unit
-    length and a periodic base.
+    merged, as `Profile.runs` does on the samples.  Without `params` the
+    window is the `admissibility` window of the states decomposed: the base
+    samples of a rough base, the interpolated states of a smooth one (the
+    cubic interpolant can leave the window of its samples).  Requires
+    n >= 2 per unit length and a periodic base.
     """
     if n < 2:
         raise ValueError("need at least 2 oscillation cells per unit length")
@@ -336,11 +347,11 @@ def oscillate_profile(base: Profile, n: float, params: ManifoldParams | None = N
         raise ValueError("oscillation layouts are defined on periodic profiles")
     if layout not in ("forward", "reversed"):
         raise ValueError("layout must be 'forward' or 'reversed'")
-    if params is None:
-        win = admissibility(base)
-        params = ManifoldParams(alpha=win.alpha, delta=win.delta, d=base.d)
     k = max(1, round(n * base.period / base.n))
     cells = k * base.n
+    if params is None:
+        win = admissibility(base if base.rough else _interpolated(base, cells * m))
+        params = ManifoldParams(alpha=win.alpha, delta=win.delta, d=base.d)
     n_eff = cells / base.period
     if not base.rough:
         plan = OscillationPlan(n, n_eff, cells, m, layout, 1.0 / m, base, params)

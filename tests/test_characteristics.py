@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 
 from stringlab import datasets
 from stringlab.characteristics import (
+    CharacteristicFlow,
     InadmissibleDataError,
+    _reduce_time,
     _state_from_feet,
     _xi_only,
     admissibility,
@@ -581,6 +583,92 @@ def test_xi_one_lookup_per_foot(rough):
             ref = (0.5 * (flow.xi0(y + t, deriv) + flow.xi0(y - t, deriv))
                    + 0.5 * (flow.phi0(y + t, deriv) - flow.phi0(y - t, deriv)))
             assert np.array_equal(_xi_only(flow, t, y, deriv), ref), (t, deriv)
+
+
+def _two_evaluation_inverse(flow, t, s, y_tol=1e-12):
+    """The safeguarded Newton of `xi_time_inverse` with two evaluations per
+    step, the value and then the slope, each locating both feet on its own.
+    Returns y and the number of Newton steps."""
+    t, shift, lag = _reduce_time(flow, np.asarray(t, dtype=float))
+    s = np.asarray(s, dtype=float) - shift
+    e = s - _xi_only(flow, t, np.zeros_like(t))
+    shape = e.shape
+    t, s, e = (a.ravel() for a in np.broadcast_arrays(t, s, e))
+    margin = 1e-9 * (1.0 + np.abs(e))
+    lo = np.where(e >= 0.0, e * flow.delta, e / flow.delta) - margin
+    hi = np.where(e >= 0.0, e / flow.delta, e * flow.delta) + margin
+    y, step, live, steps = 0.5 * (lo + hi), hi - lo, np.arange(e.size), 0
+    while live.size and steps < 200:
+        steps += 1
+        tl, yl = t[live], y[live]
+        f = _xi_only(flow, tl, yl) - s[live]
+        lo_l = np.where(f < 0.0, yl, lo[live])
+        hi_l = np.where(f < 0.0, hi[live], yl)
+        newton = f / _xi_only(flow, tl, yl, True)
+        y_new = yl - newton
+        bisect = (y_new < lo_l) | (y_new > hi_l) | (np.abs(newton) > 0.5 * np.abs(step[live]))
+        y_new = np.where(bisect, 0.5 * (lo_l + hi_l), y_new)
+        lo[live], hi[live], y[live], step[live] = lo_l, hi_l, y_new, y_new - yl
+        live = live[np.abs(y_new - yl) > y_tol * (1.0 + np.abs(y_new))]
+    return y.reshape(shape) - lag, steps
+
+
+def _state_by_hand(flow, y, t):
+    """(tau, v, eta, zeta) at (t, xi(t, y)) from all packet columns at both feet."""
+    d = flow.d
+
+    def packets(foot):
+        if flow.mode == "pc":
+            return flow.pk_values[flow._cell(foot)[2]]
+        prof = flow.profile
+        return cubic_interp(prof.s0, prof.ds, flow.pk_values, flow.xi0(foot), prof.boundary,
+                            slopes=flow.pk_slopes)
+
+    p, m = packets(y + t), packets(y - t)
+    ap, ep, am, em = p[..., 0], p[..., 2:2 + d], m[..., 1], m[..., 2 + d:]
+    return 0.5 * (ap - am), 0.5 * (ap + am), 0.5 * (ep + em), 0.5 * (em - ep)
+
+
+@pytest.mark.parametrize("source", [
+    lambda: datasets.smooth_manifold_profile(n=512),
+    lambda: datasets.rough_manifold_base(101, alpha=0.2),
+    lambda: datasets.smooth_manifold_profile(n=256, boundary="constant"),
+    lambda: datasets.constant_profile(0.7, 0.1, [0.3, 0, 0], [0, 0.2, 0], n=64,
+                                      boundary="constant", rough=True),
+], ids=["smooth", "rough_alpha", "smooth_constant", "rough_constant"])
+def test_newton_makes_one_evaluation_per_step(source, monkeypatch):
+    # each Newton step locates each foot once and reads value and slope off
+    # that one lookup: 2 lookups per step, plus 2 for xi(t, 0) and 2 for the
+    # final residual, whose feet evolve_states reads its states off; the
+    # results are those of the two-evaluation Newton bit for bit
+    flow = build_flow(source())
+    s = np.linspace(-3.0, 3.0, 257)
+    times = [0.0, 0.3, -25.0, 1e3] + ([1e9, -1e9] if flow.y_period is not None else [])
+    lookups = []
+    cell = CharacteristicFlow._cell
+
+    def counted(self, y):
+        lookups.append(np.shape(y))
+        return cell(self, y)
+
+    for t in times:
+        want, steps = _two_evaluation_inverse(flow, t, s)
+        monkeypatch.setattr(CharacteristicFlow, "_cell", counted)
+        lookups.clear()
+        got = xi_time_inverse(flow, t, s)
+        monkeypatch.undo()
+        assert len(lookups) == 2 * steps + 4, (t, steps, len(lookups))
+        assert np.array_equal(got, want), t
+        r, shift, _ = _reduce_time(flow, t)
+        y, _ = _two_evaluation_inverse(flow, r, s - shift)
+        U = evolve_states(flow, t, s)
+        for f, ref in zip(("tau", "v", "eta", "zeta"), _state_by_hand(flow, y, r)):
+            assert np.array_equal(getattr(U, f), ref), (t, f)
+    # times and positions that broadcast together
+    tt = np.linspace(-2.0, 2.0, 5)[:, None]
+    assert np.array_equal(xi_time_inverse(flow, tt, s), _two_evaluation_inverse(flow, tt, s)[0])
+    U = evolve_states(flow, tt, s)
+    assert U.tau.shape == (5, 257) and U.eta.shape == (5, 257, flow.d)
 
 
 def _assert_same_cells(a, b, s_tol=1e-12, u_tol=4e-16):

@@ -110,6 +110,20 @@ def test_advance_matches_cell_major_reference_over_50_steps(kw):
     assert np.array_equal(got.Y, want.Y) and np.array_equal(got.Z, want.Z)
 
 
+def test_advance_calls_share_no_scratch():
+    # each call allocates its own scratch: calls of different sizes and
+    # boundaries in a row give what fresh calls give, and leave their input as it was
+    a = from_profile(datasets.smooth_manifold_profile(n=256, d=3))
+    b = from_profile(datasets.smooth_manifold_profile(n=200, d=1, boundary="constant"))
+    a_in, b_in = (a.Y.copy(), a.Z.copy()), (b.Y.copy(), b.Z.copy())
+    first = [advance(a, 0.3), advance(b, 0.3)]
+    second = [advance(b, 0.3), advance(a, 0.3)][::-1]
+    for (x, nx), (y, ny) in zip(first, second):
+        assert nx == ny and np.array_equal(x.Y, y.Y) and np.array_equal(x.Z, y.Z)
+    assert np.array_equal(a.Y, a_in[0]) and np.array_equal(a.Z, a_in[1])
+    assert np.array_equal(b.Y, b_in[0]) and np.array_equal(b.Z, b_in[1])
+
+
 def test_constant_state_is_a_fixed_point():
     p = datasets.constant_profile(0.6, 0.1, [0.3, 0, 0], [0.2, 0.1, 0], n=64)
     st = from_profile(p)

@@ -10,7 +10,7 @@ import pytest
 
 from stringlab import datasets
 from stringlab.characteristics import _xi_only, admissibility, build_flow, evolve_cells
-from stringlab.geometry import ManifoldParams, in_g, in_m
+from stringlab.geometry import DomainError, ManifoldParams, in_g, in_m
 from stringlab.profiles import Profile
 from stringlab.waves import oscillatory_limit_init, wave_to_augmented
 from stringlab.weak import (
@@ -244,6 +244,21 @@ def test_oscillate_wave_limit_mirrors_relativistic_family():
     # the lift rides the second axis, echoing the transverse ripple mechanism
     assert np.max(np.abs(U.eta[:, 1])) > 0.1
     assert np.max(np.abs(base.eta[:, 1])) == 0.0
+
+
+def test_oscillate_smooth_base_takes_the_window_of_its_interpolated_states():
+    # the cubic interpolant of a smooth hull base leaves the window fitted to
+    # its samples, so the default window is fitted to the interpolated states
+    # the tiling decomposes; a window fitted to the samples still fails
+    base = datasets.smooth_hull_profile(n=256, hull_factor=0.5)
+    runs, plan = oscillate_profile(base, 8, m=16)
+    U = runs.states
+    assert runs.m == plan.cells * plan.samples_per_cell == 4096  # a run per sample
+    assert np.all(in_m(U)) and np.all(in_g(U, plan.params.alpha, plan.params.delta))
+    win = admissibility(base)
+    assert plan.params.delta < win.delta
+    with pytest.raises(DomainError):
+        oscillate_profile(base, 8, ManifoldParams(alpha=win.alpha, delta=win.delta, d=base.d), m=16)
 
 
 def test_oscillate_validation():
