@@ -68,7 +68,6 @@ from .finite_volume import (
     from_profile,
     lax_friedrichs_step,
     max_signal_speed,
-    to_profile,
 )
 from .weak import (
     OscillationPlan,
@@ -82,7 +81,6 @@ from .weak import (
     pairing_matrix,
     pairing_tables,
     verify_generalized_solution,
-    weak_distance,
 )
 
 __version__ = "0.1.0"

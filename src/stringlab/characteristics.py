@@ -46,17 +46,21 @@ Inversion.  Every state evaluation needs the y with xi(t, y) = s.  One
 vectorized, safeguarded Newton solver (`xi_time_inverse`) serves all of
 them: the initial-curve inverse (t = 0), solves and string
 reconstruction.  Times and positions are arrays that broadcast together,
-so a whole set of slices or a whole anchor line is one call.  Newton uses
+so a whole set of slices is one call.  Newton uses
 the exact slope of the tables' own interpolants inside the Lipschitz
 bracket, falls back to bisection, and converges in about five steps.  Each
 step is one evaluation: each foot is located once and read for value and
 slope together, and `evolve_states` reads its states off the feet of the
 final residual evaluation.
 
+The string X is d'Alembert's sum too: dy X = eta and dt X = -zeta in the
+straightening coordinates, so X is read at the same feet from E+- =
+integral_0^y (eta -+ zeta) dy, two more tables on the same knots.
+
 Periodic data are global in time exactly: with t = m Y_p + r, the solution
 satisfies U(t, s) = U(r, s - m Phi_p) (the shift taken modulo S_p), so
-`evolve_states` and `evolve_cells` evaluate |t| = 1e9 as accurately as
-|t| < Y_p / 2.
+`evolve_states`, `evolve_cells` and `reconstruct_string` evaluate |t| = 1e9
+as accurately as |t| < Y_p / 2.
 """
 
 from __future__ import annotations
@@ -200,23 +204,23 @@ class CharacteristicFlow:
         k = np.searchsorted(self.y_edges, y, side="right") - 1
         return y, wind, np.clip(k, 0, len(self.y_edges) - 2)
 
-    def _tables(self, cell, value=True, slope=False):
-        """Both tables of the initial curve at a `_cell` lookup, in one pass.
+    def _tables(self, cell, value=True, slope=False, tables=None):
+        """Tables on the knots at a `_cell` lookup, in one pass: by default
+        (xi0, Phi), else the (values, slopes, period) triples in `tables`.
 
-        Returns (xi0, Phi), their y-slopes (dxi0, dPhi) with value=False and
-        slope=True, or (xi0, Phi, dxi0, dPhi) with both.  The tables share
-        their knots, so the cell width, the local coordinate and the
-        interpolation weights are computed once, and each knot array is
-        gathered once for the value and the slope.  Smooth tables are cubic
-        Hermite between the knots, rough ones linear on each cell.  Periodic
-        tables wind by whole y-periods, each adding the table's period; the
-        others continue linearly with their end slopes.  The slope is that
-        of the interpolant, the end slope beyond the ends.
+        Returns the values, their y-slopes with value=False and slope=True,
+        or both (xi0, Phi, dxi0, dPhi).  The cell width, the local coordinate
+        and the interpolation weights are computed once, and each knot array
+        is gathered once for the value and the slope.  Smooth tables are
+        cubic Hermite between the knots, rough ones linear on each cell.
+        Periodic tables wind by whole y-periods, each adding the table's
+        period; the others continue linearly with their end slopes.  The
+        slope is that of the interpolant, the end slope beyond the ends.
         """
         y, wind, k = cell
         knots = self.y_edges
-        tables = ((self.xi_nodes, self.xi_slopes, self.s_period),
-                  (self.phi_nodes, self.phi_slopes, self.phi_period))
+        tables = tables or ((self.xi_nodes, self.xi_slopes, self.s_period),
+                            (self.phi_nodes, self.phi_slopes, self.phi_period))
         vals, ders = [], []
         if self.mode == "pc":
             dy = y - knots[k]
@@ -263,21 +267,21 @@ class CharacteristicFlow:
 
     def invariants_at(self, y):
         """(v+tau, v-tau, eta-zeta, eta+zeta) of the initial data at xi0(y)."""
-        k, xi = _foot(self, y)
-        (ap, cp), (am, cm) = self._carried(k, xi, 1), self._carried(k, xi, -1)
+        cell, xi = _foot(self, y)
+        (ap, cp), (am, cm) = self._carried(cell, xi, 1), self._carried(cell, xi, -1)
         return ap, am, cp, cm
 
-    def _carried(self, k, xi, sign):
+    def _carried(self, cell, xi, sign):
         """The invariants a foot carries: (v + tau, eta - zeta) for the + foot
         (sign 1), (v - tau, eta + zeta) for the - foot (sign -1).
 
-        Rough flows read them off the foot's knot interval k; smooth flows
-        interpolate only those 1 + d packet columns at s = xi, the foot's
-        xi0.  Each reads only its own argument (`_foot` gives both).
+        Rough flows read them off the knot interval of the foot's `_cell`;
+        smooth flows interpolate only those 1 + d packet columns at s = xi,
+        the foot's xi0.  Each reads only its own argument (`_foot` gives both).
         """
         d = self.d
         if self.mode == "pc":
-            p = self.pk_values[k]
+            p = self.pk_values[cell[2]]
             return (p[..., 0], p[..., 2:2 + d]) if sign > 0 else (p[..., 1], p[..., 2 + d:])
         cols = np.r_[0, 2:2 + d] if sign > 0 else np.r_[1, 2 + d:2 + 2 * d]
         p = cubic_interp(self.profile.s0, self.profile.ds, self.pk_values[:, cols], xi,
@@ -384,7 +388,7 @@ def build_flow(source: Profile | CellField, alpha: float | None = None,
 def xi_evaluate(flow: CharacteristicFlow, t, y):
     """(xi, dt xi, dy xi) at (t, y) from the d'Alembert formulas."""
     (cp, p), (cm, m) = _feet(flow, t, np.asarray(y, dtype=float))
-    ap, am = flow._carried(cp[2], p[0], 1)[0], flow._carried(cm[2], m[0], -1)[0]
+    ap, am = flow._carried(cp, p[0], 1)[0], flow._carried(cm, m[0], -1)[0]
     return _dalembert(p, m), 0.5 * (ap + am), 0.5 * (ap - am)
 
 
@@ -409,10 +413,10 @@ def _feet(flow, t, y, slope=False):
 
 
 def _foot(flow, y):
-    """What `CharacteristicFlow._carried` reads at a foot y: its knot
-    interval k and, for smooth flows, xi0 there (None for rough ones)."""
+    """What `CharacteristicFlow._carried` reads at a foot y: its `_cell`
+    lookup and, for smooth flows, xi0 there (None for rough ones)."""
     cell = flow._cell(y)
-    return cell[2], None if flow.mode == "pc" else flow._tables(cell)[0]
+    return cell, None if flow.mode == "pc" else flow._tables(cell)[0]
 
 
 def _finite(name, a):
@@ -450,8 +454,8 @@ def _inverse(flow, t, s, y_tol=1e-12):
     """`xi_time_inverse`, and the feet of its final residual evaluation.
 
     The feet are those of the solution y at the reduced time, shaped like
-    it, each as its (k, xi0) pair of `_foot`, so `evolve_states` reads its
-    states off them.
+    it, each as its (cell, xi0) pair of `_foot`, so `evolve_states` and
+    `reconstruct_string` read their states off them.
     """
     t, s = _finite("t", t), _finite("s", s)
     t, shift, lag = _reduce_time(flow, t)
@@ -487,7 +491,7 @@ def _inverse(flow, t, s, y_tol=1e-12):
         if resid > 1e-8 * scale:
             # unreachable for a bi-Lipschitz curve; indicates a broken bracket
             raise RuntimeError(f"internal error: inversion residual {resid:.3e}")
-    return y - lag, [(c[2], None if flow.mode == "pc" else tables[0]) for c, tables in feet]
+    return y - lag, [(c, None if flow.mode == "pc" else tables[0]) for c, tables in feet]
 
 
 def _reduce_time(flow, t):
@@ -533,8 +537,8 @@ def evolve_states(flow: CharacteristicFlow, t, s_points) -> StateU:
     """
     t, s = _finite("t", t), _finite("s_points", s_points)
     r, shift, _ = _reduce_time(flow, t)
-    (kp, xp), (km, xm) = _inverse(flow, r, s - shift)[1]
-    return _state(flow._carried(kp, xp, 1), flow._carried(km, xm, -1))
+    plus, minus = _inverse(flow, r, s - shift)[1]
+    return _state(flow._carried(*plus, 1), flow._carried(*minus, -1))
 
 
 def _source_profile(flow):
@@ -616,60 +620,57 @@ def evolve_cells(flow: CharacteristicFlow, t: float) -> CellField:
     return CellField(breaks, _state_from_feet(flow, mid, t), flow.s_period)
 
 
-def reconstruct_string(flow: CharacteristicFlow, times, s_points,
-                       sub_dt: float = 5e-3) -> list[StringGraph]:
-    """Recover the string graph X from an augmented solution.
+def reconstruct_string(flow: CharacteristicFlow, times, s_points) -> list[StringGraph]:
+    """String graphs X(t, .) on a uniform s grid, by d'Alembert.
 
-    ds X = eta/tau and dt X = -zeta - v eta/tau; X(0, .) comes from a
-    fourth-order cumulative s-integration normalized by X(0, 0) = 0, the
-    anchor line X(t, 0) from composite-Simpson time integration (continuous
-    evaluation makes the substep free), and each requested time slice is
-    anchored there.  All Simpson nodes are one batched solve and all slices
-    another.  Requires tau >= delta/2 everywhere (degenerate states
-    rejected) and a uniform s grid containing 0.
+    X(t, xi(t, y)) = [E+(y + t) + E-(y - t)]/2 with E+- = integral_0^y
+    (eta -+ zeta) dy, tables on the flow's knots built as y and Phi are
+    (exact cell sums for rough data, `cumulative_integral` for smooth data),
+    so X(0, 0) = 0.  X, ds X = eta/tau and dt X = -zeta - v eta/tau come off
+    the feet of one inversion.  Periodic flows add back the whole periods
+    `_reduce_time` drops: with t = m Y_p + r and lag = j Y_p, X(t, s) =
+    X(r, s - shift) + m (E+_p - E-_p)/2 - j (E+_p + E-_p)/2.  Degenerate
+    states (tau < delta/2) raise DomainError.
     """
     s_pts = np.asarray(s_points, dtype=float)
     ds = float(s_pts[1] - s_pts[0])
-    if not s_pts[0] <= 0.0 <= s_pts[-1]:
-        raise ValueError("s_points must contain 0 for the X(0,0) = 0 normalization")
     if float(np.min(flow.xi_slopes)) < 0.5 * flow.delta:
         raise DomainError("degenerate state: tau below delta/2")
     times = list(times)
     if not times:
         return []
-
-    # anchor line X(t, 0): march outward from t = 0 through the sorted times in
-    # both directions, one composite-Simpson leg per step (a repeated time is a
-    # leg of length 0), every node of every leg in one solve
-    chains = (sorted(t for t in times if t >= 0.0),
-              sorted((t for t in times if t < 0.0), reverse=True))
-    legs = [(a, b) for chain in chains for a, b in zip([0.0] + chain[:-1], chain)]
-    nodes = [np.linspace(a, b, max(2, 2 * int(math.ceil(abs(b - a) / (2.0 * sub_dt)))) + 1)
-             for a, b in legs]
-    tt = np.concatenate(nodes)
-    U = evolve_states(flow, tt, np.zeros_like(tt))
-    rate = -U.zeta - U.v[:, None] * U.eta / U.tau[:, None]
-    anchor = {0.0: np.zeros(flow.d)}
-    for (a, b), vals in zip(legs, np.split(rate, np.cumsum([len(x) for x in nodes])[:-1])):
-        w = np.ones(len(vals))
-        w[1:-1:2] = 4.0
-        w[2:-1:2] = 2.0
-        anchor[b] = anchor[a] + (b - a) / (len(vals) - 1) / 3.0 * np.tensordot(w, vals, axes=(0, 0))
-
-    # every requested slice in one solve, each anchored at X(t, 0)
-    tq, sq = np.broadcast_arrays(np.asarray(times, dtype=float)[:, None], s_pts)
-    U = evolve_states(flow, tq, sq)
+    tq, sq = np.broadcast_arrays(_finite("times", times)[:, None], s_pts)
+    plus, minus = _inverse(flow, tq, sq)[1]
+    U = _state(flow._carried(*plus, 1), flow._carried(*minus, -1))
     if np.any(U.tau < 0.5 * flow.delta):
         raise DomainError("degenerate state: tau below delta/2")
+
+    # columns E+ (d), E- (d) at the knots, zero at the first; slopes eta -+ zeta
+    w = flow.pk_values[:, 2:]
+    if flow.mode == "pc":
+        E = np.cumsum(np.diff(flow.y_edges)[:, None] * w, axis=0)
+        E = np.concatenate([np.zeros((1, 2 * flow.d)), E])
+    else:
+        prof = flow.profile
+        f = w / prof.tau[:, None]
+        E = cumulative_integral(f, prof.ds, prof.boundary)
+        if flow.y_period is not None:  # closed by the full-period sum, as y and Phi
+            E, w = np.vstack([E, prof.ds * np.sum(f, axis=0)]), np.vstack([w, w[:1]])
+    period = E[-1].copy()
+    tables = [(E[:, i], w[:, i], period[i]) for i in range(2 * flow.d)]
+    E -= np.array(flow._tables(flow._cell(0.0), tables=tables))
+    X = 0.5 * (np.stack(flow._tables(plus[0], tables=tables[:flow.d]), -1)
+               + np.stack(flow._tables(minus[0], tables=tables[flow.d:]), -1))
+    if flow.y_period is not None:
+        r, _, lag = _reduce_time(flow, tq)
+        m, j = np.round((tq - r) / flow.y_period), np.round(lag / flow.y_period)
+        ep, em = period[:flow.d], period[flow.d:]
+        X += 0.5 * (m[..., None] * (ep - em) - j[..., None] * (ep + em))
+
     dxds = U.eta / U.tau[..., None]
     dxdt = -U.zeta - U.v[..., None] * dxds
-    graphs = []
-    for k, t in enumerate(times):
-        prim = cumulative_integral(dxds[k], ds, "constant")
-        at0 = cubic_interp(s_pts[0], ds, prim, np.zeros(1), "constant")[0]
-        graphs.append(StringGraph(t, float(s_pts[0]), ds, prim - at0 + anchor[t], dxds[k],
-                                  dxdt[k], flow.boundary))
-    return graphs
+    return [StringGraph(t, float(s_pts[0]), ds, X[k], dxds[k], dxdt[k], flow.boundary)
+            for k, t in enumerate(times)]
 
 
 def residual_string(graphs: list[StringGraph], dt: float) -> np.ndarray:
@@ -697,38 +698,27 @@ def residual_string(graphs: list[StringGraph], dt: float) -> np.ndarray:
 def residual_augmented(profiles: list[Profile], dt: float) -> dict:
     """Centered discrete residuals of the four augmented equations.
 
-    Input: time-ordered profiles on one grid, uniformly spaced by dt.
-    Returns per-equation residual stacks over the interior time levels plus
-    their max magnitudes.
+    Input: time-ordered profiles on one grid, uniformly spaced by dt.  With
+    P the packed state (tau, v, eta, zeta), the equations are dt P + v ds P
+    + sign tau ds P[swap] = 0, where swap exchanges tau with v and eta with
+    zeta and sign is -1 for tau and v, +1 for eta and zeta.  Returns
+    per-equation residual stacks over the interior time levels plus their
+    max magnitudes.
     """
     if len(profiles) < 3:
         raise ValueError("need at least three time levels")
-    ds, boundary = profiles[0].ds, profiles[0].boundary
-    periodic = boundary == "periodic"
-
-    res = {"tau": [], "v": [], "eta": [], "zeta": []}
-    for k in range(1, len(profiles) - 1):
-        pm, p0, pp = profiles[k - 1], profiles[k], profiles[k + 1]
-        dt_tau = (pp.tau - pm.tau) / (2.0 * dt)
-        dt_v = (pp.v - pm.v) / (2.0 * dt)
-        dt_eta = (pp.eta - pm.eta) / (2.0 * dt)
-        dt_zeta = (pp.zeta - pm.zeta) / (2.0 * dt)
-        # s-slopes; the one-sided edge slopes of constant boundaries are dropped below
-        s_tau, s_v, s_eta, s_zeta = (centered_slopes(f, ds, boundary)
-                                     for f in (p0.tau, p0.v, p0.eta, p0.zeta))
-        v0, tau0 = p0.v, p0.tau
-        r_tau = dt_tau + v0 * s_tau - tau0 * s_v
-        r_v = dt_v + v0 * s_v - tau0 * s_tau
-        r_eta = dt_eta + v0[:, None] * s_eta + tau0[:, None] * s_zeta
-        r_zeta = dt_zeta + v0[:, None] * s_zeta + tau0[:, None] * s_eta
-        if not periodic:
-            r_tau, r_v = r_tau[1:-1], r_v[1:-1]
-            r_eta, r_zeta = r_eta[1:-1], r_zeta[1:-1]
-        res["tau"].append(r_tau)
-        res["v"].append(r_v)
-        res["eta"].append(r_eta)
-        res["zeta"].append(r_zeta)
-    out = {k: np.stack(vs) for k, vs in res.items()}
+    ds, boundary, d = profiles[0].ds, profiles[0].boundary, profiles[0].d
+    P = np.stack([p.packed() for p in profiles])
+    mid = P[1:-1]
+    # s-slopes; the one-sided edge slopes of constant boundaries are dropped below
+    slopes = centered_slopes(mid.swapaxes(0, 1), ds, boundary).swapaxes(0, 1)
+    swap = np.r_[1, 0, 2 + d:2 + 2 * d, 2:2 + d]
+    sign = np.r_[-1.0, -1.0, np.ones(2 * d)]
+    r = ((P[2:] - P[:-2]) / (2.0 * dt) + mid[..., 1:2] * slopes
+         + (sign * mid[..., :1]) * slopes[..., swap])
+    if boundary != "periodic":
+        r = r[:, 1:-1]
+    out = {"tau": r[..., 0], "v": r[..., 1], "eta": r[..., 2:2 + d], "zeta": r[..., 2 + d:]}
     out["max_abs"] = max(float(np.max(np.abs(a))) for a in out.values())
     return out
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import StateHQYZ, hamiltonian, to_rescaled
+from .geometry import hamiltonian
 from .profiles import Profile
 
 
@@ -199,9 +199,3 @@ def from_profile(profile: Profile) -> ConservativeState:
     """Cell data from an augmented-state profile through the perspective map."""
     u = profile.to_hqyz()
     return ConservativeState(profile.s0, profile.ds, u.Y.copy(), u.Z.copy(), profile.boundary)
-
-
-def to_profile(state: ConservativeState, rough: bool = False) -> Profile:
-    h, q = state.derived()
-    U = to_rescaled(StateHQYZ(h, q, state.Y, state.Z))
-    return Profile(state.s0, state.ds, U.tau, U.v, U.eta, U.zeta, state.boundary, rough)

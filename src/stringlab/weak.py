@@ -384,12 +384,6 @@ def pairing_tables(fields_by_time: dict, family: list[TestFunction],
     return np.stack([_pairings(src, family, period) for src in fields_by_time.values()])
 
 
-def weak_distance(table_a: np.ndarray, table_b: np.ndarray) -> dict:
-    """Max pairing gap between two tables, overall and per time slice."""
-    gap = np.abs(table_a - table_b)
-    return {"max": float(np.max(gap)), "per_time": np.max(gap, axis=(1, 2))}
-
-
 def extrapolate_tables(n_values, tables: np.ndarray) -> np.ndarray:
     """Richardson limit of the pairings in 1/n from the two finest levels.
 

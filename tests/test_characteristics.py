@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import time
 
 import numpy as np
 import pytest
@@ -28,7 +29,7 @@ from stringlab.characteristics import (
     xi_wave_residual,
 )
 from stringlab.geometry import DomainError, in_cm, in_g, in_m
-from stringlab.profiles import CellField, Profile, cubic_interp
+from stringlab.profiles import CellField, Profile, centered_slopes, cubic_interp
 from stringlab.validate import random_hull_states
 from stringlab.waves import dalembert_wave_solve, oscillatory_family_init, wave_to_augmented
 from stringlab.weak import _weights, default_family, observable_matrix, oscillate_profile, pairing_tables
@@ -815,6 +816,88 @@ def test_reconstruct_degenerate_guard():
         reconstruct_string(inflated, [0.0], np.linspace(-1, 1, 17))
 
 
+def test_reconstruct_matches_wave_solution_on_coarse_grids():
+    # X is read off the knot tables, so the output grid sets no error
+    init = oscillatory_family_init(2, n=16384)
+    flow = build_flow(wave_to_augmented(init))
+    times = np.linspace(-np.pi, np.pi, 17)
+    for points in (257, 33):
+        s_pts = np.linspace(-np.pi, np.pi, points)
+        for g in reconstruct_string(flow, times, s_pts):
+            assert np.max(np.abs(g.X - dalembert_wave_solve(init, g.t, s_pts).X)) < 1e-9
+
+
+def test_reconstruct_rough_matches_cell_sums():
+    p = datasets.rough_manifold_base(101, alpha=0.2)
+    flow = build_flow(p)
+    cells = p.runs()
+    b, U = cells.breaks, cells.states
+    sums = np.concatenate([np.zeros((1, p.d)),
+                           np.cumsum((cells.widths() / U.tau)[:, None] * U.eta, axis=0)])
+
+    def primitive(x):  # integral from b[0] to x of eta/tau ds, exact on the cells
+        k = np.clip(np.searchsorted(b, x, side="right") - 1, 0, cells.m - 1)
+        return sums[k] + ((x - b[k]) / U.tau[k])[:, None] * U.eta[k]
+
+    for points in (257, 1025, 4097):
+        s_pts = np.linspace(-2.0 * np.pi, 2.0 * np.pi, points)
+        (g,) = reconstruct_string(flow, [0.0], s_pts)
+        exact = primitive(s_pts) - primitive(np.zeros(1))
+        assert np.max(np.abs(g.X - exact)) < 1e-12
+
+
+def _period_integrals(p):
+    """One period's integrals of zeta and eta over y (ds / tau), spectrally exact."""
+    return (p.ds * np.sum(p.zeta / p.tau[:, None], axis=0),
+            p.ds * np.sum(p.eta / p.tau[:, None], axis=0))
+
+
+def test_reconstruct_one_period_shift():
+    # xi(t + m Y_p, y) = xi(t, y) + m Phi_p and X gains -m * integral of zeta dy
+    p = datasets.smooth_manifold_profile(n=1024)
+    flow = build_flow(p)
+    zeta_p, _ = _period_integrals(p)
+    s_pts = np.linspace(-1.0, 1.0, 33)
+    for t in (0.4, -0.3):
+        (g0,) = reconstruct_string(flow, [t], s_pts)
+        for m in (1, 2, 3):
+            (gm,) = reconstruct_string(flow, [t + m * flow.y_period], s_pts + m * flow.phi_period)
+            assert np.max(np.abs(gm.X - (g0.X - m * zeta_p))) < 1e-13
+
+
+def test_reconstruct_far_periodic_time_is_the_reduced_time():
+    p = datasets.smooth_manifold_profile(n=1024)
+    flow = build_flow(p)
+    zeta_p, eta_p = _period_integrals(p)
+    s_pts = np.linspace(-1.0, 1.0, 33)
+
+    def cost(t):
+        runs = []
+        for _ in range(5):
+            t0 = time.perf_counter()
+            reconstruct_string(flow, [t], s_pts)
+            runs.append(time.perf_counter() - t0)
+        return min(runs)
+
+    for t in (1e9, -1e9, -7.3 * flow.y_period):
+        r, shift, lag = _reduce_time(flow, t)
+        m, j = round((t - r) / flow.y_period), round(lag / flow.y_period)
+        (g,) = reconstruct_string(flow, [t], s_pts)
+        (gr,) = reconstruct_string(flow, [r], s_pts - shift)
+        want = gr.X - m * zeta_p - j * eta_p
+        assert np.max(np.abs(g.X - want)) < 1e-14 * np.max(np.abs(want)) + 1e-13
+    assert cost(1e9) < 2.0 * cost(1.0)
+
+
+def test_reconstruct_accepts_a_grid_without_zero():
+    flow = build_flow(datasets.smooth_manifold_profile(n=512))
+    s_pts = np.linspace(-1.0, 1.0, 33)
+    (g,) = reconstruct_string(flow, [0.7], s_pts)
+    (part,) = reconstruct_string(flow, [0.7], s_pts[20:])
+    assert np.array_equal(part.X, g.X[20:])
+    assert np.array_equal(part.dXds, g.dXds[20:])
+
+
 def test_residual_string_constant_is_zero():
     p = datasets.constant_profile(0.6, 0.1, [0.3, 0, 0], [0.2, 0.1, 0])
     flow = build_flow(p)
@@ -829,6 +912,31 @@ def test_residual_augmented_constant_is_zero():
     dt = 0.01
     stack = [solve_augmented(flow, t) for t in (0.5 - dt, 0.5, 0.5 + dt)]
     assert residual_augmented(stack, dt)["max_abs"] < 1e-12
+
+
+@pytest.mark.parametrize("boundary", ["periodic", "constant"])
+def test_residual_augmented_is_the_four_written_out_equations(boundary):
+    rng = np.random.default_rng(3)
+    n, d, dt, ds = 40, 3, 0.01, 0.05
+    stack = [Profile(-1.0, ds, rng.uniform(0.5, 1.0, n), rng.uniform(-0.2, 0.2, n),
+                     rng.normal(size=(n, d)), rng.normal(size=(n, d)), boundary)
+             for _ in range(4)]
+    got = residual_augmented(stack, dt)
+    want = {"tau": [], "v": [], "eta": [], "zeta": []}
+    for pm, p0, pp in zip(stack, stack[1:], stack[2:]):
+        s_tau, s_v, s_eta, s_zeta = (centered_slopes(f, ds, boundary)
+                                     for f in (p0.tau, p0.v, p0.eta, p0.zeta))
+        v0, tau0 = p0.v, p0.tau
+        r = {"tau": (pp.tau - pm.tau) / (2.0 * dt) + v0 * s_tau - tau0 * s_v,
+             "v": (pp.v - pm.v) / (2.0 * dt) + v0 * s_v - tau0 * s_tau,
+             "eta": (pp.eta - pm.eta) / (2.0 * dt) + v0[:, None] * s_eta + tau0[:, None] * s_zeta,
+             "zeta": (pp.zeta - pm.zeta) / (2.0 * dt) + v0[:, None] * s_zeta
+             + tau0[:, None] * s_eta}
+        for key, val in r.items():
+            want[key].append(val if boundary == "periodic" else val[1:-1])
+    for key, vals in want.items():
+        assert np.array_equal(got[key], np.stack(vals))
+    assert got["max_abs"] == max(float(np.max(np.abs(np.stack(v)))) for v in want.values())
 
 
 def test_residual_augmented_refinement_order():

@@ -12,7 +12,6 @@ from stringlab.finite_volume import (
     from_profile,
     lax_friedrichs_step,
     max_signal_speed,
-    to_profile,
 )
 
 E1 = np.array([[1.0, 0.0, 0.0]])
@@ -235,6 +234,8 @@ def test_derived_total_drift_vanishes_under_refinement():
 
 def test_profile_roundtrip():
     p = datasets.smooth_manifold_profile(n=128)
-    back = to_profile(from_profile(p))
-    assert np.max(np.abs(back.tau - p.tau)) < 1e-14
-    assert np.max(np.abs(back.eta - p.eta)) < 1e-14
+    st, u = from_profile(p), p.to_hqyz()
+    assert (st.s0, st.ds, st.boundary) == (p.s0, p.ds, p.boundary)
+    assert np.array_equal(st.Y, u.Y) and np.array_equal(st.Z, u.Z)
+    h, q = st.derived()
+    assert np.max(np.abs(h - u.h)) < 1e-14 and np.max(np.abs(q - u.q)) < 1e-14

@@ -25,7 +25,6 @@ from stringlab.weak import (
     pairing_matrix,
     pairing_tables,
     verify_generalized_solution,
-    weak_distance,
 )
 
 
@@ -321,15 +320,6 @@ def test_pairing_tables_match_per_function_pairings():
 
 
 # -- distance, extrapolation, identities ---------------------------------------
-
-def test_weak_distance_identical_is_zero():
-    base = datasets.subrelativistic_wave_base(cells=101)
-    fam = default_family(base.s0, base.s0 + base.period)[:4]
-    flow = build_flow(base)
-    tab = pairing_tables({0.0: evolve_cells(flow, 0.0)}, fam, base.period)
-    dist = weak_distance(tab, tab)
-    assert dist["max"] == 0.0
-
 
 def test_extrapolation_removes_linear_term():
     n = np.array([8.0, 16.0, 32.0, 64.0, 128.0])
