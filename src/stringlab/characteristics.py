@@ -17,10 +17,15 @@ initial data:
     Phi(y)   = integral_0^y v(0, xi0(sigma)) dsigma,
     (dt xi +- dy xi)(t, y) = (v +- tau)(0, xi0(y +- t)).
 
-State recovery at s = xi(t, y) pairs each invariant with its feeding foot:
+State recovery.  In the straightening coordinates the state is the y-slope
+of the initial tables: dy xi0 = tau, dy Phi = v and dy E+- = eta -+ zeta
+with E+-(y) = integral_0^y (eta -+ zeta) dy.  Each invariant rides its
+family from its feeding foot, so at s = xi(t, y)
 
     (v + tau)(t, s) = (v + tau)(0, xi0(y + t)),   eta - zeta likewise,
-    (v - tau)(t, s) = (v - tau)(0, xi0(y - t)),   eta + zeta likewise.
+    (v - tau)(t, s) = (v - tau)(0, xi0(y - t)),   eta + zeta likewise,
+
+the slopes of the tables read at the feet y + t and y - t.
 
 Inside the window delta <= tau +- (v - alpha) <= 1/delta the slope dy xi
 stays in [delta, 1/delta] for all time, xi(t, .) is bi-Lipschitz, and the
@@ -28,14 +33,15 @@ formulas define a global solution for every measurable initial state.
 Evolution is evaluation: there is no time stepping, and discretization
 error lives only in the initial-curve tables and field interpolation.
 
-The ODE dy xi0 = tau(0, xi0) is separable, so the tables come from
-quadrature at the data's own s-points: y(s) = integral_0^s dsigma/tau and
-Phi(s) = integral_0^s v/tau dsigma.  Smooth and rough data share one
+The ODE dy xi0 = tau(0, xi0) is separable, so the tables come from one
+quadrature at the data's own s-points: the knots y(s) = integral_0^s
+dsigma/tau and the value columns (s, Phi, E+, E-), whose s-integrands are
+(v, eta - zeta, eta + zeta)/tau.  Smooth and rough data share this one
 monotone knot table and one evaluator; smooth data use fourth-order
 quadrature on their grid and cubic Hermite interpolation (certified
-monotone interval by interval), rough data exact cell sums, linear
-interpolation and cell lookups for the transported packets.  Rough data
-are run cells from the start: a CellField of any cell widths, whose
+monotone interval by interval), rough data exact cell sums and linear
+interpolation, so a rough table's slope is the cell state itself.  Rough
+data are run cells from the start: a CellField of any cell widths, whose
 knots sit only where the data jump (a rough Profile is compressed once to
 its runs of equal samples).  An oscillated tiling with a few runs per
 oscillation cell is built, evolved and paired on its runs, never on its
@@ -54,8 +60,8 @@ slope together, and `evolve_states` reads its states off the feet of the
 final residual evaluation.
 
 The string X is d'Alembert's sum too: dy X = eta and dt X = -zeta in the
-straightening coordinates, so X is read at the same feet from E+- =
-integral_0^y (eta -+ zeta) dy, two more tables on the same knots.
+straightening coordinates, so X = [E+(y + t) + E-(y - t)]/2 is read at the
+same feet off the E+- columns of the same table.
 
 Periodic data are global in time exactly: with t = m Y_p + r, the solution
 satisfies U(t, s) = U(r, s - m Phi_p) (the shift taken modulo S_p), so
@@ -70,8 +76,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import DomainError, StateU
-from .profiles import CellField, Profile, centered_slopes, cubic_interp, cumulative_integral
+from .geometry import DomainError, StateU, state_from_blocks
+from .profiles import CellField, Profile, centered_slopes, cumulative_integral, require_finite, uniform_grid
 from .waves import StringGraph
 
 
@@ -144,7 +150,8 @@ def _hermite_weights(u):
 
 
 def _hermite_slope_weights(u):
-    """Cubic Hermite weights at u in [0, 1] of (f0 - f1, h m0, h m1) in h d/dy."""
+    """Cubic Hermite weights at u in [0, 1] of (f0 - f1, h m0, h m1) in h d/dy,
+    so of (-secant, m0, m1) in d/dy."""
     return 6.0 * u * (u - 1.0), (1.0 - u) * (1.0 - 3.0 * u), u * (3.0 * u - 2.0)
 
 
@@ -152,18 +159,20 @@ def _hermite_slope_weights(u):
 class CharacteristicFlow:
     """Immutable evaluation machinery for one set of initial data.
 
-    The initial curve is one monotone table: knots `y_edges` = y(s_i), values
-    `xi_nodes` = s_i and `phi_nodes` = Phi(s_i), slopes `xi_slopes` = tau and
-    `phi_slopes` = v, one per knot for smooth data (cubic Hermite) and one
-    per cell for rough data ("pc", linear).  Rough data are a CellField (a
-    rough Profile is compressed to one cell per run of equal samples), so
-    rough knots sit only at the data's jumps and `pk_values` holds one row
-    per cell (per sample for smooth data).  `profile` is the Profile the
-    flow was built from (None for a CellField); the evaluators read only `d`,
-    the period and, for the smooth packet interpolation, its grid.  All
-    methods are pure and safe for concurrent callers.  `alpha`/`delta`
-    record the admissible window used; the slopes are certified inside
-    [delta - tol, 1/delta + tol].
+    The initial data are one monotone knot table.  At the knots `y_edges`
+    the rows of `values` hold the columns xi0 = s, Phi, E+ (d rows) and E-
+    (d rows); the rows of `slopes` hold their y-slopes tau, v, eta - zeta
+    and eta + zeta, which are the initial state.  Smooth data have one slope
+    per knot (cubic Hermite) and `secants`, each interval's mean slope from
+    the quadrature increments; rough data ("pc", linear) have one slope per
+    cell.  Rough data are a CellField (a rough Profile is compressed to one
+    cell per run of equal samples), so rough knots sit only at the data's
+    jumps.  `profile` is the Profile the flow was built from (None for a
+    CellField), kept only for the output grid of `solve_augmented` and
+    `galilean_on_solution`.  Periodic tables record the y-period and each
+    column's period in `periods`.  All methods are pure and safe for
+    concurrent callers.  `alpha`/`delta` record the admissible window used;
+    the slopes are certified inside [delta - tol, 1/delta + tol].
     """
 
     profile: Profile | None
@@ -172,23 +181,22 @@ class CharacteristicFlow:
     delta: float
     mode: str  # "smooth" or "pc"
     y_edges: np.ndarray
-    xi_nodes: np.ndarray
-    xi_slopes: np.ndarray
-    phi_nodes: np.ndarray
-    phi_slopes: np.ndarray
-    # periodic extension data
+    values: np.ndarray
+    slopes: np.ndarray
+    secants: np.ndarray | None
     y_period: float | None
-    s_period: float | None
-    phi_period: float | None
-    # packet samples (n, 2 + 2d): [v+tau, v-tau, eta-zeta, eta+zeta]
-    pk_values: np.ndarray
-    pk_slopes: np.ndarray | None = None
+    periods: np.ndarray | None
+
+    xi_nodes = property(lambda self: self.values[0])
+    phi_nodes = property(lambda self: self.values[1])
+    xi_slopes = property(lambda self: self.slopes[0])
+    phi_slopes = property(lambda self: self.slopes[1])
+    s_period = property(lambda self: None if self.periods is None else float(self.periods[0]))
+    phi_period = property(lambda self: None if self.periods is None else float(self.periods[1]))
 
     @property
     def boundary(self) -> str:
         return "constant" if self.s_period is None else "periodic"
-
-    # -- initial curve -----------------------------------------------------
 
     def _wind(self, y):
         """y wound into the first period of a periodic table, and the winding number."""
@@ -204,105 +212,98 @@ class CharacteristicFlow:
         k = np.searchsorted(self.y_edges, y, side="right") - 1
         return y, wind, np.clip(k, 0, len(self.y_edges) - 2)
 
-    def _tables(self, cell, value=True, slope=False, tables=None):
-        """Tables on the knots at a `_cell` lookup, in one pass: by default
-        (xi0, Phi), else the (values, slopes, period) triples in `tables`.
+    def _tables(self, cell, cols=slice(0, 2), value=True, slope=False):
+        """The table columns `cols` (by default xi0 and Phi) at a `_cell` lookup.
 
-        Returns the values, their y-slopes with value=False and slope=True,
-        or both (xi0, Phi, dxi0, dPhi).  The cell width, the local coordinate
-        and the interpolation weights are computed once, and each knot array
-        is gathered once for the value and the slope.  Smooth tables are
-        cubic Hermite between the knots, rough ones linear on each cell.
-        Periodic tables wind by whole y-periods, each adding the table's
-        period; the others continue linearly with their end slopes.  The
-        slope is that of the interpolant, the end slope beyond the ends.
+        Returns (values, slopes), each shaped (columns, *y.shape), the one
+        not asked for None.  The cell width, the local coordinate and the
+        weights are computed once for all columns, and each knot array is
+        gathered once for the value and the slope.  Smooth tables are cubic
+        Hermite between the knots, with the slope's secant part taken from
+        `secants`; rough ones are linear on each cell.  Periodic tables wind
+        by whole y-periods, each adding the column's period; the others
+        continue linearly with their end slopes.  The slope is that of the
+        interpolant, the end slope beyond the ends.
         """
         y, wind, k = cell
-        knots = self.y_edges
-        tables = tables or ((self.xi_nodes, self.xi_slopes, self.s_period),
-                            (self.phi_nodes, self.phi_slopes, self.phi_period))
-        vals, ders = [], []
+        knots, V, M = self.y_edges, self.values[cols], self.slopes[cols]
+        val = der = None
         if self.mode == "pc":
-            dy = y - knots[k]
-            for values, slopes, _ in tables:
-                m = slopes[k]
-                if value:
-                    vals.append(values[k] + dy * m)
-                if slope:
-                    ders.append(m)
+            der = np.take(M, k, axis=1)
+            if value:
+                val = np.take(V, k, axis=1) + (y - knots[k]) * der
         else:
             h = knots[k + 1] - knots[k]
             u = (y - knots[k]) / h
-            bv = _hermite_weights(u) if value else None
-            bd = _hermite_slope_weights(np.clip(u, 0.0, 1.0)) if slope else None
-            for values, slopes, _ in tables:
-                f0, f1, m0, m1 = values[k], values[k + 1], slopes[k] * h, slopes[k + 1] * h
-                if value:
-                    vals.append(bv[0] * f0 + bv[1] * m0 + bv[2] * f1 + bv[3] * m1)
-                if slope:
-                    ders.append((bd[0] * (f0 - f1) + bd[1] * m0 + bd[2] * m1) / h)
+            m0, m1 = np.take(M, k, axis=1), np.take(M, k + 1, axis=1)
+            if value:
+                b = _hermite_weights(u)
+                val = (b[0] * np.take(V, k, axis=1) + b[1] * (m0 * h)
+                       + b[2] * np.take(V, k + 1, axis=1) + b[3] * (m1 * h))
+            if slope:
+                b = _hermite_slope_weights(np.clip(u, 0.0, 1.0))
+                der = b[1] * m0 + b[2] * m1 - b[0] * np.take(self.secants[cols], k, axis=1)
         if value:
-            lo, hi = knots[0], knots[-1]
-            for i, (values, slopes, period) in enumerate(tables):
-                if self.y_period is not None:
-                    vals[i] = vals[i] + wind * period
-                else:
-                    val = np.where(y < lo, values[0] + slopes[0] * (y - lo), vals[i])
-                    vals[i] = np.where(y > hi, values[-1] + slopes[-1] * (y - hi), val)
-        return (*vals, *ders)
+            col = (slice(None),) + (None,) * np.ndim(y)  # a per-column constant
+            if self.y_period is not None:
+                val = val + wind * self.periods[cols][col]
+            else:
+                lo, hi = knots[0], knots[-1]
+                val = np.where(y < lo, V[:, 0][col] + M[:, 0][col] * (y - lo), val)
+                val = np.where(y > hi, V[:, -1][col] + M[:, -1][col] * (y - hi), val)
+        return val, der
 
     def xi0(self, y, deriv=False):
         """Initial curve xi(0, y), defined for every real y (its slope with deriv)."""
-        return self._tables(self._cell(y), not deriv, deriv)[0]
+        return self._tables(self._cell(y), value=not deriv, slope=deriv)[int(deriv)][0]
 
     def phi0(self, y, deriv=False):
         """Antiderivative of v(0, xi0(.)), normalized to vanish at y = 0."""
-        return self._tables(self._cell(y), not deriv, deriv)[1]
+        return self._tables(self._cell(y), value=not deriv, slope=deriv)[int(deriv)][1]
 
     def xi0_inverse(self, s):
         """Monotone inversion of the initial curve: xi_time_inverse at t = 0."""
         return xi_time_inverse(self, 0.0, s)
 
-    # -- transported packets ----------------------------------------------
-
     def invariants_at(self, y):
-        """(v+tau, v-tau, eta-zeta, eta+zeta) of the initial data at xi0(y)."""
-        cell, xi = _foot(self, y)
-        (ap, cp), (am, cm) = self._carried(cell, xi, 1), self._carried(cell, xi, -1)
+        """(v+tau, v-tau, eta-zeta, eta+zeta) of the initial data at xi0(y): table slopes at y."""
+        cell = self._cell(y)
+        (ap, cp), (am, cm) = _carried(self, cell, 1), _carried(self, cell, -1)
         return ap, am, cp, cm
 
-    def _carried(self, cell, xi, sign):
-        """The invariants a foot carries: (v + tau, eta - zeta) for the + foot
-        (sign 1), (v - tau, eta + zeta) for the - foot (sign -1).
 
-        Rough flows read them off the knot interval of the foot's `_cell`;
-        smooth flows interpolate only those 1 + d packet columns at s = xi,
-        the foot's xi0.  Each reads only its own argument (`_foot` gives both).
-        """
-        d = self.d
-        if self.mode == "pc":
-            p = self.pk_values[cell[2]]
-            return (p[..., 0], p[..., 2:2 + d]) if sign > 0 else (p[..., 1], p[..., 2 + d:])
-        cols = np.r_[0, 2:2 + d] if sign > 0 else np.r_[1, 2 + d:2 + 2 * d]
-        p = cubic_interp(self.profile.s0, self.profile.ds, self.pk_values[:, cols], xi,
-                         self.profile.boundary, slopes=self.pk_slopes[:, cols])
-        return p[..., 0], p[..., 1:]
+def _carried(flow, cell, sign):
+    """The invariants a foot carries, from the table slopes at its `_cell`
+    lookup: v + tau and eta - zeta for the + foot (sign 1), v - tau and
+    eta + zeta for the - foot (sign -1); eta -+ zeta C-ordered (*shape, d)."""
+    d = flow.d
+    cols = slice(2, 2 + d) if sign > 0 else slice(2 + d, None)
+    m, c = (flow._tables(cell, k, value=False, slope=True)[1] for k in (slice(0, 2), cols))
+    return m[1] + sign * m[0], _trailing(c)
+
+
+def _trailing(a):
+    """Table columns (columns, *shape) as one C-ordered (*shape, columns) array."""
+    return np.ascontiguousarray(np.moveaxis(a, 0, -1))
 
 
 def build_flow(source: Profile | CellField, alpha: float | None = None,
                delta: float | None = None, slope_tol: float = 1e-9) -> CharacteristicFlow:
     """Construct the straightening map for admissible initial data.
 
-    The knots y(s) = integral_0^s dsigma/tau and Phi(s) = integral_0^s
-    v/tau dsigma sit at the data's own s-points.  Rough data are cells
-    (a CellField, or a rough Profile compressed to its runs of equal
-    samples by `Profile.runs`), of any widths: y and Phi are the exact
-    cumulative sums of width/tau and v width/tau at the breaks, and one
-    linear step inside the cell holding s = 0 (wound by the period when
-    the breaks do not span 0) normalizes xi0(0) = phi0(0) = 0.  Smooth
-    profiles use the fourth-order `cumulative_integral` on their grid, whose
-    periodic tables close at s0 + S_p with full-period trapezoid sums Y_p
-    and Phi_p, and one Hermite interpolation at s = 0.
+    One cumulative quadrature of (1, v, eta - zeta, eta + zeta)/tau over s
+    at the data's own s-points gives the knots y(s) and the value columns
+    Phi, E+ and E-; the s-points are the xi0 column, and the integrands'
+    numerators, with tau for the 1, are the columns' y-slopes.  Rough data
+    are cells (a CellField, or a rough Profile compressed to its runs of
+    equal samples by `Profile.runs`), of any widths: the columns are exact
+    cumulative cell sums at the breaks, normalized by one linear step inside
+    the cell holding s = 0 (wound by the period when the breaks do not span
+    0).  Smooth profiles use the fourth-order `cumulative_integral` on their grid,
+    whose periodic tables close at s0 + S_p with full-period trapezoid sums,
+    normalized by one Hermite interpolation at s = 0; their secants are the
+    quadrature increments over the y-increments, so a constant state reads
+    back to rounding.  Every column vanishes at s = 0.
     Raises InadmissibleDataError through `admissibility`, and DomainError
     for a one-sample smooth constant-boundary profile (no knot interval), an
     aperiodic window without s = 0, a
@@ -318,63 +319,61 @@ def build_flow(source: Profile | CellField, alpha: float | None = None,
     if rough:
         cells = source if profile is None else profile.runs()
         U, s, s_period = cells.states, cells.breaks, cells.period
-        tau, v = U.tau, U.v
-        dy = cells.widths() / tau
-        y = np.concatenate([[0.0], np.cumsum(dy)])
-        phi = np.concatenate([[0.0], np.cumsum(v * dy)])
+    else:
+        n, ds, s_period = profile.n, profile.ds, profile.period
+        if profile.boundary != "periodic":
+            s_period = None
+            if n < 2:
+                raise DomainError(f"a smooth constant-boundary table needs n >= 2 samples; "
+                                  f"got n = {n} at s0 = {profile.s0:.6g}")
+        U = profile.state()
+        s = profile.s0 + ds * np.arange(n + (s_period is not None))
+    # the integrand numerators (1, v, eta - zeta, eta + zeta), one row each;
+    # the 1 becomes tau below, and the rows are then the columns' y-slopes
+    W = np.vstack([np.ones_like(U.tau), U.v, (U.eta - U.zeta).T, (U.eta + U.zeta).T])
+    if rough:
+        tau = U.tau
+        Q = np.zeros((len(W), len(s)))
+        np.multiply(W, cells.widths() / tau, out=Q[:, 1:])
+        np.cumsum(Q[:, 1:], axis=1, out=Q[:, 1:])
         # s = 0 wound by whole periods into the breaks' window, and its cell
         wind = 0.0 if s_period is None else math.floor((0.0 - s[0]) / s_period)
         zero = 0.0 if s_period is None else 0.0 - wind * s_period
         if s_period is None and not s[0] <= 0.0 <= s[-1]:
             raise DomainError("the cell window must contain s = 0 (normalization xi(0,0) = 0)")
         j = min(max(int(np.searchsorted(s, zero, side="right")) - 1, 0), len(tau) - 1)
-
-        def at_zero(table, w):  # the table at s = 0; its s-slope is w / tau
-            return table[j] + (zero - s[j]) / tau[j] * w[j] + wind * table[-1]
+        z = Q[:, j] + (zero - s[j]) / tau[j] * W[:, j] + wind * Q[:, -1]
+        secants = None
     else:
-        n, ds = profile.n, profile.ds
-        periodic = profile.boundary == "periodic"
-        if n < 2 and not periodic:
-            raise DomainError(f"a smooth constant-boundary table needs n >= 2 samples; "
-                              f"got n = {n} at s0 = {profile.s0:.6g}")
-        U, tau, v = profile.state(), profile.tau.copy(), profile.v.copy()
-        y = cumulative_integral(1.0 / tau, ds, profile.boundary)
-        phi = cumulative_integral(v / tau, ds, profile.boundary)
-        if periodic:  # the Euler-Maclaurin end correction vanishes over a full period
-            y = np.append(y, ds * np.sum(1.0 / tau))
-            phi = np.append(phi, ds * np.sum(v / tau))
-            tau, v = np.append(tau, tau[0]), np.append(v, v[0])
-        s = profile.s0 + ds * np.arange(len(y))
-        s_period = n * ds if periodic else None
+        if s_period is not None:  # the closing knot repeats the first sample
+            W = np.hstack([W, W[:, :1]])
+        tau = U.tau if s_period is None else np.append(U.tau, U.tau[0])
         if not s[0] <= 0.0 <= s[-1]:
             raise DomainError("the grid window must contain s = 0 (normalization xi(0,0) = 0)")
+        Q, secants = np.empty_like(W), np.empty((len(W), len(s) - 1))
+        for i, w in enumerate(W):
+            Q[i], secants[i] = cumulative_integral(w[:n] / tau[:n], ds, profile.boundary)
         j = min(int((0.0 - profile.s0) / ds), len(s) - 2)
-
         b = _hermite_weights((0.0 - s[j]) / ds)
-
-        def at_zero(table, w):  # the table at s = 0; its s-slope is w / tau
-            return (b[0] * table[j] + b[1] * (w[j] / tau[j] * ds) + b[2] * table[j + 1]
-                    + b[3] * (w[j + 1] / tau[j + 1] * ds))
-
-    pk = np.column_stack([U.v + U.tau, U.v - U.tau, U.eta - U.zeta, U.eta + U.zeta])
-    periodic = s_period is not None
-    flow = CharacteristicFlow(
-        profile, U.eta.shape[1], alpha, delta, "pc" if rough else "smooth",
-        y_edges=y - at_zero(y, np.ones_like(tau)), xi_nodes=s,
-        xi_slopes=tau, phi_nodes=phi - at_zero(phi, v), phi_slopes=v,
-        y_period=float(y[-1]) if periodic else None,
-        s_period=s_period,
-        phi_period=float(phi[-1]) if periodic else None,
-        pk_values=pk,
-        pk_slopes=None if rough else centered_slopes(pk, profile.ds, profile.boundary),
-    )
+        g = W[:, j:j + 2] / tau[j:j + 2]  # the columns' s-slopes around s = 0
+        z = b[0] * Q[:, j] + b[1] * (g[:, 0] * ds) + b[2] * Q[:, j + 1] + b[3] * (g[:, 1] * ds)
+        # the increments over the y-increments; the xi0 column's increment is ds
+        secants[1:] /= secants[0]
+        secants[0] = ds / secants[0]
+    periods, y_period = None if s_period is None else Q[:, -1].copy(), None
+    Q -= z[:, None]
+    y = Q[0].copy()
+    Q[0], W[0] = s, tau
+    if periods is not None:
+        y_period, periods[0] = float(periods[0]), s_period
+    flow = CharacteristicFlow(profile, U.d, alpha, delta, "pc" if rough else "smooth", y, Q, W,
+                              secants, y_period, periods)
     if np.min(tau) < delta - slope_tol or np.max(tau) > 1.0 / delta + slope_tol:
         raise DomainError("initial-curve slope escaped [delta, 1/delta]")
     if not rough:
         # Fritsch & Carlson (SIAM J. Numer. Anal. 17, 1980): a Hermite interval is
         # monotone if its end slopes over the secant have a, b > 0, a^2 + b^2 <= 9
-        secant = profile.ds / np.diff(y)
-        a, b = tau[:-1] / secant, tau[1:] / secant
+        a, b = tau[:-1] / secants[0], tau[1:] / secants[0]
         bad = np.flatnonzero((a <= 0.0) | (b <= 0.0) | (a * a + b * b > 9.0))
         if bad.size:
             i = int(bad[0])
@@ -386,10 +385,11 @@ def build_flow(source: Profile | CellField, alpha: float | None = None,
 
 
 def xi_evaluate(flow: CharacteristicFlow, t, y):
-    """(xi, dt xi, dy xi) at (t, y) from the d'Alembert formulas."""
-    (cp, p), (cm, m) = _feet(flow, t, np.asarray(y, dtype=float))
-    ap, am = flow._carried(cp, p[0], 1)[0], flow._carried(cm, m[0], -1)[0]
-    return _dalembert(p, m), 0.5 * (ap + am), 0.5 * (ap - am)
+    """(xi, dt xi, dy xi) at (t, y) from the d'Alembert formulas: dt xi = v, dy xi = tau."""
+    y = np.asarray(y, dtype=float)
+    plus, minus = flow._cell(y + t), flow._cell(y - t)
+    U = _state_at(flow, plus, minus)
+    return _dalembert(flow._tables(plus)[0], flow._tables(minus)[0]), U.v, U.tau
 
 
 def _xi_only(flow, t, y, deriv=False):
@@ -397,37 +397,20 @@ def _xi_only(flow, t, y, deriv=False):
 
     Each foot y +- t is located once (`_cell`) and both tables read off it.
     """
-    p, m = (flow._tables(flow._cell(f), not deriv, deriv) for f in (y + t, y - t))
+    p, m = (flow._tables(flow._cell(f), value=not deriv, slope=deriv)[int(deriv)]
+            for f in (y + t, y - t))
     return _dalembert(p, m)
 
 
 def _dalembert(p, m):
-    """xi(t, y) from the (xi0, Phi) reads at the feet y + t and y - t, or dy xi from their slopes."""
+    """xi(t, y) from the (xi0, Phi) rows read at the feet y + t and y - t, or dy xi from their slopes."""
     return 0.5 * (p[0] + m[0]) + 0.5 * (p[1] - m[1])
 
 
 def _feet(flow, t, y, slope=False):
     """The feet y + t and y - t, each located once: per foot its `_cell` lookup
-    and the tables read there, (xi0, Phi) or with slope (xi0, Phi, dxi0, dPhi)."""
+    and the (values, slopes) of xi0 and Phi read there (slopes only with slope)."""
     return [(c, flow._tables(c, slope=slope)) for c in (flow._cell(y + t), flow._cell(y - t))]
-
-
-def _foot(flow, y):
-    """What `CharacteristicFlow._carried` reads at a foot y: its `_cell`
-    lookup and, for smooth flows, xi0 there (None for rough ones)."""
-    cell = flow._cell(y)
-    return cell, None if flow.mode == "pc" else flow._tables(cell)[0]
-
-
-def _finite(name, a):
-    """a as a float array; ValueError naming its first non-finite entry."""
-    a = np.asarray(a, dtype=float)
-    bad = np.flatnonzero(~np.isfinite(a))
-    if bad.size:
-        i = int(bad[0])
-        at = f"[{i}]" if a.ndim else ""
-        raise ValueError(f"{name} must be finite; {name}{at} = {a.flat[i]}")
-    return a
 
 
 def xi_time_inverse(flow: CharacteristicFlow, t, s, y_tol: float = 1e-12):
@@ -451,13 +434,13 @@ def xi_time_inverse(flow: CharacteristicFlow, t, s, y_tol: float = 1e-12):
 
 
 def _inverse(flow, t, s, y_tol=1e-12):
-    """`xi_time_inverse`, and the feet of its final residual evaluation.
+    """`xi_time_inverse`, and the `_cell` lookups of the feet of its final
+    residual evaluation.
 
     The feet are those of the solution y at the reduced time, shaped like
-    it, each as its (cell, xi0) pair of `_foot`, so `evolve_states` and
-    `reconstruct_string` read their states off them.
+    it, so `evolve_states` and `reconstruct_string` read their states off them.
     """
-    t, s = _finite("t", t), _finite("s", s)
+    t, s = require_finite("t", t), require_finite("s", s)
     t, shift, lag = _reduce_time(flow, t)
     s = s - shift
     e = s - _xi_only(flow, t, np.zeros_like(t))
@@ -473,25 +456,25 @@ def _inverse(flow, t, s, y_tol=1e-12):
         if not live.size:
             break
         tl, yl = t[live], y[live]
-        (_, p), (_, m) = _feet(flow, tl, yl, slope=True)
+        (_, (p, dp)), (_, (m, dm)) = _feet(flow, tl, yl, slope=True)
         f = _dalembert(p, m) - s[live]
         lo_l = np.where(f < 0.0, yl, lo[live])
         hi_l = np.where(f < 0.0, hi[live], yl)
-        newton = f / _dalembert(p[2:], m[2:])
+        newton = f / _dalembert(dp, dm)
         y_new = yl - newton
         bisect = (y_new < lo_l) | (y_new > hi_l) | (np.abs(newton) > 0.5 * np.abs(step[live]))
         y_new = np.where(bisect, 0.5 * (lo_l + hi_l), y_new)
         lo[live], hi[live], y[live], step[live] = lo_l, hi_l, y_new, y_new - yl
         live = live[np.abs(y_new - yl) > y_tol * (1.0 + np.abs(y_new))]
     t, s, y = (a.reshape(shape) for a in (t, s, y))
-    feet = _feet(flow, t, y)
+    (plus, (p, _)), (minus, (m, _)) = _feet(flow, t, y)
     if y.size:
-        resid = float(np.max(np.abs(_dalembert(feet[0][1], feet[1][1]) - s)))
+        resid = float(np.max(np.abs(_dalembert(p, m) - s)))
         scale = 1.0 + float(np.max(np.abs(s)))
         if resid > 1e-8 * scale:
             # unreachable for a bi-Lipschitz curve; indicates a broken bracket
             raise RuntimeError(f"internal error: inversion residual {resid:.3e}")
-    return y - lag, [(c, None if flow.mode == "pc" else tables[0]) for c, tables in feet]
+    return y - lag, (plus, minus)
 
 
 def _reduce_time(flow, t):
@@ -509,17 +492,16 @@ def _reduce_time(flow, t):
     return t - m * flow.y_period, m * flow.phi_period - j * flow.s_period, j * flow.y_period
 
 
+def _state_at(flow, plus, minus):
+    """U at (t, xi(t, y)) from the invariants the feet y + t and y - t carry,
+    given their `_cell` lookups."""
+    (ap, cp), (am, cm) = _carried(flow, plus, 1), _carried(flow, minus, -1)
+    return state_from_blocks(ap, am, cp, cm)
+
+
 def _state_from_feet(flow, y, t):
-    """U at (t, xi(t, y)): each invariant pair read off at its foot y +- t,
-    one foot at a time."""
-    return _state(flow._carried(*_foot(flow, y + t), 1), flow._carried(*_foot(flow, y - t), -1))
-
-
-def _state(plus, minus):
-    """U from the invariants the + foot carries, (v + tau, eta - zeta), and
-    those the - foot carries, (v - tau, eta + zeta)."""
-    (ap, ep), (am, em) = plus, minus
-    return StateU(0.5 * (ap - am), 0.5 * (ap + am), 0.5 * (ep + em), 0.5 * (em - ep))
+    """U at (t, xi(t, y)), each foot y +- t located once."""
+    return _state_at(flow, flow._cell(y + t), flow._cell(y - t))
 
 
 def evolve_states(flow: CharacteristicFlow, t, s_points) -> StateU:
@@ -532,13 +514,12 @@ def evolve_states(flow: CharacteristicFlow, t, s_points) -> StateU:
     modulo S_p.  The feet y +- r then stay within a period of the table;
     evaluated directly, the d'Alembert sum at |t| = 1e9 would lose about
     nine digits to cancellation.  For m = 0 nothing changes.  The states
-    are read off the feet of the inversion's final residual evaluation, so
-    no foot is located or evaluated twice.
+    are the tables' slopes at the feet of the inversion's final residual
+    evaluation, so no foot is located twice.
     """
-    t, s = _finite("t", t), _finite("s_points", s_points)
+    t, s = require_finite("t", t), require_finite("s_points", s_points)
     r, shift, _ = _reduce_time(flow, t)
-    plus, minus = _inverse(flow, r, s - shift)[1]
-    return _state(flow._carried(*plus, 1), flow._carried(*minus, -1))
+    return _state_at(flow, *_inverse(flow, r, s - shift)[1])
 
 
 def _source_profile(flow):
@@ -555,30 +536,37 @@ def solve_augmented(source: Profile | CharacteristicFlow, t: float,
 
     `source` is either an initial profile (the flow is built on the fly) or a
     prebuilt CharacteristicFlow.  The output profile keeps the input grid,
-    boundary mode and sampling semantics unless `s_out` overrides positions.
+    boundary mode and sampling semantics unless `s_out` overrides positions;
+    an `s_out` off a uniform grid raises ValueError (`uniform_grid`).
     """
     flow = source if isinstance(source, CharacteristicFlow) else build_flow(source)
     prof = _source_profile(flow)
     if s_out is None:
-        s_pts = prof.s_samples
-        s0, ds = prof.s0, prof.ds
+        s_pts, (s0, ds) = prof.s_samples, (prof.s0, prof.ds)
     else:
         s_pts = np.asarray(s_out, dtype=float)
-        ds = float(s_pts[1] - s_pts[0]) if len(s_pts) > 1 else prof.ds
-        s0 = float(s_pts[0]) - (0.5 * ds if prof.rough else 0.0)
+        s0, ds = _output_grid(prof, s_pts, "s_out")
     U = evolve_states(flow, t, s_pts)
     return Profile(s0, ds, U.tau, U.v, U.eta, U.zeta, prof.boundary, prof.rough)
+
+
+def _output_grid(prof, s_pts, name):
+    """(s0, ds) of a Profile of prof's kind sampled at the uniform grid s_pts;
+    a one-point grid takes prof's ds."""
+    s0, ds = uniform_grid(s_pts, prof.ds, name)
+    return s0 - (0.5 * ds if prof.rough else 0.0), ds
 
 
 def tau_slope_consistency(flow: CharacteristicFlow, t, s_points) -> float:
     """Cross-check of the transported tau against the slope of xi(t, .).
 
     Returns max |(s_{i+1}-s_i)/(y_{i+1}-y_i) - tau_mid|, a second-order
-    consistency measure between the integrated curve and the packet route.
+    consistency measure between the secants of xi(t, .) and the state read
+    off the tables' slopes.
     It is taken at the reduced time of `_reduce_time`, where the y are
     small: whole periods change neither slope nor state.
     """
-    r, shift, _ = _reduce_time(flow, _finite("t", t))
+    r, shift, _ = _reduce_time(flow, require_finite("t", t))
     s = np.asarray(s_points, dtype=float) - shift
     y = xi_time_inverse(flow, r, s)
     U = evolve_states(flow, r, s)
@@ -624,52 +612,39 @@ def reconstruct_string(flow: CharacteristicFlow, times, s_points) -> list[String
     """String graphs X(t, .) on a uniform s grid, by d'Alembert.
 
     X(t, xi(t, y)) = [E+(y + t) + E-(y - t)]/2 with E+- = integral_0^y
-    (eta -+ zeta) dy, tables on the flow's knots built as y and Phi are
-    (exact cell sums for rough data, `cumulative_integral` for smooth data),
-    so X(0, 0) = 0.  X, ds X = eta/tau and dt X = -zeta - v eta/tau come off
-    the feet of one inversion.  Periodic flows add back the whole periods
-    `_reduce_time` drops: with t = m Y_p + r and lag = j Y_p, X(t, s) =
-    X(r, s - shift) + m (E+_p - E-_p)/2 - j (E+_p + E-_p)/2.  Degenerate
-    states (tau < delta/2) raise DomainError.
+    (eta -+ zeta) dy, the E+- columns of the flow's table, so X(0, 0) = 0.
+    X (the E+- values), ds X = eta/tau and dt X = -zeta - v eta/tau (from the
+    slopes) come off the feet of one inversion.  Periodic flows add back the
+    whole periods `_reduce_time` drops: with t = m Y_p + r and lag = j Y_p,
+    X(t, s) = X(r, s - shift) + m (E+_p - E-_p)/2 - j (E+_p + E-_p)/2.
+    Degenerate states (tau < delta/2) raise DomainError; s_points off a
+    uniform grid raise ValueError (`uniform_grid`; a one-point grid takes the
+    source profile's ds, and a CellField flow has none).
     """
     s_pts = np.asarray(s_points, dtype=float)
-    ds = float(s_pts[1] - s_pts[0])
+    s0, ds = uniform_grid(s_pts, None if flow.profile is None else flow.profile.ds, "s_points")
     if float(np.min(flow.xi_slopes)) < 0.5 * flow.delta:
         raise DomainError("degenerate state: tau below delta/2")
     times = list(times)
     if not times:
         return []
-    tq, sq = np.broadcast_arrays(_finite("times", times)[:, None], s_pts)
+    tq, sq = np.broadcast_arrays(require_finite("times", times)[:, None], s_pts)
     plus, minus = _inverse(flow, tq, sq)[1]
-    U = _state(flow._carried(*plus, 1), flow._carried(*minus, -1))
+    U = _state_at(flow, plus, minus)
     if np.any(U.tau < 0.5 * flow.delta):
         raise DomainError("degenerate state: tau below delta/2")
-
-    # columns E+ (d), E- (d) at the knots, zero at the first; slopes eta -+ zeta
-    w = flow.pk_values[:, 2:]
-    if flow.mode == "pc":
-        E = np.cumsum(np.diff(flow.y_edges)[:, None] * w, axis=0)
-        E = np.concatenate([np.zeros((1, 2 * flow.d)), E])
-    else:
-        prof = flow.profile
-        f = w / prof.tau[:, None]
-        E = cumulative_integral(f, prof.ds, prof.boundary)
-        if flow.y_period is not None:  # closed by the full-period sum, as y and Phi
-            E, w = np.vstack([E, prof.ds * np.sum(f, axis=0)]), np.vstack([w, w[:1]])
-    period = E[-1].copy()
-    tables = [(E[:, i], w[:, i], period[i]) for i in range(2 * flow.d)]
-    E -= np.array(flow._tables(flow._cell(0.0), tables=tables))
-    X = 0.5 * (np.stack(flow._tables(plus[0], tables=tables[:flow.d]), -1)
-               + np.stack(flow._tables(minus[0], tables=tables[flow.d:]), -1))
+    d = flow.d
+    X = 0.5 * _trailing(flow._tables(plus, slice(2, 2 + d))[0]
+                        + flow._tables(minus, slice(2 + d, None))[0])
     if flow.y_period is not None:
         r, _, lag = _reduce_time(flow, tq)
         m, j = np.round((tq - r) / flow.y_period), np.round(lag / flow.y_period)
-        ep, em = period[:flow.d], period[flow.d:]
+        ep, em = flow.periods[2:2 + d], flow.periods[2 + d:]
         X += 0.5 * (m[..., None] * (ep - em) - j[..., None] * (ep + em))
 
     dxds = U.eta / U.tau[..., None]
     dxdt = -U.zeta - U.v[..., None] * dxds
-    return [StringGraph(t, float(s_pts[0]), ds, X[k], dxds[k], dxdt[k], flow.boundary)
+    return [StringGraph(t, s0, ds, X[k], dxds[k], dxdt[k], flow.boundary)
             for k, t in enumerate(times)]
 
 
@@ -735,12 +710,11 @@ def galilean_on_solution(flow: CharacteristicFlow, u: float, times, s_grid) -> l
                       prof.boundary, prof.rough)
     admissibility(shifted)
     s_pts = np.asarray(s_grid, dtype=float)
-    ds = float(s_pts[1] - s_pts[0]) if len(s_pts) > 1 else prof.ds
+    s0, ds = _output_grid(prof, s_pts, "s_grid")
     out = []
     for t in times:
         U = evolve_states(flow, t, s_pts - u * t)
-        out.append(Profile(float(s_pts[0]), ds, U.tau, U.v + u, U.eta, U.zeta,
-                           prof.boundary, prof.rough))
+        out.append(Profile(s0, ds, U.tau, U.v + u, U.eta, U.zeta, prof.boundary, prof.rough))
     return out
 
 

@@ -106,21 +106,62 @@ def cell_lookup(x0: float, dx: float, values: np.ndarray, q, boundary: str = "pe
     return values[_wrap(i, n, boundary)]
 
 
-def cumulative_integral(f: np.ndarray, dx: float, boundary: str = "constant") -> np.ndarray:
-    """Antiderivative samples of f on its own grid, zero at the first node.
+def cumulative_integral(f: np.ndarray, dx: float, boundary: str = "constant"):
+    """Fourth-order antiderivative of f on its own grid, and its increments.
 
-    Composite trapezoid with the Euler-Maclaurin endpoint correction
-    -dx^2/12 (f'_j - f'_0), i.e. fourth-order cumulative accuracy for smooth
-    integrands; slopes come from centered differences.
+    Returns the samples at the nodes, zero at the first, and the increment
+    over each interval, both along axis 0.  Composite trapezoid with the
+    Euler-Maclaurin endpoint correction -dx^2/12 (f'_j - f'_0), slopes from
+    centered differences.  Periodic f adds the closing node x0 + n dx, whose
+    sample is the full-period trapezoid sum (the correction vanishes over a
+    period), and the closing interval's increment.
     """
     f = np.asarray(f, dtype=float)
-    n = f.shape[0]
-    out = np.zeros_like(f)
-    if n < 2:
-        return out
-    np.cumsum(0.5 * dx * (f[1:] + f[:-1]), axis=0, out=out[1:])
     m = centered_slopes(f, dx, boundary)
-    return out - dx**2 / 12.0 * (m - m[0])
+    out = np.zeros_like(f)
+    trap = 0.5 * dx * (f[1:] + f[:-1])
+    np.cumsum(trap, axis=0, out=out[1:])
+    out -= dx**2 / 12.0 * (m - m[0])
+    inc = trap - dx**2 / 12.0 * (m[1:] - m[:-1])
+    if boundary == "periodic":
+        out = np.append(out, dx * np.sum(f, axis=0, keepdims=True), axis=0)
+        inc = np.append(inc, 0.5 * dx * (f[-1:] + f[:1]) - dx**2 / 12.0 * (m[:1] - m[-1:]), axis=0)
+    return out, inc
+
+
+def uniform_grid(s, ds: float | None = None, name: str = "s") -> tuple[float, float]:
+    """(s0, ds) of the ascending uniform grid s; a single point takes the given ds.
+
+    Raises ValueError for an empty grid, a single point without ds, a
+    spacing that is not positive and finite, or a point off s0 + i ds by more than
+    1e-9 of the grid's scale max(|s0|, |s0 + (n - 1) ds|, ds), naming the
+    first one.
+    """
+    s = np.asarray(s, dtype=float)
+    if s.ndim != 1 or not s.size:
+        raise ValueError(f"{name} must be a non-empty 1-D grid; got shape {s.shape}")
+    s0 = float(s[0])
+    if s.size > 1:
+        ds = float(s[1]) - s0
+    if ds is None or not 0.0 < ds < np.inf:
+        raise ValueError(f"{name} needs a positive finite spacing; got ds = {ds}")
+    err = np.abs(s - (s0 + ds * np.arange(s.size)))
+    tol = 1e-9 * max(abs(s0), abs(s0 + (s.size - 1) * ds), ds)
+    if not err.max() <= tol:
+        i = int(np.argmax(~(err <= tol)))
+        raise ValueError(f"{name}[{i}] = {float(s[i])!r} is off the uniform grid {s0!r} + i * {ds!r}")
+    return s0, ds
+
+
+def require_finite(name: str, a) -> np.ndarray:
+    """a as a float array; ValueError naming its first non-finite entry."""
+    a = np.asarray(a, dtype=float)
+    ok = np.isfinite(a)
+    if not ok.all():
+        i = tuple(int(k) for k in np.argwhere(~ok)[0])
+        at = f"[{', '.join(map(str, i))}]" if i else ""
+        raise ValueError(f"{name} must be finite; {name}{at} = {a[i]}")
+    return a
 
 
 @dataclass
@@ -146,8 +187,7 @@ class CellField:
         U = self.states
         for name, a in (("breaks", self.breaks), ("tau", U.tau), ("v", U.v), ("eta", U.eta),
                         ("zeta", U.zeta)):
-            if not np.all(np.isfinite(a)):
-                raise ValueError(f"cell field {name} must be finite")
+            require_finite(name, a)
         if np.any(np.diff(self.breaks) < 0.0):
             raise ValueError("cell field breaks must ascend")
         span = self.breaks[-1] - self.breaks[0]
@@ -212,11 +252,7 @@ class Profile:
             raise ValueError(f"eta and zeta must both have shape (n, d) with n = {n}; got "
                              f"{self.eta.shape} and {self.zeta.shape}")
         for name in ("tau", "v", "eta", "zeta"):
-            values = getattr(self, name)
-            bad = np.argwhere(~np.isfinite(values))
-            if bad.size:
-                at = ", ".join(str(int(k)) for k in bad[0])
-                raise ValueError(f"{name}[{at}] = {values[tuple(bad[0])]} is not finite")
+            require_finite(name, getattr(self, name))
 
     @property
     def n(self) -> int:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import DomainError, SuperluminalError
-from .profiles import Profile, cubic_interp, linear_interp
+from .profiles import Profile, cubic_interp, linear_interp, require_finite, uniform_grid
 
 _TAIL_TOL = 1e-12
 
@@ -152,50 +152,28 @@ def _check_tails(init: WaveInitialData, q: np.ndarray) -> None:
         )
 
 
-def _v0_antiderivative_nodes(init: WaveInitialData) -> np.ndarray:
-    # trapezoid antiderivative of the sampled v0, exact for its linear interpolant
-    inc = 0.5 * init.ds * (init.v0[1:] + init.v0[:-1])
-    out = np.zeros_like(init.v0)
-    np.cumsum(inc, axis=0, out=out[1:])
-    return out
+def _v0_antiderivative(init: WaveInitialData, q) -> np.ndarray:
+    """Integral from s0 to q of the piecewise-linear v0, at arbitrary points q.
 
-
-def _eval_v0_antiderivative(init: WaveInitialData, nodes: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Antiderivative of the piecewise-linear v0 at arbitrary points.
-
-    Within a cell the integral of the linear interpolant is quadratic in the
-    local coordinate, so partial end cells are handled exactly.
+    It is the cubic Hermite interpolant of its trapezoid nodes with v0 as
+    the slopes, exactly: within a cell the integral is quadratic.  Periodic
+    v0 close the nodes with the full-period total and add it once per
+    winding; beyond the ends of constant-boundary v0 the integral continues
+    linearly with the end values.
     """
-    n, ds = init.n, init.ds
+    n, ds, v0 = init.n, init.ds, init.v0
     q = np.asarray(q, dtype=float)
+    nodes = np.zeros_like(v0)
+    np.cumsum(0.5 * ds * (v0[1:] + v0[:-1]), axis=0, out=nodes[1:])
     if init.boundary == "periodic":
-        period = n * ds
-        # total over one period: closing cell connects sample n-1 back to 0
-        total = nodes[-1] + 0.5 * ds * (init.v0[-1] + init.v0[0])
-        u = (q - init.s0) / ds
-        wind = np.floor(u / n)
-        u = u - wind * n
-        i = np.minimum(u.astype(int), n - 1)
-        t = u - i
-        vi = init.v0[i]
-        vip = init.v0[np.mod(i + 1, n)]
-        tt = t[..., None]
-        local = nodes[i] + ds * (vi * tt + 0.5 * (vip - vi) * tt**2)
-        return local + wind[..., None] * total
-    u = np.clip((q - init.s0) / ds, 0.0, n - 1.0)
-    i = np.minimum(u.astype(int), n - 2)
-    t = u - i
-    tt = t[..., None]
-    local = nodes[i] + ds * (init.v0[i] * tt + 0.5 * (init.v0[i + 1] - init.v0[i]) * tt**2)
-    # flat tails: v0 constant beyond the ends
-    below = q < init.s0
-    above = q > init.s0 + (n - 1) * ds
-    if np.any(below):
-        local[below] = nodes[0] + (q[below, None] - init.s0) * init.v0[0]
-    if np.any(above):
-        hi = init.s0 + (n - 1) * ds
-        local[above] = nodes[-1] + (q[above, None] - hi) * init.v0[-1]
-    return local
+        total = nodes[-1] + 0.5 * ds * (v0[-1] + v0[0])
+        wind = np.floor((q - init.s0) / (n * ds))
+        nodes, v0 = np.vstack([nodes, total]), np.vstack([v0, v0[:1]])
+        return (cubic_interp(init.s0, ds, nodes, q - wind * (n * ds), "constant", v0)
+                + wind[..., None] * total)
+    lo, hi = init.s0, init.s0 + (n - 1) * ds
+    return (cubic_interp(init.s0, ds, nodes, q, "constant", v0)
+            + np.minimum(q - lo, 0.0)[..., None] * v0[0] + np.maximum(q - hi, 0.0)[..., None] * v0[-1])
 
 
 def _eval_x0(init: WaveInitialData, q):
@@ -230,15 +208,14 @@ def dalembert_wave_solve(init: WaveInitialData, t: float, s_out: np.ndarray | No
     evaluates dx0 or v0.  They read `init` then: mutate it only after the
     derivative fields are read.
     """
-    if not np.isfinite(t):
-        raise ValueError("t must be finite")
+    require_finite("t", t)
     k = init.kappa
     if s_out is None:
         s_out = init.s_samples
         s0_out, ds_out = init.s0, init.ds
     else:
         s_out = np.asarray(s_out, dtype=float)
-        s0_out, ds_out = float(s_out[0]), float(s_out[1] - s_out[0]) if len(s_out) > 1 else init.ds
+        s0_out, ds_out = uniform_grid(s_out, init.ds, "s_out")
     n = len(s_out)
     feet = np.concatenate([s_out + k * t, s_out - k * t])  # the + feet, then the - feet
     if init.boundary == "constant":
@@ -247,7 +224,7 @@ def dalembert_wave_solve(init: WaveInitialData, t: float, s_out: np.ndarray | No
     X = 0.5 * (x[:n] + x[n:])
     moving = bool(np.any(init.v0))
     if moving:
-        Q = _eval_v0_antiderivative(init, _v0_antiderivative_nodes(init), feet)
+        Q = _v0_antiderivative(init, feet)
         X = X + (Q[:n] - Q[n:]) / (2.0 * k)
 
     def derive():

@@ -491,6 +491,7 @@ def completion_experiment(base: Profile, n_list, times, family: list[TestFunctio
         fields = {t: evolve_cells(flow, t) for t in times}
         evolved.append(max(f.m for f in fields.values()))
         tables.append(pairing_tables(fields, family, period))
+        del flow, fields  # free this level before the next one is built
     tables = np.stack(tables)
 
     limit_table = extrapolate_tables(n_eff, tables)

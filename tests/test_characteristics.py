@@ -186,13 +186,45 @@ def test_xi_constant_state_closed_form():
 
 
 def test_xi_at_time_zero():
+    # at t = 0 both feet are y: dy xi is the slope of the xi0 table there,
+    # which is tau(0, xi0(y)) to third order (a separate centered-slope
+    # interpolant of the tau samples is 1.97e-8 off here)
     p = datasets.smooth_manifold_profile(n=512)
     flow = build_flow(p)
     y = np.linspace(-3.0, 3.0, 33)
     xi, _, dxi_dy = xi_evaluate(flow, 0.0, y)
     assert np.max(np.abs(xi - flow.xi0(y))) < 1e-13
-    U = p.fields_at(flow.xi0(y))
-    assert np.max(np.abs(dxi_dy - U.tau)) < 5e-9
+    assert np.array_equal(dxi_dy, flow.xi0(y, deriv=True))
+    exact = datasets.smooth_manifold_state(flow.xi0(y)).tau
+    assert np.max(np.abs(dxi_dy - exact)) < 1.5e-8
+
+
+def test_the_state_is_the_slope_of_the_tables():
+    # one copy of the state: evolve_states reads tau off the slope of the xi0
+    # table at the inversion's feet; y comes back from xi0(y) to rounding
+    flow = build_flow(datasets.smooth_manifold_profile(n=512))
+    y = np.linspace(-3.0, 3.0, 33)
+    s = flow.xi0(y)
+    U = evolve_states(flow, 0.0, s)
+    y_back = xi_time_inverse(flow, 0.0, s)
+    assert np.array_equal(U.tau, flow.xi0(y_back, deriv=True))
+    # v = [(v + tau) + (v - tau)]/2 from the block coordinates, to rounding
+    assert np.max(np.abs(U.v - flow.phi0(y_back, deriv=True))) <= 2 * np.spacing(1.0)
+    assert np.max(np.abs(U.tau - flow.xi0(y, deriv=True))) <= 2 * np.spacing(1.0)
+
+
+def test_smooth_states_third_order_against_closed_form():
+    rng = np.random.default_rng(0)
+    s = rng.uniform(-6.0, 6.0, 20001)
+    exact = datasets.smooth_manifold_state(s)
+    errs = []
+    for n in (256, 512, 1024, 4096):
+        U = evolve_states(build_flow(datasets.smooth_manifold_profile(n=n)), 0.0, s)
+        errs.append(max(np.max(np.abs(getattr(U, f) - getattr(exact, f)))
+                        for f in ("tau", "v", "eta", "zeta")))
+    assert errs[1] <= 2e-7
+    orders = -np.diff(np.log(errs)) / np.log([2.0, 2.0, 4.0])
+    assert min(orders) >= 2.9, orders
 
 
 def test_xi_wave_residual_refinement_order():
@@ -517,7 +549,7 @@ def test_rough_tables_knot_at_the_data_jumps():
     assert runs.m == len(edges) - 1 and len(flow.y_edges) == runs.m + 1 and 8 * runs.m < osc.n
     # the sampled tiling compresses to the same runs and builds the same flow
     same = build_flow(osc, flow.alpha, flow.delta)
-    for f in ("y_edges", "xi_nodes", "xi_slopes", "phi_nodes", "phi_slopes", "pk_values"):
+    for f in ("y_edges", "values", "slopes", "periods"):
         assert np.array_equal(getattr(flow, f), getattr(same, f)), f
     # tau = kappa and v = 0 throughout, so y = s / kappa and Phi = 0 exactly:
     # one sum per run keeps the table to rounding
@@ -533,8 +565,7 @@ def test_rough_tables_knot_at_the_data_jumps():
     assert np.array_equal(flow.xi_nodes, full.xi_nodes[edges])
     for f in ("y_edges", "phi_nodes"):
         assert np.max(np.abs(getattr(flow, f) - getattr(full, f)[edges])) < 1e-11, f
-    for f in ("xi_slopes", "phi_slopes"):
-        assert np.array_equal(getattr(flow, f), getattr(full, f)[edges[:-1]]), f
+    assert np.array_equal(flow.slopes[:2], full.slopes[:2, edges[:-1]])
     for t in (0.5, -25.0, 37.7):
         cells = evolve_cells(flow, t)
         U = evolve_states(flow, t, 0.5 * (cells.breaks[:-1] + cells.breaks[1:]))
@@ -615,18 +646,25 @@ def _two_evaluation_inverse(flow, t, s, y_tol=1e-12):
 
 
 def _state_by_hand(flow, y, t):
-    """(tau, v, eta, zeta) at (t, xi(t, y)) from all packet columns at both feet."""
+    """(tau, v, eta, zeta) at (t, xi(t, y)) from the y-slopes of the table
+    columns at both feet, one column at a time: the cell slope of a rough
+    table, the Hermite slope (with the interval's secant) of a smooth one."""
     d = flow.d
 
-    def packets(foot):
+    def slopes(foot):
+        foot = flow._wind(foot)[0]
+        knots = flow.y_edges
+        k = np.clip(np.searchsorted(knots, foot, side="right") - 1, 0, len(knots) - 2)
         if flow.mode == "pc":
-            return flow.pk_values[flow._cell(foot)[2]]
-        prof = flow.profile
-        return cubic_interp(prof.s0, prof.ds, flow.pk_values, flow.xi0(foot), prof.boundary,
-                            slopes=flow.pk_slopes)
+            return [col[k] for col in flow.slopes]
+        u = np.clip((foot - knots[k]) / (knots[k + 1] - knots[k]), 0.0, 1.0)
+        w0, w1, w2 = 6.0 * u * (u - 1.0), (1.0 - u) * (1.0 - 3.0 * u), u * (3.0 * u - 2.0)
+        return [w1 * col[k] + w2 * col[k + 1] - w0 * sec[k]
+                for col, sec in zip(flow.slopes, flow.secants)]
 
-    p, m = packets(y + t), packets(y - t)
-    ap, ep, am, em = p[..., 0], p[..., 2:2 + d], m[..., 1], m[..., 2 + d:]
+    p, m = slopes(y + t), slopes(y - t)
+    ap, am = p[1] + p[0], m[1] - m[0]
+    ep, em = np.stack(p[2:2 + d], axis=-1), np.stack(m[2 + d:], axis=-1)
     return 0.5 * (ap - am), 0.5 * (ap + am), 0.5 * (ep + em), 0.5 * (em - ep)
 
 
@@ -640,8 +678,9 @@ def _state_by_hand(flow, y, t):
 def test_newton_makes_one_evaluation_per_step(source, monkeypatch):
     # each Newton step locates each foot once and reads value and slope off
     # that one lookup: 2 lookups per step, plus 2 for xi(t, 0) and 2 for the
-    # final residual, whose feet evolve_states reads its states off; the
-    # results are those of the two-evaluation Newton bit for bit
+    # final residual, whose feet evolve_states reads its states off as the
+    # tables' slopes, locating no foot again; the results are those of the
+    # two-evaluation Newton and of reading the slopes by hand, bit for bit
     flow = build_flow(source())
     s = np.linspace(-3.0, 3.0, 257)
     times = [0.0, 0.3, -25.0, 1e3] + ([1e9, -1e9] if flow.y_period is not None else [])
@@ -657,12 +696,14 @@ def test_newton_makes_one_evaluation_per_step(source, monkeypatch):
         monkeypatch.setattr(CharacteristicFlow, "_cell", counted)
         lookups.clear()
         got = xi_time_inverse(flow, t, s)
+        assert len(lookups) == 2 * steps + 4, (t, steps, len(lookups))
+        lookups.clear()
+        U = evolve_states(flow, t, s)
         monkeypatch.undo()
         assert len(lookups) == 2 * steps + 4, (t, steps, len(lookups))
         assert np.array_equal(got, want), t
         r, shift, _ = _reduce_time(flow, t)
         y, _ = _two_evaluation_inverse(flow, r, s - shift)
-        U = evolve_states(flow, t, s)
         for f, ref in zip(("tau", "v", "eta", "zeta"), _state_by_hand(flow, y, r)):
             assert np.array_equal(getattr(U, f), ref), (t, f)
     # times and positions that broadcast together
@@ -759,8 +800,9 @@ def test_rough_tables_without_runs_knot_every_sample():
     flow = build_flow(base)
     assert len(flow.y_edges) == base.n + 1
     assert np.array_equal(flow.xi_nodes, base.s0 + base.ds * np.arange(base.n + 1))
-    assert np.array_equal(flow.xi_slopes, base.tau) and np.array_equal(flow.phi_slopes, base.v)
-    assert np.array_equal(flow.pk_values[:, 2:5], base.eta - base.zeta)
+    # every slope row holds the cell states: tau, v, eta - zeta, eta + zeta
+    assert np.array_equal(flow.slopes, np.vstack([base.tau, base.v, (base.eta - base.zeta).T,
+                                                  (base.eta + base.zeta).T]))
 
 
 @pytest.mark.parametrize("base", [datasets.rough_manifold_base(101),
@@ -898,6 +940,32 @@ def test_reconstruct_accepts_a_grid_without_zero():
     assert np.array_equal(part.dXds, g.dXds[20:])
 
 
+OFF_GRID = [0.0, 0.1, 0.5]
+
+
+def test_reconstruct_string_output_grid():
+    # the graph's grid is the evaluation grid: off a uniform grid raises; one
+    # point takes the source profile's ds, and a CellField flow has none
+    flow = build_flow(datasets.smooth_manifold_profile(n=256))
+    with pytest.raises(ValueError, match=r"s_points\[2\] = 0.5 is off the uniform grid"):
+        reconstruct_string(flow, [0.3], OFF_GRID)
+    (one,) = reconstruct_string(flow, [0.3], [0.5])
+    (two,) = reconstruct_string(flow, [0.3], [0.5, 0.6])
+    assert one.ds == flow.profile.ds and one.s0 == 0.5
+    assert np.array_equal(one.X[0], two.X[0])
+    cells = build_flow(datasets.rough_manifold_base(101).runs())
+    with pytest.raises(ValueError, match="positive finite spacing"):
+        reconstruct_string(cells, [0.3], [0.5])
+
+
+def test_solve_augmented_output_grid():
+    flow = build_flow(datasets.smooth_manifold_profile(n=256))
+    with pytest.raises(ValueError, match=r"s_out\[2\] = 0.5 is off the uniform grid"):
+        solve_augmented(flow, 0.3, OFF_GRID)
+    one = solve_augmented(flow, 0.3, [0.5])
+    assert one.ds == flow.profile.ds and one.s_samples[0] == 0.5
+
+
 def test_residual_string_constant_is_zero():
     p = datasets.constant_profile(0.6, 0.1, [0.3, 0, 0], [0.2, 0.1, 0])
     flow = build_flow(p)
@@ -975,6 +1043,18 @@ def test_galilean_transform():
     (boosted,) = galilean_on_solution(flow, 0.3, [0.7], s)
     assert np.max(np.abs(boosted.v - 0.4)) < 1e-14
     assert np.max(np.abs(boosted.tau - 0.6)) < 1e-14
+
+
+def test_galilean_output_grid():
+    # the output profiles sample where they were evaluated: a rough profile's
+    # samples are its cell centers
+    p = datasets.rough_manifold_base(101)
+    flow = build_flow(p)
+    with pytest.raises(ValueError, match=r"s_grid\[2\] = 0.5 is off the uniform grid"):
+        galilean_on_solution(flow, 0.01, [0.7], OFF_GRID)
+    (same,) = galilean_on_solution(flow, 0.0, [0.7], p.s_samples)
+    assert np.max(np.abs(same.s_samples - p.s_samples)) < 1e-12
+    assert np.array_equal(same.tau, evolve_states(flow, 0.7, p.s_samples).tau)
 
 
 def test_galilean_residual_within_factor_two():

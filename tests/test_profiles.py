@@ -101,14 +101,30 @@ def test_interpolants_read_one_sample_as_a_constant(boundary, shape):
 
 
 def test_cumulative_integral_fourth_order():
-    errs = []
+    # the samples, and the increments over each interval on their own
+    errs, inc_errs = [], []
     for n in (65, 129, 257):
         x = np.linspace(0.0, 2.0, n)
         f = np.exp(x)
-        got = cumulative_integral(f, x[1] - x[0])
+        got, inc = cumulative_integral(f, x[1] - x[0])
         errs.append(np.max(np.abs(got - (np.exp(x) - 1.0))))
-    orders = [np.log2(errs[i] / errs[i + 1]) for i in range(2)]
-    assert min(orders) > 3.7
+        inc_errs.append(np.max(np.abs(inc - np.diff(np.exp(x)))))
+    for e in (errs, inc_errs):
+        orders = [np.log2(e[i] / e[i + 1]) for i in range(2)]
+        assert min(orders) > 3.7
+
+
+def test_cumulative_integral_closes_a_period():
+    # periodic f: n + 1 samples, the last the full-period integral, and n
+    # increments that sum to it
+    n = 64
+    x = 2 * np.pi * np.arange(n) / n
+    f = np.exp(np.sin(x))
+    got, inc = cumulative_integral(f, 2 * np.pi / n, "periodic")
+    assert got.shape == (n + 1,) and inc.shape == (n,)
+    period = 2 * np.pi * 1.2660658777520082  # 2 pi I0(1)
+    assert abs(got[-1] - period) < 1e-13 and abs(np.sum(inc) - period) < 1e-12
+    assert np.max(np.abs(np.cumsum(inc)[:-1] - got[1:-1])) < 1e-12
 
 
 def test_profile_fields_and_semantics():
@@ -257,6 +273,13 @@ def test_cell_field_widths():
                    StateU(np.array([1.0, 2.0]), np.zeros(2), np.zeros((2, 1)), np.zeros((2, 1))))
     assert cf.m == cf.n == 2 and cf.d == 1
     assert np.allclose(cf.widths(), [0.5, 1.5])
+
+
+def test_cell_field_names_the_cell_of_a_nonfinite_state():
+    U = StateU(np.array([1.0, 2.0, 1.5]), np.zeros(3), np.zeros((3, 2)), np.zeros((3, 2)))
+    U.eta[1, 1] = np.nan
+    with pytest.raises(ValueError, match=r"eta must be finite; eta\[1, 1\] = nan"):
+        CellField(np.array([0.0, 1.0, 2.0, 3.0]), U)
 
 
 def test_cell_field_rejects_malformed_input():

@@ -209,9 +209,7 @@ def _eager_solve(init, t):
     X = 0.5 * (waves._eval_x0(init, qp) + waves._eval_x0(init, qm))
     dXds = 0.5 * (dp + dm)
     if np.any(init.v0):
-        nodes = waves._v0_antiderivative_nodes(init)
-        X = X + (waves._eval_v0_antiderivative(init, nodes, qp)
-                 - waves._eval_v0_antiderivative(init, nodes, qm)) / (2.0 * k)
+        X = X + (waves._v0_antiderivative(init, qp) - waves._v0_antiderivative(init, qm)) / (2.0 * k)
         dXds = dXds + (vp - vm) / (2.0 * k)
     return X, dXds, 0.5 * k * (dp - dm) + 0.5 * (vp + vm)
 
@@ -283,3 +281,32 @@ def test_assigning_a_deferred_field_keeps_the_other():
     h = dalembert_wave_solve(init, 0.8)
     h.dXds = np.zeros_like(dXds)
     assert np.array_equal(h.dXdt, dXdt) and not np.any(h.dXds)
+
+
+def test_dalembert_wave_solve_output_grid():
+    init = oscillatory_family_init(2, n=256)
+    with pytest.raises(ValueError, match=r"s_out\[2\] = 0.5 is off the uniform grid"):
+        dalembert_wave_solve(init, 0.3, np.array([0.0, 0.1, 0.5]))
+
+
+@pytest.mark.parametrize("boundary", ["periodic", "constant"])
+def test_v0_antiderivative_is_the_trapezoid_integral(boundary):
+    # the integral from s0 of the linear interpolant of random moving v0
+    # (periodic, or constant beyond the ends), summed cell by cell over the
+    # extended samples, at points up to 20 beyond the window
+    rng = np.random.default_rng(5)
+    n, ds, s0 = 64, 0.2, -6.4
+    v0 = rng.uniform(-0.5, 0.5, size=(n, 2))
+    init = WaveInitialData(0.6, s0, ds, np.zeros((n, 2)), v0, np.zeros((n, 2)), boundary)
+    q = np.r_[rng.uniform(s0 - 20.0, s0 + n * ds + 20.0, 2001), s0 - 20.0, s0 + n * ds + 20.0]
+    lo, hi = int(np.floor((q.min() - s0) / ds)) - 1, int(np.ceil((q.max() - s0) / ds)) + 1
+    idx = np.arange(lo, hi + 1)
+    ext = v0[idx % n] if boundary == "periodic" else v0[np.clip(idx, 0, n - 1)]
+    nodes = np.concatenate([np.zeros((1, 2)), np.cumsum(0.5 * ds * (ext[1:] + ext[:-1]), axis=0)])
+    nodes -= nodes[-lo]  # zero at s0
+    u = (q - s0) / ds
+    k = np.floor(u).astype(int) - lo
+    t = (u - np.floor(u))[:, None]
+    want = nodes[k] + ds * (ext[k] * t + 0.5 * (ext[k + 1] - ext[k]) * t**2)
+    assert np.max(np.abs(waves._v0_antiderivative(init, q) - want)) < 1e-13
+
