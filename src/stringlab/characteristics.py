@@ -209,8 +209,7 @@ class CharacteristicFlow:
     def _cell(self, y):
         """y wound into the first period, the winding number and the knot interval."""
         y, wind = self._wind(y)
-        k = np.searchsorted(self.y_edges, y, side="right") - 1
-        return y, wind, np.clip(k, 0, len(self.y_edges) - 2)
+        return y, wind, np.searchsorted(self.y_edges[1:-1], y, side="right")
 
     def _tables(self, cell, cols=slice(0, 2), value=True, slope=False):
         """The table columns `cols` (by default xi0 and Phi) at a `_cell` lookup.
@@ -499,11 +498,6 @@ def _state_at(flow, plus, minus):
     return state_from_blocks(ap, am, cp, cm)
 
 
-def _state_from_feet(flow, y, t):
-    """U at (t, xi(t, y)), each foot y +- t located once."""
-    return _state_at(flow, flow._cell(y + t), flow._cell(y - t))
-
-
 def evolve_states(flow: CharacteristicFlow, t, s_points) -> StateU:
     """Exact solution state at times t and positions s_points (broadcast together).
 
@@ -581,31 +575,44 @@ def evolve_cells(flow: CharacteristicFlow, t: float) -> CellField:
     The state at (t, xi(t, y)) is constant between consecutive points of
     {b - t} union {b + t}, b running over the knots of the table (the jumps
     of the initial data); mapping those y-breakpoints through xi(t, .) gives
-    the exact evolved cells.  Periodic flows evolve to the reduced time r of
-    `_reduce_time` and shift the breakpoints by m Phi_p (mod S_p), as
-    `evolve_states` does, so far times keep full accuracy.  The field keeps
-    the flow's period, so it builds the flow of its own evolution.
+    the exact evolved cells.  Past the breaks up to a point of their stable
+    merge, y + t lies in the knot interval of the last b - t break and y - t
+    in that of the last b + t break: each cell reads its state off the slope
+    rows there, with no point located.  Periodic flows evolve to the reduced
+    time r of `_reduce_time` and shift the breakpoints by m Phi_p (mod S_p),
+    as `evolve_states` does, so far times keep full accuracy.  The field
+    keeps the flow's period, so it builds the flow of its own evolution.
     """
     if flow.mode != "pc":
         raise DomainError("evolve_cells requires a rough (piecewise-constant) flow")
-    b = flow.y_edges
+    b, periodic = flow.y_edges, flow.y_period is not None
     t, shift, _ = _reduce_time(flow, t)
     # breaks of the two families that agree to the rounding of the knots
     # (within 64 ulps of their magnitude) are one break: a sliver between
     # them would read its two feet from different cells
     tol = 64.0 * np.spacing(np.max(np.abs(b)) + np.abs(t))
-    if flow.y_period is not None:
-        pts = np.sort(flow._wind(np.concatenate([b[:-1] - t, b[:-1] + t]))[0])
-        pts = pts[np.diff(pts, prepend=pts[-1] - flow.y_period) > tol]
-        breaks_y = np.append(pts, pts[0] + flow.y_period)
-    else:
-        pts = np.sort(np.concatenate([b - t, b + t]))
-        breaks_y = pts[np.diff(pts, prepend=-np.inf) > tol]
-    mid = 0.5 * (breaks_y[:-1] + breaks_y[1:])
+    n = len(b) - periodic  # knots per family: a period's closing knot is its first
+    pts = flow._wind(np.concatenate([b[:n] - t, b[:n] + t]))[0]
+    order = np.argsort(pts, kind="stable")  # knot j of b - t is j, of b + t is n + j
+    pts = np.take(pts, order)
+    before = pts[-1] - flow.y_period if periodic else -np.inf  # the break before the first
+    keep = np.flatnonzero(np.diff(pts, prepend=before) > tol)
+    # a cell's feet lie past the breaks up to the next kept one (the next
+    # period's first, for the last cell), c of them b + t; before its first
+    # crossing a foot is in the period's last interval (constant: the first)
+    minus, last = order >= n, (np.roll(keep, -1) if periodic else keep[1:]) - 1
+    c, mode = np.take(np.cumsum(minus), last), "wrap" if periodic else "clip"
+    kp = np.take(order[~minus][:len(b) - 1], last - c, mode=mode)
+    km = np.take(order[minus][:len(b) - 1] - n, c - 1, mode=mode)
+    M, d = flow.slopes, flow.d
+    U = state_from_blocks(np.take(M[1] + M[0], kp), np.take(M[1] - M[0], km),
+                          np.take(M[2:2 + d].T, kp, axis=0), np.take(M[2 + d:].T, km, axis=0))
+    breaks_y = np.take(pts, keep)
+    breaks_y = np.append(breaks_y, breaks_y[0] + flow.y_period) if periodic else breaks_y
     # xi(t, .) increases strictly, but two breaks_y a rounding apart can map
     # one ulp out of order; such a pair is one break
     breaks = np.maximum.accumulate(_xi_only(flow, t, breaks_y) + shift)
-    return CellField(breaks, _state_from_feet(flow, mid, t), flow.s_period)
+    return CellField(breaks, U, flow.s_period)
 
 
 def reconstruct_string(flow: CharacteristicFlow, times, s_points) -> list[StringGraph]:

@@ -20,6 +20,7 @@ sidecar holding the window constants, grid, boundary mode and tolerances.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -155,6 +156,8 @@ def uniform_grid(s, ds: float | None = None, name: str = "s") -> tuple[float, fl
 
 def require_finite(name: str, a) -> np.ndarray:
     """a as a float array; ValueError naming its first non-finite entry."""
+    if type(a) is float and math.isfinite(a):  # the common scalar, without an array check
+        return np.asarray(a)
     a = np.asarray(a, dtype=float)
     ok = np.isfinite(a)
     if not ok.all():

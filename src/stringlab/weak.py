@@ -25,9 +25,10 @@ over each cell or sample) times the field's observable matrix.  Cell
 weights come from closed-form antiderivatives, so the oscillation
 measurements carry no quadrature noise; rough profiles pair on their runs
 and smooth profiles fall back to trapezoid weights.  The weak identities
-of the limit are checked against the exact pairings of the limit's own
-evolved cells.  scipy is imported only when a Gaussian antiderivative is
-first evaluated, so importing the package loads numpy alone.
+of the limit are checked against the exact pairings of its own evolved
+cells, which a completion run computes once and also compares with the
+extrapolated limit.  scipy is imported only when a Gaussian
+antiderivative is first evaluated, so importing the package loads numpy alone.
 """
 
 from __future__ import annotations
@@ -180,7 +181,7 @@ def _weights(source: Profile | CellField, g: TestFunction, period: float | None)
     weights.
     """
     if isinstance(source, CellField):
-        pts, size, rule = source.breaks, source.m, lambda x: np.diff(g.antiderivative(x))
+        pts, size, rule = source.breaks, source.m, g.antiderivative
     elif source.boundary == "periodic":
         pts, size, period = source.s_samples, source.n, source.period
         rule = lambda x: source.ds * g(x)
@@ -188,15 +189,17 @@ def _weights(source: Profile | CellField, g: TestFunction, period: float | None)
         w = source.ds * g(source.s_samples)
         w[[0, -1]] *= 0.5
         return w
-    if period is None:
-        return rule(pts)
-    g_lo, g_hi = g.support()
-    ks = np.asarray(_wind_range(pts[0], pts[-1], g_lo, g_hi, period), dtype=float)
-    lo, hi = np.searchsorted(pts, [g_lo - ks * period, g_hi - ks * period])
     c = len(pts) - size  # a cell needs both its breaks, a sample only itself
+    if period is None:
+        f = rule(pts)
+        return np.subtract(f[1:], f[:-1]) if c else f
+    g_lo, g_hi = g.support()
     w = np.zeros(size)
-    for k, a, b in zip(ks, np.maximum(lo - c, 0), np.minimum(hi + 1, len(pts))):
-        w[a:b - c] += rule(pts[a:b] + k * period)
+    for k in _wind_range(pts[0], pts[-1], g_lo, g_hi, period):
+        lo, hi = pts.searchsorted((g_lo - k * period, g_hi - k * period))
+        a, b = max(int(lo) - c, 0), min(int(hi) + 1, len(pts))
+        f = rule(pts[a:b] + k * period)
+        w[a:b - c] += np.subtract(f[1:], f[:-1]) if c else f
     return w
 
 
@@ -341,6 +344,11 @@ def oscillate_profile(base: Profile, n: float, params: ManifoldParams | None = N
     cubic interpolant can leave the window of its samples).  Requires
     n >= 2 per unit length and a periodic base.
     """
+    return _tiling(base, n, params, m, layout)
+
+
+def _tiling(base, n, params, m, layout, parts=None) -> tuple[CellField, OscillationPlan]:
+    """`oscillate_profile`, reusing `parts` (a same-base, same-params plan's `point_states`)."""
     if n < 2:
         raise ValueError("need at least 2 oscillation cells per unit length")
     if base.boundary != "periodic":
@@ -357,10 +365,12 @@ def oscillate_profile(base: Profile, n: float, params: ManifoldParams | None = N
         plan = OscillationPlan(n, n_eff, cells, m, layout, 1.0 / m, base, params)
         return plan.samples().runs(), plan
 
-    w, tau, v, eta, zeta = decompose_to_m_arrays(base.state(), params)
+    if parts is None:
+        parts = decompose_to_m_arrays(base.state(), params)
+    w, tau, v, eta, zeta = parts
     counts = _largest_remainder(w, m)
     plan = OscillationPlan(n, n_eff, cells, m, layout, float(np.max(np.abs(counts / m - w))),
-                           base, params, counts, (w, tau, v, eta, zeta))
+                           base, params, counts, parts)
     # the four runs of every oscillation cell in layout order, k cells per base cell
     src = np.repeat(np.arange(base.n), 4 * k)
     pick = np.tile([0, 1, 2, 3] if layout == "forward" else [3, 2, 1, 0], cells)
@@ -435,8 +445,13 @@ def verify_generalized_solution(limit_table: np.ndarray, flow: CharacteristicFlo
     """
     if flow.mode != "pc" or flow.s_period is None:
         raise ValueError("identity verification needs a periodic rough flow")
-    d = flow.d
     rhs = pairing_tables({t: evolve_cells(flow, t) for t in times}, family, flow.s_period)
+    return _identities(limit_table, rhs, family, tol, continuous_only)
+
+
+def _identities(limit_table, rhs, family, tol, continuous_only=True) -> dict:
+    """`verify_generalized_solution` given `rhs`, the pairings of the limit's evolved cells."""
+    d = (limit_table.shape[-1] - 2) // 2
     keep = [not (continuous_only and g.kind == "indicator") for g in family]
     gap = (limit_table - rhs)[:, keep]
     dY, dZ = gap[..., 2:2 + d], gap[..., 2 + d:]
@@ -478,8 +493,9 @@ def completion_experiment(base: Profile, n_list, times, family: list[TestFunctio
 
     n_eff, tables, osc_in_m = [], [], True
     plans, runs, evolved = [], [], []
-    for n in n_list:
-        osc, plan = oscillate_profile(base, n, params, m=m)
+    for n in n_list:  # every level tiles from the first level's decomposition
+        parts = plans[0].point_states if plans else None
+        osc, plan = _tiling(base, n, params, m, "forward", parts)
         plans.append(plan)
         n_eff.append(plan.n_eff)
         runs.append(osc.m)
@@ -514,8 +530,7 @@ def completion_experiment(base: Profile, n_list, times, family: list[TestFunctio
     direct_table = pairing_tables(direct_fields, family, period)
     extrap_vs_direct = float(np.max(np.abs(limit_table - direct_table)))
 
-    identities = verify_generalized_solution(limit_table, limit_flow, family, times,
-                                             identity_tol)
+    identities = _identities(limit_table, direct_table, family, identity_tol)
 
     lim_cm, lim_m = True, True
     for t in times:
@@ -545,7 +560,7 @@ def completion_experiment(base: Profile, n_list, times, family: list[TestFunctio
     }
 
     if compare_layouts:
-        osc_r, _ = oscillate_profile(base, n_list[-1], params, m=m, layout="reversed")
+        osc_r, _ = _tiling(base, n_list[-1], params, m, "reversed", plans[0].point_states)
         flow_r = build_flow(osc_r, params.alpha, params.delta)
         table_r = pairing_tables({t: evolve_cells(flow_r, t) for t in times}, family, period)
         report["layout_gap"] = float(np.max(np.abs(table_r - tables[-1])))

@@ -12,7 +12,7 @@ from stringlab.characteristics import (
     CharacteristicFlow,
     InadmissibleDataError,
     _reduce_time,
-    _state_from_feet,
+    _state_at,
     _xi_only,
     admissibility,
     build_flow,
@@ -33,6 +33,8 @@ from stringlab.profiles import CellField, Profile, centered_slopes, cubic_interp
 from stringlab.validate import random_hull_states
 from stringlab.waves import dalembert_wave_solve, oscillatory_family_init, wave_to_augmented
 from stringlab.weak import _weights, default_family, observable_matrix, oscillate_profile, pairing_tables
+
+from _oracles import evolve_cells_by_midpoints
 
 KAPPA = 2.0 ** -0.5
 
@@ -438,7 +440,8 @@ def test_evolve_cells_reduces_periodic_time():
         pts = np.unique(flow._wind(np.concatenate([b[:-1] - t, b[:-1] + t]))[0])
         y = np.append(pts, pts[0] + flow.y_period)
         direct = _xi_only(flow, t, y)
-        want = _state_from_feet(flow, 0.5 * (y[:-1] + y[1:]), t)
+        mid = 0.5 * (y[:-1] + y[1:])
+        want = _state_at(flow, flow._cell(mid + t), flow._cell(mid - t))
         cells = evolve_cells(flow, t)
         assert cells.m == len(y) - 1
         k = int(np.argmin(np.abs(wrap(cells.breaks[:-1] - direct[0]))))
@@ -793,6 +796,82 @@ def test_semigroup_on_random_admissible_cells(seed, n, d, t1, t2):
     assert flow.xi0(0.0) == pytest.approx(0.0, abs=1e-12)
     _assert_same_cells(evolve_cells(build_flow(evolve_cells(flow, t1)), t2),
                        evolve_cells(flow, t1 + t2))
+
+
+def _assert_cells_equal(got, want):
+    assert got.period == want.period
+    assert np.array_equal(got.breaks, want.breaks)
+    for f in ("tau", "v", "eta", "zeta"):
+        assert np.array_equal(getattr(got.states, f), getattr(want.states, f)), f
+    assert got.states.eta.flags.c_contiguous and got.states.zeta.flags.c_contiguous
+
+
+@pytest.mark.parametrize("base", SEMIGROUP_BASES, ids=["subrel_wave", "manifold_alpha", "hull_d1"])
+def test_evolve_cells_matches_midpoint_search(base):
+    # the cells read off the merged breaks are the cells whose midpoints and
+    # breaks are located by searching the knots, bit for bit; the only
+    # `_cell` searches are the two feet of the breaks, none per cell
+    flow = build_flow(base)
+    lookups = []
+    cell = CharacteristicFlow._cell
+
+    def counted(self, y):
+        lookups.append(np.shape(y))
+        return cell(self, y)
+
+    for t in (0.0, 0.5, -25.0, 37.7, 1e3, -1e3, 1e9, 2 * flow.y_period + 0.3):
+        want = evolve_cells_by_midpoints(flow, t)
+        lookups.clear()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(CharacteristicFlow, "_cell", counted)
+            got = evolve_cells(flow, t)
+        assert lookups == [got.breaks.shape] * 2, t
+        _assert_cells_equal(got, want)
+    back = build_flow(evolve_cells(flow, 1e3))
+    _assert_cells_equal(evolve_cells(back, -1e3), evolve_cells_by_midpoints(back, -1e3))
+
+
+def _random_cells(seed, n, d, periodic):
+    """Random hull states on n cells of random widths; a periodic window need
+    not contain s = 0, a constant-boundary one does."""
+    rng = np.random.default_rng(seed)
+    alpha, delta = rng.uniform(-0.3, 0.3), rng.uniform(0.2, 0.6)
+    U = random_hull_states(rng, n, alpha, delta, d)
+    widths = np.cumsum(rng.uniform(0.05, 1.0, n))
+    start = rng.uniform(-8.0, 2.0) if periodic else -rng.uniform(0.0, widths[-1])
+    breaks = start + np.r_[0.0, widths]
+    return CellField(breaks, U, float(breaks[-1] - breaks[0]) if periodic else None)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 24), d=st.sampled_from([1, 3]),
+       t=st.floats(-40.0, 40.0), whole=st.integers(-3, 3))
+def test_evolve_cells_matches_midpoint_search_on_random_cells(seed, n, d, t, whole):
+    # t and t + whole periods: breaks of both families land anywhere in the
+    # period, also across its wrap, and times near whole periods put feet on knots
+    flow = build_flow(_random_cells(seed, n, d, periodic=True))
+    for time_ in (t, whole * flow.y_period, t + whole * flow.y_period):
+        _assert_cells_equal(evolve_cells(flow, time_), evolve_cells_by_midpoints(flow, time_))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 24), d=st.sampled_from([1, 3]),
+       t=st.floats(-40.0, 40.0))
+def test_evolve_cells_with_constant_boundary(seed, n, d, t):
+    # a constant-boundary field evolves between the outermost breaks b -+ t;
+    # beyond them (the tails) both feet lie beyond the same end of the data,
+    # and the end cells carry the end states there, as evolve_states reads them
+    cells = _random_cells(seed, n, d, periodic=False)
+    flow = build_flow(cells)
+    got = evolve_cells(flow, t)
+    _assert_cells_equal(got, evolve_cells_by_midpoints(flow, t))
+    assert got.period is None and got.m <= 2 * n + 1
+    ends = got.breaks[[0, -1]] + [-1.0, 1.0]
+    U = evolve_states(flow, t, ends)
+    for f in ("tau", "v", "eta", "zeta"):
+        assert np.array_equal(getattr(U, f), getattr(got.states, f)[[0, -1]]), f
+        want = getattr(cells.states, f)[[0, -1]]
+        assert np.max(np.abs(getattr(got.states, f)[[0, -1]] - want)) <= 4e-16, f
 
 
 def test_rough_tables_without_runs_knot_every_sample():

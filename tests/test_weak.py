@@ -359,6 +359,31 @@ def test_identities_reject_a_perturbed_limit():
     assert not rep["pass"] and rep["residual_h"] == pytest.approx(1e-2, rel=1e-6)
 
 
+def test_completion_identities_are_verify_generalized_solution():
+    # the report's identities are residuals against the pairings of the
+    # directly evolved limit, evolved and paired once; verify_generalized_solution
+    # evolves and pairs the limit itself and gives the same residuals, and
+    # levels tiled one by one by oscillate_profile give the report's gaps
+    base = datasets.subrelativistic_wave_base(cells=101)
+    n_list, times = [8, 16, 32], [0.0, 0.7, 1.9]
+    fam = default_family(base.s0, base.s0 + base.period)
+    report = completion_experiment(base, n_list, times, fam)
+    win = admissibility(base)
+    params = ManifoldParams(alpha=win.alpha, delta=win.delta, d=base.d)
+    tables, n_eff = [], []
+    for n in n_list:
+        osc, plan = oscillate_profile(base, n, params)
+        flow = build_flow(osc, params.alpha, params.delta)
+        tables.append(pairing_tables({t: evolve_cells(flow, t) for t in times}, fam, base.period))
+        n_eff.append(plan.n_eff)
+    tables = np.stack(tables)
+    limit_table = extrapolate_tables(n_eff, tables)
+    assert report["gaps"] == np.max(np.abs(tables - limit_table), axis=(1, 2, 3)).tolist()
+    limit_flow = build_flow(plan.limit_profile(), params.alpha, params.delta)
+    assert verify_generalized_solution(limit_table, limit_flow, fam, times, 1e-3) == \
+        report["identities"]
+
+
 def test_completion_experiment_flags():
     base = datasets.subrelativistic_wave_base(cells=101)
     rep = completion_experiment(base, [8, 16, 32, 64], [0.0, 1.0], m=32,
