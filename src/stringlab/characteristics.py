@@ -36,11 +36,11 @@ error lives only in the initial-curve tables and field interpolation.
 The ODE dy xi0 = tau(0, xi0) is separable, so the tables come from one
 quadrature at the data's own s-points: the knots y(s) = integral_0^s
 dsigma/tau and the value columns (s, Phi, E+, E-), whose s-integrands are
-(v, eta - zeta, eta + zeta)/tau.  Smooth and rough data share this one
-monotone knot table and one evaluator; smooth data use fourth-order
-quadrature on their grid and cubic Hermite interpolation (certified
-monotone interval by interval), rough data exact cell sums and linear
-interpolation, so a rough table's slope is the cell state itself.  Rough
+(v, eta - zeta, eta + zeta)/tau.  Smooth and rough data share one
+monotone table type and reader (`profiles.KnotTable`): smooth data use
+fourth-order quadrature on their grid and cubic Hermite interpolation
+(certified monotone interval by interval), rough data exact cell sums and
+linear interpolation, so a rough table's slope is the cell state itself.  Rough
 data are run cells from the start: a CellField of any cell widths, whose
 knots sit only where the data jump (a rough Profile is compressed once to
 its runs of equal samples).  An oscillated tiling with a few runs per
@@ -71,13 +71,13 @@ as accurately as |t| < Y_p / 2.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .geometry import DomainError, StateU, state_from_blocks
-from .profiles import CellField, Profile, centered_slopes, cumulative_integral, require_finite, uniform_grid
+from .profiles import (CellField, KnotTable, Profile, centered_slopes, cumulative_integral, require_finite,
+                       uniform_grid)
 from .waves import StringGraph
 
 
@@ -97,8 +97,7 @@ class AdmissibilityWindow:
     inf_v_plus_tau: float
 
 
-def admissibility(source: Profile | CellField,
-                  delta_cap: float = 1.0 - 1e-12) -> AdmissibilityWindow:
+def admissibility(source: Profile | CellField) -> AdmissibilityWindow:
     """Best centering alpha and largest window half-width delta for the data.
 
     Global solvability requires v - tau < v' + tau' between any two samples
@@ -139,53 +138,31 @@ def admissibility(source: Profile | CellField,
     alpha = 0.5 * (wm[i] + wp[j])
     delta_low = 0.5 * (wp[j] - wm[i])
     hi = max(np.max(wp) - alpha, alpha - np.min(wm))
-    delta = min(delta_low, 1.0 / hi, delta_cap)
+    delta = min(delta_low, 1.0 / hi, 1.0 - 1e-12)
     return AdmissibilityWindow(alpha, delta, float(wm[i]), float(wp[j]))
 
 
-def _hermite_weights(u):
-    """Cubic Hermite weights at u in [0, 1] of (f0, h m0, f1, h m1) in the value."""
-    w = 1.0 - u
-    return (1.0 + 2.0 * u) * w * w, u * w * w, u * u * (3.0 - 2.0 * u), u * u * (u - 1.0)
-
-
-def _hermite_slope_weights(u):
-    """Cubic Hermite weights at u in [0, 1] of (f0 - f1, h m0, h m1) in h d/dy,
-    so of (-secant, m0, m1) in d/dy."""
-    return 6.0 * u * (u - 1.0), (1.0 - u) * (1.0 - 3.0 * u), u * (3.0 * u - 2.0)
-
-
 @dataclass
-class CharacteristicFlow:
+class CharacteristicFlow(KnotTable):
     """Immutable evaluation machinery for one set of initial data.
 
-    The initial data are one monotone knot table.  At the knots `y_edges`
-    the rows of `values` hold the columns xi0 = s, Phi, E+ (d rows) and E-
-    (d rows); the rows of `slopes` hold their y-slopes tau, v, eta - zeta
-    and eta + zeta, which are the initial state.  Smooth data have one slope
-    per knot (cubic Hermite) and `secants`, each interval's mean slope from
-    the quadrature increments; rough data ("pc", linear) have one slope per
-    cell.  Rough data are a CellField (a rough Profile is compressed to one
-    cell per run of equal samples), so rough knots sit only at the data's
-    jumps.  `profile` is the Profile the flow was built from (None for a
-    CellField), kept only for the output grid of `solve_augmented` and
-    `galilean_on_solution`.  Periodic tables record the y-period and each
-    column's period in `periods`.  All methods are pure and safe for
-    concurrent callers.  `alpha`/`delta` record the admissible window used;
-    the slopes are certified inside [delta - tol, 1/delta + tol].
+    The initial data are one monotone `KnotTable` over the knots `y_edges`:
+    the value columns xi0 = s, Phi, E+ (d rows) and E- (d rows), whose
+    y-slopes tau, v, eta - zeta and eta + zeta are the initial state.
+    Smooth tables take their `secants` from the quadrature increments;
+    rough data are a CellField (a rough Profile is compressed to one cell
+    per run of equal samples), so rough knots sit only at the data's jumps.
+    `profile` is the Profile the flow was built from (None for a CellField),
+    kept only for the output grid of `solve_augmented` and
+    `galilean_on_solution`.  All methods are pure and safe for concurrent
+    callers.  `alpha`/`delta` record the admissible window used; the slopes
+    are certified inside [delta - 1e-9, 1/delta + 1e-9].
     """
 
     profile: Profile | None
     d: int
     alpha: float
     delta: float
-    mode: str  # "smooth" or "pc"
-    y_edges: np.ndarray
-    values: np.ndarray
-    slopes: np.ndarray
-    secants: np.ndarray | None
-    y_period: float | None
-    periods: np.ndarray | None
 
     xi_nodes = property(lambda self: self.values[0])
     phi_nodes = property(lambda self: self.values[1])
@@ -197,60 +174,6 @@ class CharacteristicFlow:
     @property
     def boundary(self) -> str:
         return "constant" if self.s_period is None else "periodic"
-
-    def _wind(self, y):
-        """y wound into the first period of a periodic table, and the winding number."""
-        y, wind = np.asarray(y, dtype=float), 0.0
-        if self.y_period is not None:
-            wind = np.floor((y - self.y_edges[0]) / self.y_period)
-            y = y - wind * self.y_period
-        return y, wind
-
-    def _cell(self, y):
-        """y wound into the first period, the winding number and the knot interval."""
-        y, wind = self._wind(y)
-        return y, wind, np.searchsorted(self.y_edges[1:-1], y, side="right")
-
-    def _tables(self, cell, cols=slice(0, 2), value=True, slope=False):
-        """The table columns `cols` (by default xi0 and Phi) at a `_cell` lookup.
-
-        Returns (values, slopes), each shaped (columns, *y.shape), the one
-        not asked for None.  The cell width, the local coordinate and the
-        weights are computed once for all columns, and each knot array is
-        gathered once for the value and the slope.  Smooth tables are cubic
-        Hermite between the knots, with the slope's secant part taken from
-        `secants`; rough ones are linear on each cell.  Periodic tables wind
-        by whole y-periods, each adding the column's period; the others
-        continue linearly with their end slopes.  The slope is that of the
-        interpolant, the end slope beyond the ends.
-        """
-        y, wind, k = cell
-        knots, V, M = self.y_edges, self.values[cols], self.slopes[cols]
-        val = der = None
-        if self.mode == "pc":
-            der = np.take(M, k, axis=1)
-            if value:
-                val = np.take(V, k, axis=1) + (y - knots[k]) * der
-        else:
-            h = knots[k + 1] - knots[k]
-            u = (y - knots[k]) / h
-            m0, m1 = np.take(M, k, axis=1), np.take(M, k + 1, axis=1)
-            if value:
-                b = _hermite_weights(u)
-                val = (b[0] * np.take(V, k, axis=1) + b[1] * (m0 * h)
-                       + b[2] * np.take(V, k + 1, axis=1) + b[3] * (m1 * h))
-            if slope:
-                b = _hermite_slope_weights(np.clip(u, 0.0, 1.0))
-                der = b[1] * m0 + b[2] * m1 - b[0] * np.take(self.secants[cols], k, axis=1)
-        if value:
-            col = (slice(None),) + (None,) * np.ndim(y)  # a per-column constant
-            if self.y_period is not None:
-                val = val + wind * self.periods[cols][col]
-            else:
-                lo, hi = knots[0], knots[-1]
-                val = np.where(y < lo, V[:, 0][col] + M[:, 0][col] * (y - lo), val)
-                val = np.where(y > hi, V[:, -1][col] + M[:, -1][col] * (y - hi), val)
-        return val, der
 
     def xi0(self, y, deriv=False):
         """Initial curve xi(0, y), defined for every real y (its slope with deriv)."""
@@ -287,7 +210,7 @@ def _trailing(a):
 
 
 def build_flow(source: Profile | CellField, alpha: float | None = None,
-               delta: float | None = None, slope_tol: float = 1e-9) -> CharacteristicFlow:
+               delta: float | None = None) -> CharacteristicFlow:
     """Construct the straightening map for admissible initial data.
 
     One cumulative quadrature of (1, v, eta - zeta, eta + zeta)/tau over s
@@ -295,20 +218,21 @@ def build_flow(source: Profile | CellField, alpha: float | None = None,
     Phi, E+ and E-; the s-points are the xi0 column, and the integrands'
     numerators, with tau for the 1, are the columns' y-slopes.  Rough data
     are cells (a CellField, or a rough Profile compressed to its runs of
-    equal samples by `Profile.runs`), of any widths: the columns are exact
-    cumulative cell sums at the breaks, normalized by one linear step inside
-    the cell holding s = 0 (wound by the period when the breaks do not span
-    0).  Smooth profiles use the fourth-order `cumulative_integral` on their grid,
-    whose periodic tables close at s0 + S_p with full-period trapezoid sums,
-    normalized by one Hermite interpolation at s = 0; their secants are the
+    equal samples by `Profile.runs`), of any widths, whose columns are exact
+    cumulative cell sums at the breaks.  Smooth profiles use the
+    fourth-order `cumulative_integral` on their grid, whose periodic tables
+    close at s0 + S_p with full-period trapezoid sums; their secants are the
     quadrature increments over the y-increments, so a constant state reads
-    back to rounding.  Every column vanishes at s = 0.
+    back to rounding.  Every column vanishes at s = 0: its value there, read
+    off the columns' `KnotTable` in s (the integrands as slopes, linear or
+    Hermite as the flow's table, periodic data wound by their period), is
+    subtracted.
     Raises InadmissibleDataError through `admissibility`, and DomainError
     for a one-sample smooth constant-boundary profile (no knot interval), an
-    aperiodic window without s = 0, a
-    slope outside [delta - tol, 1/delta + tol] (unreachable after
-    admissibility) or a smooth interval that fails the Fritsch-Carlson
-    monotonicity test a, b > 0, a^2 + b^2 <= 9.
+    aperiodic window without s = 0, a slope outside [delta - 1e-9,
+    1/delta + 1e-9] (unreachable after admissibility) or a smooth interval
+    that fails the Fritsch-Carlson monotonicity test a, b > 0,
+    a^2 + b^2 <= 9.
     """
     if alpha is None or delta is None:
         win = admissibility(source)
@@ -330,44 +254,36 @@ def build_flow(source: Profile | CellField, alpha: float | None = None,
     # the integrand numerators (1, v, eta - zeta, eta + zeta), one row each;
     # the 1 becomes tau below, and the rows are then the columns' y-slopes
     W = np.vstack([np.ones_like(U.tau), U.v, (U.eta - U.zeta).T, (U.eta + U.zeta).T])
+    if s_period is None and not s[0] <= 0.0 <= s[-1]:
+        raise DomainError("the window must contain s = 0 (normalization xi(0,0) = 0)")
     if rough:
-        tau = U.tau
+        tau, secants = U.tau, None
         Q = np.zeros((len(W), len(s)))
         np.multiply(W, cells.widths() / tau, out=Q[:, 1:])
         np.cumsum(Q[:, 1:], axis=1, out=Q[:, 1:])
-        # s = 0 wound by whole periods into the breaks' window, and its cell
-        wind = 0.0 if s_period is None else math.floor((0.0 - s[0]) / s_period)
-        zero = 0.0 if s_period is None else 0.0 - wind * s_period
-        if s_period is None and not s[0] <= 0.0 <= s[-1]:
-            raise DomainError("the cell window must contain s = 0 (normalization xi(0,0) = 0)")
-        j = min(max(int(np.searchsorted(s, zero, side="right")) - 1, 0), len(tau) - 1)
-        z = Q[:, j] + (zero - s[j]) / tau[j] * W[:, j] + wind * Q[:, -1]
-        secants = None
+        G = W / tau  # the columns' s-slopes
     else:
         if s_period is not None:  # the closing knot repeats the first sample
             W = np.hstack([W, W[:, :1]])
         tau = U.tau if s_period is None else np.append(U.tau, U.tau[0])
-        if not s[0] <= 0.0 <= s[-1]:
-            raise DomainError("the grid window must contain s = 0 (normalization xi(0,0) = 0)")
+        G = W / tau
         Q, secants = np.empty_like(W), np.empty((len(W), len(s) - 1))
-        for i, w in enumerate(W):
-            Q[i], secants[i] = cumulative_integral(w[:n] / tau[:n], ds, profile.boundary)
-        j = min(int((0.0 - profile.s0) / ds), len(s) - 2)
-        b = _hermite_weights((0.0 - s[j]) / ds)
-        g = W[:, j:j + 2] / tau[j:j + 2]  # the columns' s-slopes around s = 0
-        z = b[0] * Q[:, j] + b[1] * (g[:, 0] * ds) + b[2] * Q[:, j + 1] + b[3] * (g[:, 1] * ds)
+        for i, g in enumerate(G):
+            Q[i], secants[i] = cumulative_integral(g[:n], ds, profile.boundary)
         # the increments over the y-increments; the xi0 column's increment is ds
         secants[1:] /= secants[0]
         secants[0] = ds / secants[0]
+    mode = "pc" if rough else "smooth"
     periods, y_period = None if s_period is None else Q[:, -1].copy(), None
-    Q -= z[:, None]
+    # every column vanishes at s = 0, read off the columns' table in s
+    in_s = KnotTable(mode, s, Q, G, None, s_period, periods)
+    Q -= in_s._tables(in_s._cell(0.0), slice(None))[0][:, None]
     y = Q[0].copy()
     Q[0], W[0] = s, tau
     if periods is not None:
         y_period, periods[0] = float(periods[0]), s_period
-    flow = CharacteristicFlow(profile, U.d, alpha, delta, "pc" if rough else "smooth", y, Q, W,
-                              secants, y_period, periods)
-    if np.min(tau) < delta - slope_tol or np.max(tau) > 1.0 / delta + slope_tol:
+    flow = CharacteristicFlow(mode, y, Q, W, secants, y_period, periods, profile, U.d, alpha, delta)
+    if np.min(tau) < delta - 1e-9 or np.max(tau) > 1.0 / delta + 1e-9:
         raise DomainError("initial-curve slope escaped [delta, 1/delta]")
     if not rough:
         # Fritsch & Carlson (SIAM J. Numer. Anal. 17, 1980): a Hermite interval is
@@ -412,7 +328,7 @@ def _feet(flow, t, y, slope=False):
     return [(c, flow._tables(c, slope=slope)) for c in (flow._cell(y + t), flow._cell(y - t))]
 
 
-def xi_time_inverse(flow: CharacteristicFlow, t, s, y_tol: float = 1e-12):
+def xi_time_inverse(flow: CharacteristicFlow, t, s):
     """y with xi(t, y) = s, by safeguarded Newton; t and s broadcast together.
 
     With e = s - xi(t, 0), the Lipschitz bounds delta <= dy xi <= 1/delta
@@ -424,15 +340,15 @@ def xi_time_inverse(flow: CharacteristicFlow, t, s, y_tol: float = 1e-12):
     gather of the knot data (`_feet`).  Every evaluation narrows the
     bracket, and a step that leaves it or fails to halve the previous step
     is replaced by bisection, so the iteration cannot fail.  A point stops
-    once its step is at most y_tol (1 + |y|).  Periodic flows solve at the
+    once its step is at most 1e-12 (1 + |y|).  Periodic flows solve at the
     reduced time of `_reduce_time` and add the whole y-periods back, so
     |t| = 1e9 inverts as accurately as |t| < Y_p / 2.  A non-finite t or s
     raises ValueError naming it.
     """
-    return _inverse(flow, t, s, y_tol)[0]
+    return _inverse(flow, t, s)[0]
 
 
-def _inverse(flow, t, s, y_tol=1e-12):
+def _inverse(flow, t, s):
     """`xi_time_inverse`, and the `_cell` lookups of the feet of its final
     residual evaluation.
 
@@ -464,7 +380,7 @@ def _inverse(flow, t, s, y_tol=1e-12):
         bisect = (y_new < lo_l) | (y_new > hi_l) | (np.abs(newton) > 0.5 * np.abs(step[live]))
         y_new = np.where(bisect, 0.5 * (lo_l + hi_l), y_new)
         lo[live], hi[live], y[live], step[live] = lo_l, hi_l, y_new, y_new - yl
-        live = live[np.abs(y_new - yl) > y_tol * (1.0 + np.abs(y_new))]
+        live = live[np.abs(y_new - yl) > 1e-12 * (1.0 + np.abs(y_new))]
     t, s, y = (a.reshape(shape) for a in (t, s, y))
     (plus, (p, _)), (minus, (m, _)) = _feet(flow, t, y)
     if y.size:
@@ -562,8 +478,8 @@ def tau_slope_consistency(flow: CharacteristicFlow, t, s_points) -> float:
     """
     r, shift, _ = _reduce_time(flow, require_finite("t", t))
     s = np.asarray(s_points, dtype=float) - shift
-    y = xi_time_inverse(flow, r, s)
-    U = evolve_states(flow, r, s)
+    y, feet = _inverse(flow, r, s)
+    U = _state_at(flow, *feet)
     slope = np.diff(s) / np.diff(y)
     tau_mid = 0.5 * (U.tau[1:] + U.tau[:-1])
     return float(np.max(np.abs(slope - tau_mid)))
@@ -725,16 +641,14 @@ def galilean_on_solution(flow: CharacteristicFlow, u: float, times, s_grid) -> l
     return out
 
 
-def xi_wave_residual(flow: CharacteristicFlow, t_pts, y_pts, dy_fd: float,
-                     dt_fd: float | None = None) -> float:
+def xi_wave_residual(flow: CharacteristicFlow, t_pts, y_pts, dy_fd: float) -> float:
     """Max discrete wave-equation residual of xi on a (t, y) lattice.
 
-    Centered second differences with distinct steps in t and y (equal steps
+    Centered second differences with distinct steps, dt = dy/2 (equal steps
     would telescope exactly through the d'Alembert form and measure nothing);
     the residual decays at second order for smooth data.
     """
-    if dt_fd is None:
-        dt_fd = 0.5 * dy_fd
+    dt_fd = 0.5 * dy_fd
     worst = 0.0
     y = np.asarray(y_pts, dtype=float)
     for t in t_pts:

@@ -12,6 +12,10 @@ nodes s0 + i*ds and are interpolated with a centered-slope cubic Hermite
 cells [s0 + i*ds, s0 + (i+1)*ds): lookups return the cell value, which is
 the faithful reading for merely measurable data.
 
+A KnotTable is the one reader of monotone tables on arbitrary knots: the
+characteristic flow's tables in y, their normalization in s and the wave
+solver's v0 antiderivative share its winding, Hermite weights and tails.
+
 Snapshots are one CSV per time slice (columns s, tau, v, eta_1..d,
 zeta_1..d, floats with 17 significant digits, LF endings) plus a JSON
 sidecar holding the window constants, grid, boundary mode and tolerances.
@@ -70,6 +74,18 @@ def _locate(x0, dx, values, q, boundary):
     return i, ip, t.reshape(t.shape + (1,) * (values.ndim - 1))
 
 
+def _hermite_weights(u):
+    """Cubic Hermite weights at u in [0, 1] of (f0, h m0, f1, h m1) in the value."""
+    w = 1.0 - u
+    return (1.0 + 2.0 * u) * w * w, u * w * w, u * u * (3.0 - 2.0 * u), u * u * (u - 1.0)
+
+
+def _hermite_slope_weights(u):
+    """Cubic Hermite weights at u in [0, 1] of (f0 - f1, h m0, h m1) in h d/dy,
+    so of (-secant, m0, m1) in d/dy."""
+    return 6.0 * u * (u - 1.0), (1.0 - u) * (1.0 - 3.0 * u), u * (3.0 * u - 2.0)
+
+
 def cubic_interp(x0: float, dx: float, values: np.ndarray, q, boundary: str = "periodic",
                  slopes: np.ndarray | None = None):
     """Cubic Hermite interpolation of uniform samples at query points q.
@@ -82,13 +98,8 @@ def cubic_interp(x0: float, dx: float, values: np.ndarray, q, boundary: str = "p
     if slopes is None:
         slopes = centered_slopes(values, dx, boundary)
     i, ip, tt = _locate(x0, dx, values, q, boundary)
-    f0, f1 = values[i], values[ip]
-    m0, m1 = slopes[i] * dx, slopes[ip] * dx
-    h00 = (1.0 + 2.0 * tt) * (1.0 - tt) ** 2
-    h10 = tt * (1.0 - tt) ** 2
-    h01 = tt**2 * (3.0 - 2.0 * tt)
-    h11 = tt**2 * (tt - 1.0)
-    return h00 * f0 + h10 * m0 + h01 * f1 + h11 * m1
+    b = _hermite_weights(tt)
+    return b[0] * values[i] + b[1] * (slopes[i] * dx) + b[2] * values[ip] + b[3] * (slopes[ip] * dx)
 
 
 def linear_interp(x0: float, dx: float, values: np.ndarray, q, boundary: str = "periodic"):
@@ -165,6 +176,80 @@ def require_finite(name: str, a) -> np.ndarray:
         at = f"[{', '.join(map(str, i))}]" if i else ""
         raise ValueError(f"{name} must be finite; {name}{at} = {a[i]}")
     return a
+
+
+@dataclass
+class KnotTable:
+    """Monotone knot table: columns of values and slopes over ascending knots.
+
+    At the knots `y_edges` the rows of `values` hold the columns and the
+    rows of `slopes` their y-slopes.  "smooth" tables have one slope per
+    knot and are cubic Hermite between the knots, with `secants`, each
+    interval's mean slope, for the slope's secant part (None if no slope is
+    read); "pc" tables have one slope per interval and are linear on it.  A
+    periodic table records its y-period in `y_period` and each column's
+    period in `periods`: the knots span one period, and each whole period
+    a point winds adds its column's period.  Aperiodic tables continue
+    linearly beyond the ends with their end slopes.
+    """
+
+    mode: str  # "smooth" or "pc"
+    y_edges: np.ndarray
+    values: np.ndarray
+    slopes: np.ndarray
+    secants: np.ndarray | None
+    y_period: float | None
+    periods: np.ndarray | None
+
+    def _wind(self, y):
+        """y wound into the first period of a periodic table, and the winding number."""
+        y, wind = np.asarray(y, dtype=float), 0.0
+        if self.y_period is not None:
+            wind = np.floor((y - self.y_edges[0]) / self.y_period)
+            y = y - wind * self.y_period
+        return y, wind
+
+    def _cell(self, y):
+        """y wound into the first period, the winding number and the knot interval."""
+        y, wind = self._wind(y)
+        return y, wind, np.searchsorted(self.y_edges[1:-1], y, side="right")
+
+    def _tables(self, cell, cols=slice(0, 2), value=True, slope=False):
+        """The columns `cols` (by default the first two) at a `_cell` lookup.
+
+        Returns (values, slopes), each shaped (columns, *y.shape), the one
+        not asked for None.  The cell width, the local coordinate and the
+        weights are computed once for all columns, and each knot array is
+        gathered once for the value and the slope.  The slope is that of the
+        interpolant, the end slope beyond the ends of an aperiodic table.
+        """
+        y, wind, k = cell
+        knots, V, M = self.y_edges, self.values[cols], self.slopes[cols]
+        val = der = None
+        if self.mode == "pc":
+            der = np.take(M, k, axis=1)
+            if value:
+                val = np.take(V, k, axis=1) + (y - knots[k]) * der
+        else:
+            h = knots[k + 1] - knots[k]
+            u = (y - knots[k]) / h
+            m0, m1 = np.take(M, k, axis=1), np.take(M, k + 1, axis=1)
+            if value:
+                b = _hermite_weights(u)
+                val = (b[0] * np.take(V, k, axis=1) + b[1] * (m0 * h)
+                       + b[2] * np.take(V, k + 1, axis=1) + b[3] * (m1 * h))
+            if slope:
+                b = _hermite_slope_weights(np.clip(u, 0.0, 1.0))
+                der = b[1] * m0 + b[2] * m1 - b[0] * np.take(self.secants[cols], k, axis=1)
+        if value:
+            col = (slice(None),) + (None,) * np.ndim(y)  # a per-column constant
+            if self.y_period is not None:
+                val = val + wind * self.periods[cols][col]
+            else:
+                lo, hi = knots[0], knots[-1]
+                val = np.where(y < lo, V[:, 0][col] + M[:, 0][col] * (y - lo), val)
+                val = np.where(y > hi, V[:, -1][col] + M[:, -1][col] * (y - hi), val)
+        return val, der
 
 
 @dataclass

@@ -310,9 +310,9 @@ def check_oscillation_layouts(rng, inject=False) -> dict:
     g = TestFunction.gaussian(0.5, 0.9)
     osc_f, plan = oscillate_profile(base, 32, params, m=64, layout="forward")
     osc_r, _ = oscillate_profile(base, 32, params, m=64, layout="reversed")
-    pf = pairing_matrix(osc_f, g, base.period)
-    pr = pairing_matrix(osc_r, g, base.period)
-    pb = pairing_matrix(base, g, base.period)
+    pf = pairing_matrix(osc_f, g)
+    pr = pairing_matrix(osc_r, g)
+    pb = pairing_matrix(base, g)
     gap_f = float(np.max(np.abs(pf - pb)))
     gap_r = float(np.max(np.abs(pr - pb)))
     if inject:

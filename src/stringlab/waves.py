@@ -17,12 +17,13 @@ relativistic.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .geometry import DomainError, SuperluminalError
-from .profiles import Profile, cubic_interp, linear_interp, require_finite, uniform_grid
+from .profiles import KnotTable, Profile, cubic_interp, linear_interp, require_finite, uniform_grid
 
 _TAIL_TOL = 1e-12
 
@@ -31,40 +32,21 @@ class StringGraph:
     """Sampled string graph X(t, .) with its derivative fields dXds, dXdt.
 
     Built with arrays, or by `dalembert_wave_solve` with the derivative
-    fields deferred: they are then evaluated on the first read (or
-    assignment) of either one and kept.
+    fields deferred: its `_derive` gives both, on the first read of either
+    one, and they are kept.  Assigning a field replaces it.
     """
 
     def __init__(self, t: float, s0: float, ds: float, X: np.ndarray, dXds: np.ndarray | None,
                  dXdt: np.ndarray | None, boundary: str = "periodic"):
         self.t, self.s0, self.ds, self.X, self.boundary = t, s0, ds, X, boundary
-        self._dXds, self._dXdt = dXds, dXdt  # each (n, d)
-        self._derive = None  # pending () -> (dXds, dXdt), if deferred
+        self._derive = lambda: (dXds, dXdt)  # each (n, d)
 
+    @functools.cached_property
     def _derived(self):
-        if self._derive is not None:
-            self._dXds, self._dXdt = self._derive()
-            self._derive = None
+        return self._derive()
 
-    @property
-    def dXds(self) -> np.ndarray:
-        self._derived()
-        return self._dXds
-
-    @dXds.setter
-    def dXds(self, value):
-        self._derived()
-        self._dXds = value
-
-    @property
-    def dXdt(self) -> np.ndarray:
-        self._derived()
-        return self._dXdt
-
-    @dXdt.setter
-    def dXdt(self, value):
-        self._derived()
-        self._dXdt = value
+    dXds = functools.cached_property(lambda self: self._derived[0])
+    dXdt = functools.cached_property(lambda self: self._derived[1])
 
     @property
     def n(self) -> int:
@@ -155,25 +137,21 @@ def _check_tails(init: WaveInitialData, q: np.ndarray) -> None:
 def _v0_antiderivative(init: WaveInitialData, q) -> np.ndarray:
     """Integral from s0 to q of the piecewise-linear v0, at arbitrary points q.
 
-    It is the cubic Hermite interpolant of its trapezoid nodes with v0 as
-    the slopes, exactly: within a cell the integral is quadratic.  Periodic
-    v0 close the nodes with the full-period total and add it once per
-    winding; beyond the ends of constant-boundary v0 the integral continues
-    linearly with the end values.
+    It is the smooth `KnotTable` of its trapezoid nodes with v0 as the
+    slopes, exactly: within a cell the integral is quadratic.  Periodic v0
+    close the nodes with the full-period total, the column period; beyond
+    the ends of constant-boundary v0 the integral continues linearly with
+    the end values.
     """
-    n, ds, v0 = init.n, init.ds, init.v0
-    q = np.asarray(q, dtype=float)
+    n, ds, v0 = init.n, init.ds, init.v0.T
     nodes = np.zeros_like(v0)
-    np.cumsum(0.5 * ds * (v0[1:] + v0[:-1]), axis=0, out=nodes[1:])
+    np.cumsum(0.5 * ds * (v0[:, 1:] + v0[:, :-1]), axis=1, out=nodes[:, 1:])
+    period = total = None
     if init.boundary == "periodic":
-        total = nodes[-1] + 0.5 * ds * (v0[-1] + v0[0])
-        wind = np.floor((q - init.s0) / (n * ds))
-        nodes, v0 = np.vstack([nodes, total]), np.vstack([v0, v0[:1]])
-        return (cubic_interp(init.s0, ds, nodes, q - wind * (n * ds), "constant", v0)
-                + wind[..., None] * total)
-    lo, hi = init.s0, init.s0 + (n - 1) * ds
-    return (cubic_interp(init.s0, ds, nodes, q, "constant", v0)
-            + np.minimum(q - lo, 0.0)[..., None] * v0[0] + np.maximum(q - hi, 0.0)[..., None] * v0[-1])
+        period, total = n * ds, nodes[:, -1] + 0.5 * ds * (v0[:, -1] + v0[:, 0])
+        nodes, v0 = np.column_stack([nodes, total]), np.column_stack([v0, v0[:, 0]])
+    table = KnotTable("smooth", init.s0 + ds * np.arange(nodes.shape[1]), nodes, v0, None, period, total)
+    return np.moveaxis(table._tables(table._cell(q), slice(None))[0], 0, -1)
 
 
 def _eval_x0(init: WaveInitialData, q):

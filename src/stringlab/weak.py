@@ -169,19 +169,19 @@ def _wind_range(lo_img, hi_img, g_lo, g_hi, period):
     return range(k_lo, k_hi + 1)
 
 
-def _weights(source: Profile | CellField, g: TestFunction, period: float | None) -> np.ndarray:
+def _weights(source: Profile | CellField, g: TestFunction) -> np.ndarray:
     """Integral of g over each cell of a cell field, or each sample of a smooth profile.
 
     Cells integrate exactly through the antiderivative of g, smooth periodic
-    profiles by the rectangle rule over their own period, both summed over
-    the periodic images that meet g's support and, in each image, only over
+    profiles by the rectangle rule, both summed over the periodic images (by
+    the field's own period) that meet g's support and, in each image, only over
     the cells or samples that cover it (one searchsorted on the support
     bounds); without a period a cell field is supported on its own
     breakpoint window.  Smooth constant-boundary profiles take trapezoid
     weights.
     """
     if isinstance(source, CellField):
-        pts, size, rule = source.breaks, source.m, g.antiderivative
+        pts, size, rule, period = source.breaks, source.m, g.antiderivative, source.period
     elif source.boundary == "periodic":
         pts, size, period = source.s_samples, source.n, source.period
         rule = lambda x: source.ds * g(x)
@@ -203,8 +203,7 @@ def _weights(source: Profile | CellField, g: TestFunction, period: float | None)
     return w
 
 
-def _pairings(source: Profile | CellField, family: list[TestFunction],
-              period: float | None) -> np.ndarray:
+def _pairings(source: Profile | CellField, family: list[TestFunction]) -> np.ndarray:
     """Pairings (n_family, 2 + 2d) of one field; its observables are built once.
 
     A rough profile pairs on its runs of equal samples (`Profile.runs`).
@@ -212,26 +211,22 @@ def _pairings(source: Profile | CellField, family: list[TestFunction],
     if isinstance(source, Profile) and source.rough:
         source = source.runs()
     obs = observable_matrix(source.states if isinstance(source, CellField) else source.state())
-    return np.stack([_weights(source, g, period) @ obs for g in family])
+    return np.stack([_weights(source, g) @ obs for g in family])
 
 
-def pairing_matrix(source: Profile | CellField, g: TestFunction,
-                   period: float | None = None) -> np.ndarray:
+def pairing_matrix(source: Profile | CellField, g: TestFunction) -> np.ndarray:
     """Full-line pairings of all perspective coordinates against g (weights as in `_weights`)."""
-    return _pairings(source, [g], period)[0]
+    return _pairings(source, [g])[0]
 
 
-def pairing(source: Profile | CellField, g: TestFunction, observable: str,
-            period: float | None = None):
+def pairing(source: Profile | CellField, g: TestFunction, observable: str):
     """Pairing of one named observable against g (full-line convention).
 
     Scalar observables return floats; Y/Z-type observables return length-d
     vectors.  q+-1 and Y-+Z are assembled from the base pairings plus the
     closed-form integral of g.
     """
-    if isinstance(source, Profile) and period is None and source.boundary == "periodic":
-        period = source.period
-    mat = pairing_matrix(source, g, period)
+    mat = pairing_matrix(source, g)
     d = (mat.shape[-1] - 2) // 2
     base = {"h": mat[0], "q": mat[1], "Y": mat[2:2 + d], "Z": mat[2 + d:]}
     if observable in base:
@@ -384,14 +379,13 @@ def _tiling(base, n, params, m, layout, parts=None) -> tuple[CellField, Oscillat
     return runs.merged(), plan
 
 
-def pairing_tables(fields_by_time: dict, family: list[TestFunction],
-                   period: float | None = None) -> np.ndarray:
+def pairing_tables(fields_by_time: dict, family: list[TestFunction]) -> np.ndarray:
     """Array of pairings, shape (n_times, n_family, 2 + 2d), times in key order.
 
     Each field's observable matrix is built once and freed before the next
     field's; every test function then costs one weight vector and one mat-vec.
     """
-    return np.stack([_pairings(src, family, period) for src in fields_by_time.values()])
+    return np.stack([_pairings(src, family) for src in fields_by_time.values()])
 
 
 def extrapolate_tables(n_values, tables: np.ndarray) -> np.ndarray:
@@ -445,7 +439,7 @@ def verify_generalized_solution(limit_table: np.ndarray, flow: CharacteristicFlo
     """
     if flow.mode != "pc" or flow.s_period is None:
         raise ValueError("identity verification needs a periodic rough flow")
-    rhs = pairing_tables({t: evolve_cells(flow, t) for t in times}, family, flow.s_period)
+    rhs = pairing_tables({t: evolve_cells(flow, t) for t in times}, family)
     return _identities(limit_table, rhs, family, tol, continuous_only)
 
 
@@ -469,8 +463,7 @@ def _identities(limit_table, rhs, family, tol, continuous_only=True) -> dict:
 
 def completion_experiment(base: Profile, n_list, times, family: list[TestFunction] | None = None,
                           m: int = 64, params: ManifoldParams | None = None,
-                          identity_tol: float = 1e-3, membership_tol: float = 1e-10,
-                          compare_layouts: bool = False) -> dict:
+                          identity_tol: float = 1e-3, compare_layouts: bool = False) -> dict:
     """End-to-end completion run: oscillate, evolve, pair, extrapolate, verify.
 
     Returns a report with the weak-distance decay of the oscillated sequence
@@ -489,7 +482,6 @@ def completion_experiment(base: Profile, n_list, times, family: list[TestFunctio
         win = admissibility(base)
         params = ManifoldParams(alpha=win.alpha, delta=win.delta, d=base.d)
     times = list(times)
-    period = base.period
 
     n_eff, tables, osc_in_m = [], [], True
     plans, runs, evolved = [], [], []
@@ -500,13 +492,12 @@ def completion_experiment(base: Profile, n_list, times, family: list[TestFunctio
         n_eff.append(plan.n_eff)
         runs.append(osc.m)
         # the run states are exactly the distinct states of the tiling's samples
-        ok = in_m(osc.states, membership_tol) & in_g(osc.states, params.alpha,
-                                                     params.delta, membership_tol)
+        ok = in_m(osc.states, 1e-10) & in_g(osc.states, params.alpha, params.delta, 1e-10)
         osc_in_m = osc_in_m and bool(np.all(ok))
         flow = build_flow(osc, params.alpha, params.delta)
         fields = {t: evolve_cells(flow, t) for t in times}
         evolved.append(max(f.m for f in fields.values()))
-        tables.append(pairing_tables(fields, family, period))
+        tables.append(pairing_tables(fields, family))
         del flow, fields  # free this level before the next one is built
     tables = np.stack(tables)
 
@@ -527,7 +518,7 @@ def completion_experiment(base: Profile, n_list, times, family: list[TestFunctio
     limit_prof = plans[-1].limit_profile()
     limit_flow = build_flow(limit_prof, params.alpha, params.delta)
     direct_fields = {t: evolve_cells(limit_flow, t) for t in times}
-    direct_table = pairing_tables(direct_fields, family, period)
+    direct_table = pairing_tables(direct_fields, family)
     extrap_vs_direct = float(np.max(np.abs(limit_table - direct_table)))
 
     identities = _identities(limit_table, direct_table, family, identity_tol)
@@ -562,7 +553,7 @@ def completion_experiment(base: Profile, n_list, times, family: list[TestFunctio
     if compare_layouts:
         osc_r, _ = _tiling(base, n_list[-1], params, m, "reversed", plans[0].point_states)
         flow_r = build_flow(osc_r, params.alpha, params.delta)
-        table_r = pairing_tables({t: evolve_cells(flow_r, t) for t in times}, family, period)
+        table_r = pairing_tables({t: evolve_cells(flow_r, t) for t in times}, family)
         report["layout_gap"] = float(np.max(np.abs(table_r - tables[-1])))
         report["layout_gap_scale"] = float(gaps[-1])
     return report

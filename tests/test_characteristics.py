@@ -156,9 +156,24 @@ def test_flow_normalization_and_slope_bounds():
 
 
 def test_flow_requires_grid_containing_zero():
-    p = datasets.smooth_manifold_profile(n=256, s0=10.0)
-    with pytest.raises(DomainError):
-        build_flow(p)
+    # aperiodic data, smooth or cells, normalize xi(0, 0) = 0 inside their window
+    with pytest.raises(DomainError, match="window must contain s = 0"):
+        build_flow(datasets.smooth_manifold_profile(n=256, s0=10.0, boundary="constant"))
+    base = datasets.rough_manifold_base(11)
+    with pytest.raises(DomainError, match="window must contain s = 0"):
+        build_flow(CellField(base.s0 + 20.0 + base.ds * np.arange(12), base.state()))
+
+
+def test_periodic_smooth_grid_winds_zero_into_its_window():
+    # the same periodic data sampled on a window without s = 0 and on one with it
+    far = build_flow(datasets.smooth_manifold_profile(n=256, s0=10.0))
+    near = build_flow(datasets.smooth_manifold_profile(n=256, s0=10.0 - 4.0 * np.pi))
+    s = np.linspace(-9.0, 9.0, 97)
+    for t in (0.0, 0.7, -3.1, 1e3):
+        assert np.max(np.abs(xi_time_inverse(far, t, s) - xi_time_inverse(near, t, s))) < 1e-13
+        U, V = evolve_states(far, t, s), evolve_states(near, t, s)
+        for f in ("tau", "v", "eta", "zeta"):
+            assert np.max(np.abs(getattr(U, f) - getattr(V, f))) < 1e-13, (t, f)
 
 
 def test_one_sample_profiles():
@@ -529,7 +544,7 @@ def test_rough_flow_far_times_and_negative_times():
         sb = float(_xi_only(flow, t, np.array([b_y]))[0])
         from stringlab.weak import TestFunction, pairing
 
-        val = pairing(cells, TestFunction.indicator(sa, sb), "h", base.period)
+        val = pairing(cells, TestFunction.indicator(sa, sb), "h")
         assert val == pytest.approx(b_y - a_y, abs=1e-10)
 
 
@@ -578,11 +593,11 @@ def test_rough_tables_knot_at_the_data_jumps():
     # tiling (paired on its runs); the per-sample sums are taken exactly,
     # since a mat-vec over its 25,856 cells rounds to ~2e-12
     fam = default_family(osc.s0, osc.s0 + osc.period)
-    got = pairing_tables({0.0: evolve_cells(flow, 0.0), 1.0: osc}, fam, osc.period)
-    per_sample = CellField(osc.s0 + osc.ds * np.arange(osc.n + 1), osc.state())
+    got = pairing_tables({0.0: evolve_cells(flow, 0.0), 1.0: osc}, fam)
+    per_sample = CellField(osc.s0 + osc.ds * np.arange(osc.n + 1), osc.state(), osc.period)
     obs = observable_matrix(per_sample.states)
     for k, g in enumerate(fam):
-        terms = _weights(per_sample, g, osc.period)[:, None] * obs
+        terms = _weights(per_sample, g)[:, None] * obs
         exact = [math.fsum(col) for col in terms.T]
         assert np.max(np.abs(got[:, k] - exact)) < 1e-13, g.label
 

@@ -6,6 +6,7 @@ import pytest
 from stringlab.geometry import StateU
 from stringlab.profiles import (
     CellField,
+    KnotTable,
     Profile,
     cell_lookup,
     centered_slopes,
@@ -61,9 +62,10 @@ def _interp_one(x0, dx, values, slopes, q, boundary):
         i = min(int(u), n - 2)
         ip = i + 1
     t = np.float64(u - i)
-    lin = (1.0 - t) * values[i] + t * values[ip]
-    cub = ((1.0 + 2.0 * t) * (1.0 - t) ** 2 * values[i] + t * (1.0 - t) ** 2 * (slopes[i] * dx)
-           + t**2 * (3.0 - 2.0 * t) * values[ip] + t**2 * (t - 1.0) * (slopes[ip] * dx))
+    w = 1.0 - t
+    lin = w * values[i] + t * values[ip]
+    cub = ((1.0 + 2.0 * t) * w * w * values[i] + t * w * w * (slopes[i] * dx)
+           + t * t * (3.0 - 2.0 * t) * values[ip] + t * t * (t - 1.0) * (slopes[ip] * dx))
     return lin, cub
 
 
@@ -98,6 +100,40 @@ def test_interpolants_read_one_sample_as_a_constant(boundary, shape):
             assert np.array_equal(got, want)
         else:  # the periodic local coordinate weights the one sample twice
             np.testing.assert_allclose(got, want, rtol=4e-16, atol=0.0)
+
+
+def _cubic(y):
+    return np.stack([y**3 - y, 2.0 * y**2]), np.stack([3.0 * y**2 - 1.0, 4.0 * y])
+
+
+@pytest.mark.parametrize("mode", ["smooth", "pc"])
+def test_knot_table_reads_its_interpolant_tails_and_periods(mode):
+    # on uneven knots a smooth table reproduces a cubic and its slope (from
+    # the exact secants), a pc table the linear interpolant of its knots;
+    # beyond the knots an aperiodic table continues with its end slopes, and
+    # a periodic one adds each column's period per whole period wound
+    rng = np.random.default_rng(14)
+    knots = np.r_[0.0, np.sort(rng.uniform(0.0, 2.0, 9)), 2.0]
+    V, M = _cubic(knots)
+    secants = np.diff(V, axis=1) / np.diff(knots)
+    if mode == "pc":
+        M = secants
+    y = rng.uniform(0.0, 2.0, 40)
+    k = np.searchsorted(knots[1:-1], y, side="right")
+    want = (_cubic(y) if mode == "smooth" else
+            (V[:, k] + (y - knots[k]) * M[:, k], M[:, k]))
+    table = KnotTable(mode, knots, V, M, secants, None, None)
+    for got, ref in zip(table._tables(table._cell(y), slice(None), slope=True), want):
+        np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-13)
+    far = np.array([-1.5, 3.25])
+    val, der = table._tables(table._cell(far), slice(None), slope=True)
+    assert np.array_equal(val, np.stack([V[:, 0] + M[:, 0] * -1.5, V[:, -1] + M[:, -1] * 1.25], axis=1))
+    assert np.array_equal(der, M[:, [0, -1]] if mode == "smooth" else secants[:, [0, -1]])
+    periods = np.array([0.7, -0.2])
+    wound = KnotTable(mode, knots, V, M, secants, 2.0, periods)
+    for m in (-3, 1, 50):
+        got = wound._tables(wound._cell(y + 2.0 * m), slice(None))[0]
+        np.testing.assert_allclose(got, want[0] + m * periods[:, None], rtol=0.0, atol=1e-12)
 
 
 def test_cumulative_integral_fourth_order():

@@ -132,13 +132,23 @@ def test_pairing_constant_observable():
         pairing(p, g, "energy")
 
 
+def test_pairing_matrix_uses_the_fields_own_period():
+    # g's support crosses s0, so the pairing needs the periodic images; the
+    # profile, its runs and the named observable all take the field's period
+    b = datasets.subrelativistic_wave_base(101)
+    g = TestFunction.gaussian(b.s0 + 0.2, 0.5)
+    mat = pairing_matrix(b, g)
+    assert mat[0] == pairing(b, g, "h") == pytest.approx(1.7725, abs=1e-4)
+    assert np.array_equal(pairing_matrix(b.runs(), g), mat)
+
+
 def test_pairing_smooth_vs_cells_consistency():
     # the same underlying state paired through both quadrature routes
     base = datasets.rough_manifold_base(cells=4096)
     smooth = datasets.smooth_manifold_profile(n=4096)
     g = TestFunction.gaussian(0.7, 0.8)
-    a = pairing_matrix(base, g, base.period)
-    b = pairing_matrix(smooth, g, smooth.period)
+    a = pairing_matrix(base, g)
+    b = pairing_matrix(smooth, g)
     assert np.max(np.abs(a - b)) < 1e-4  # cell-center vs node sampling
 
 
@@ -150,7 +160,7 @@ def test_change_of_variables_identity():
     sa = float(_xi_only(flow, t, np.array([a_y]))[0])
     sb = float(_xi_only(flow, t, np.array([b_y]))[0])
     cells = evolve_cells(flow, t)
-    val = pairing(cells, TestFunction.indicator(sa, sb), "h", base.period)
+    val = pairing(cells, TestFunction.indicator(sa, sb), "h")
     assert val == pytest.approx(b_y - a_y, abs=1e-12)
 
 
@@ -159,11 +169,11 @@ def test_pairing_gap_decays_like_one_over_n():
     win = admissibility(base)
     params = ManifoldParams(alpha=win.alpha, delta=win.delta, d=3)
     g = TestFunction.gaussian(1.0, 0.8)
-    ref = pairing_matrix(base, g, base.period)
+    ref = pairing_matrix(base, g)
     gaps, n_eff = [], []
     for n in (8, 16, 32, 64, 128):
         osc, plan = oscillate_profile(base, n, params, m=64)
-        gaps.append(np.max(np.abs(pairing_matrix(osc, g, base.period) - ref)))
+        gaps.append(np.max(np.abs(pairing_matrix(osc, g) - ref)))
         n_eff.append(plan.n_eff)
     slope = -loglog_slope(n_eff, gaps)
     assert 0.8 <= slope <= 1.3
@@ -274,11 +284,11 @@ def test_layout_order_does_not_move_the_limit():
     win = admissibility(base)
     params = ManifoldParams(alpha=win.alpha, delta=win.delta, d=3)
     g = TestFunction.gaussian(0.5, 0.9)
-    ref = pairing_matrix(base, g, base.period)
+    ref = pairing_matrix(base, g)
     fwd, plan = oscillate_profile(base, 32, params, m=64, layout="forward")
     rev, _ = oscillate_profile(base, 32, params, m=64, layout="reversed")
-    gap_f = np.max(np.abs(pairing_matrix(fwd, g, base.period) - ref))
-    gap_r = np.max(np.abs(pairing_matrix(rev, g, base.period) - ref))
+    gap_f = np.max(np.abs(pairing_matrix(fwd, g) - ref))
+    gap_r = np.max(np.abs(pairing_matrix(rev, g) - ref))
     assert gap_f < 4.0 / plan.n_eff and gap_r < 4.0 / plan.n_eff
 
 
@@ -293,10 +303,10 @@ def test_pairing_tables_match_per_function_pairings():
         "smooth_periodic": datasets.smooth_hull_profile(n=256),
         "smooth_constant": datasets.smooth_manifold_profile(n=256, boundary="constant"),
     }
-    tables = pairing_tables(fields, fam, rough.period)
+    tables = pairing_tables(fields, fam)
     for row, src in zip(tables, fields.values()):
         for g, got in zip(fam, row):
-            assert np.max(np.abs(got - pairing_matrix(src, g, rough.period))) < 1e-14
+            assert np.max(np.abs(got - pairing_matrix(src, g))) < 1e-14
     # each periodic image sums g only over the cells or samples covering its
     # support; the sum over every cell of every image is the same pairing
     cells, smooth = fields["cells"], fields["smooth_periodic"]
@@ -335,7 +345,7 @@ def test_identities_hold_for_exact_solution():
     flow = build_flow(base)
     fam = default_family(base.s0, base.s0 + base.period)
     times = [0.0, 0.8, 1.6]
-    table = pairing_tables({t: evolve_cells(flow, t) for t in times}, fam, base.period)
+    table = pairing_tables({t: evolve_cells(flow, t) for t in times}, fam)
     rep = verify_generalized_solution(table, flow, fam, times, tol=1e-8)
     assert rep["pass"]
     assert max(rep["residual_h"], rep["residual_q"], rep["residual_yz"]) < 1e-10
@@ -346,7 +356,7 @@ def test_identities_reject_a_perturbed_limit():
     flow = build_flow(base)
     fam = default_family(base.s0, base.s0 + base.period)
     times = [0.0, 0.8]
-    table = pairing_tables({t: evolve_cells(flow, t) for t in times}, fam, base.period)
+    table = pairing_tables({t: evolve_cells(flow, t) for t in times}, fam)
     d = base.d
     bad = table.copy()
     bad[1, 0, 2 + d] += 1e-2          # Z_1 of a gaussian pairing
@@ -374,7 +384,7 @@ def test_completion_identities_are_verify_generalized_solution():
     for n in n_list:
         osc, plan = oscillate_profile(base, n, params)
         flow = build_flow(osc, params.alpha, params.delta)
-        tables.append(pairing_tables({t: evolve_cells(flow, t) for t in times}, fam, base.period))
+        tables.append(pairing_tables({t: evolve_cells(flow, t) for t in times}, fam))
         n_eff.append(plan.n_eff)
     tables = np.stack(tables)
     limit_table = extrapolate_tables(n_eff, tables)
