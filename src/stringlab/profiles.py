@@ -17,12 +17,14 @@ characteristic flow's tables in y, their normalization in s and the wave
 solver's v0 antiderivative share its winding, Hermite weights and tails.
 
 Snapshots are one CSV per time slice (columns s, tau, v, eta_1..d,
-zeta_1..d, floats with 17 significant digits, LF endings) plus a JSON
-sidecar holding the window constants, grid, boundary mode and tolerances.
+zeta_1..d, floats printed as format(x, ".17g") prints them, LF endings) plus
+a JSON sidecar holding the window constants, grid, boundary mode and
+tolerances.  The writer formats blocks of rows with numpy.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -357,8 +359,12 @@ class Profile:
     @property
     def s_samples(self) -> np.ndarray:
         """Node positions for smooth profiles, cell centers for rough ones."""
+        return self._s_rows(0, self.n)
+
+    def _s_rows(self, i: int, j: int) -> np.ndarray:
+        """s_samples[i:j], computed alone."""
         off = 0.5 * self.ds if self.rough else 0.0
-        return self.s0 + off + self.ds * np.arange(self.n)
+        return self.s0 + off + self.ds * np.arange(i, j)
 
     def state(self) -> StateU:
         return StateU(self.tau, self.v, self.eta, self.zeta)
@@ -400,17 +406,178 @@ def fmt17(x: float) -> str:
     return format(float(x), ".17g")
 
 
+# -- fmt17 on numpy blocks -------------------------------------------------------
+#
+# Digits.  |x| 10**(16 - e), e = floor(log10 |x|), is a double-double product
+# (Dekker's two-product with a (hi, lo) pair of the power), corrected by one in e
+# until its integer part has 17 digits.  It is good to about 1e-14 of the last
+# digit, so rounding it to the nearest integer is exact outside a guard band of
+# 1e-9 about a half.  Values in the band (exact ties among them), beyond
+# 1e+-270, subnormal or not finite are printed by fmt17 itself, as are the rare
+# ones whose rounding carries into an 18th digit.
+# Layout.  A value's bytes are gathered from 32 source bytes (below) by a table
+# row chosen by its "%g" form (fixed for -4 <= e < 17, else scientific), sign,
+# number of significant digits and separator; unused slots read a NUL, and the
+# NULs are dropped from the block's bytes.
+#
+# source bytes of a value: 0-16 the digits, then these constants and the exponent
+_MINUS, _ZERO, _POINT, _E, _ESIGN, _EXP, _COMMA, _NL, _NUL = 17, 18, 19, 20, 21, 22, 25, 26, 27
+_NFORM = 24  # fixed with e = 0..16 (form e) or -1..-4 (form 16 - e), scientific (21, 22), zero
+_ZERO_FORM = _NFORM - 1
+_SLOTS = 25  # the longest fmt17 (24 bytes) and its separator
+_E_MIN, _E_MAX = -280, 280  # exponents the tables hold
+_TIE_BAND = 1e-9
+_ASCII0 = 0x3030303030303030  # eight '0' bytes
+_SNAP_ROWS = 2048  # rows formatted at a time, so the writer's memory does not grow with n
+
+
+def _fmt17_form(e: int) -> int:
+    if 0 <= e <= 16:
+        return e
+    if -4 <= e < 0:
+        return 16 - e
+    return 21 + (abs(e) >= 100)
+
+
+def _fmt17_layout(form: int, k: int, neg: bool, last: bool) -> list[int]:
+    """Source slots of a value's bytes: "%g" with k significant digits."""
+    s = [_MINUS] if neg else []
+    if form <= 16:  # the integer digits, then the fraction if any
+        s += list(range(form + 1)) + ([_POINT, *range(form + 1, k)] if k > form + 1 else [])
+    elif form <= 20:  # "0.", -e - 1 zeros, the digits
+        s += [_ZERO, _POINT] + [_ZERO] * (form - 17) + list(range(k))
+    elif form <= 22:  # d[.ddd]e+dd, a third exponent digit from 100 on
+        s += [0] + ([_POINT, *range(1, k)] if k > 1 else [])
+        s += [_E, _ESIGN] + list(range(_EXP if form == 22 else _EXP + 1, _EXP + 3))
+    else:  # _ZERO_FORM
+        s += [_ZERO]
+    return s + [_NL if last else _COMMA]
+
+
+@functools.cache
+def _fmt17_tables():
+    """Per exponent e from _E_MIN: 10**(16 - e) as hi + lo and hi's Dekker halves;
+    the layout row of e's form with all 17 digits significant, and e's source bytes
+    16-23 and 24-31.  Then the layout rows, indexed
+    ((last * 2 + neg) * _NFORM + form) * 17 + k - 1, and last the identity."""
+    powers, words = [], []
+    for e in range(_E_MIN, _E_MAX + 1):
+        num, den = (10 ** (16 - e), 1) if e <= 16 else (1, 10 ** (e - 16))
+        hi = num / den  # int true division rounds correctly
+        hn, hd = hi.as_integer_ratio()
+        big = 134217729.0 * hi
+        hh = big - (big - hi)
+        powers.append((hi, hh, hi - hh, (num * hd - hn * den) / (den * hd)))
+        ae = f"{abs(e):03d}".encode()
+        words.append((_fmt17_form(e) * 17 + 16,
+                      int.from_bytes(b"\0-0.e" + (b"-" if e < 0 else b"+") + ae[:2], "little"),
+                      int.from_bytes(ae[2:] + b",\n", "little")))
+    layouts = np.full((4 * _NFORM * 17 + 1, _SLOTS), _NUL, np.uint8)
+    for last in range(2):
+        for neg in range(2):
+            for form in range(_NFORM):
+                for k in range(1, 18):
+                    s = _fmt17_layout(form, k, neg, last)
+                    layouts[((last * 2 + neg) * _NFORM + form) * 17 + k - 1, :len(s)] = s
+    layouts[-1] = np.arange(_SLOTS)
+    return np.array(powers).T, np.array(words, np.int64).T, layouts
+
+
+def _scaled17(a, e):
+    """Integer part and fraction of a * 10**(16 - e), from a double-double product."""
+    (ph, phh, phl, pl), _, _ = _fmt17_tables()
+    i = e - _E_MIN
+    hi = a * ph[i]
+    big = 134217729.0 * a
+    ah = big - (big - a)
+    al = a - ah
+    bh, bl = phh[i], phl[i]
+    lo = (((ah * bh - hi) + ah * bl + al * bh) + al * bl) + a * pl[i]
+    fl = np.floor(lo)
+    return hi.astype(np.int64) + fl.astype(np.int64), lo - fl
+
+
+def _ascii8(n):
+    """The 8 ASCII digits of each 0 <= n < 10**8 packed in an int64, first digit in
+    the low byte: two 4-digit halves, then 2-digit quarters, then digits, each split
+    by a multiply-shift that divides every lane at once."""
+    hi = n // 10000
+    x = hi | ((n - hi * 10000) << 32)
+    hi = ((x * 10486) >> 20) & 0x0000007F0000007F
+    x = hi | ((x - hi * 100) << 16)
+    hi = ((x * 103) >> 10) & 0x000F000F000F000F
+    return hi | ((x - hi * 10) << 8) | _ASCII0
+
+
+def _zero_tail(w):
+    """Trailing '0' digits of each packed word (8 if all are), from the bit length of
+    its digit values.  The float conversion keeps the bit length: rounding up to a
+    power of two would need 53 leading one bits, and a byte of at most 9 has none
+    in its high nibble."""
+    return (64 - np.frexp((w ^ _ASCII0).astype(np.float64))[1]) >> 3
+
+
+def _csv_rows(rows: np.ndarray) -> bytes:
+    """The CSV lines of a 2-D float block, each value printed byte for byte as fmt17."""
+    _, (form_row, word2, word3), layouts = _fmt17_tables()
+    m, c = rows.shape
+    x = rows.ravel()
+    a = np.abs(x)
+    zero = a == 0.0
+    fast = (a >= 1e-270) & (a <= 1e270)
+    a = np.where(fast, a, 1.0)
+    e = np.floor(np.log10(a)).astype(np.int64)
+    N, frac = _scaled17(a, e)
+    off = np.flatnonzero((N < 10**16) | (N >= 10**17))  # log10 rounded across a power of ten
+    if off.size:
+        e[off] += np.where(N[off] < 10**16, -1, 1)
+        N[off], frac[off] = _scaled17(a[off], e[off])
+    D = N + (frac > 0.5)
+    slow = ~(fast | zero) | (np.abs(frac - 0.5) < _TIE_BAND) | (N < 10**16) | (D >= 10**17)
+    H = D // 10**9
+    R = D - H * 10**9
+    R1 = R // 10
+    d16 = R - R1 * 10
+    i = e - _E_MIN
+    src = np.empty((x.size, 4), "<i8")
+    src[:, 0] = w0 = _ascii8(H)
+    src[:, 1] = w1 = _ascii8(R1)
+    src[:, 2] = word2[i] | (d16 + 48)
+    src[:, 3] = word3[i]
+    tail = _zero_tail(w1)
+    tz = np.where(d16 > 0, 0, 1 + tail + (tail == 8) * _zero_tail(w0))  # trailing zero digits
+    code = np.where(zero, _ZERO_FORM * 17, form_row[i] - tz) + np.signbit(x) * (_NFORM * 17)
+    code.reshape(m, c)[:, -1] += 2 * _NFORM * 17
+    src = src.view(np.uint8)
+    for j in np.flatnonzero(slow):
+        b = (fmt17(x[j]) + ("\n" if j % c == c - 1 else ",")).encode()
+        src[j] = 0
+        src[j, :len(b)] = np.frombuffer(b, np.uint8)
+        code[j] = -1  # the identity layout
+    at = np.repeat(np.arange(0, 32 * x.size, 32), _SLOTS).reshape(x.size, _SLOTS)
+    at += layouts[code]
+    return src.ravel().take(at).tobytes().translate(None, b"\0")
+
+
+def _snapshot_columns(d: int) -> list[str]:
+    return ["s", "tau", "v"] + [f"{name}_{k + 1}" for name in ("eta", "zeta") for k in range(d)]
+
+
 def write_snapshot(csv_path: str, profile: Profile, meta: dict | None = None) -> None:
-    """One CSV time slice plus a JSON sidecar ('<csv_path>.meta.json')."""
+    """One CSV time slice plus a JSON sidecar ('<csv_path>.meta.json').
+
+    Every value is printed byte for byte as fmt17 (`format(x, ".17g")`) prints
+    it, so the file is deterministic and reads back to the same bits.  Rows
+    are formatted _SNAP_ROWS at a time in numpy.
+    """
     d = profile.d
-    header = ["s", "tau", "v"]
-    header += [f"eta_{k + 1}" for k in range(d)]
-    header += [f"zeta_{k + 1}" for k in range(d)]
-    rows = np.column_stack([profile.s_samples, profile.tau, profile.v, profile.eta, profile.zeta])
-    line = ",".join(["%.17g"] * rows.shape[1]) + "\n"  # fmt17 on every value
-    with open(csv_path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        fh.writelines(line % tuple(row) for row in rows.tolist())
+    with open(csv_path, "wb") as fh:
+        fh.write((",".join(_snapshot_columns(d)) + "\n").encode())
+        for i in range(0, profile.n, _SNAP_ROWS):
+            j = min(i + _SNAP_ROWS, profile.n)
+            fh.write(_csv_rows(np.column_stack([profile._s_rows(i, j), profile.tau[i:j],
+                                                profile.v[i:j], profile.eta[i:j],
+                                                profile.zeta[i:j]])))
     sidecar = {
         "grid": {"s0": profile.s0, "ds": profile.ds, "n": profile.n, "d": d},
         "boundary": profile.boundary,
@@ -430,7 +597,8 @@ def read_snapshot(csv_path: str) -> tuple[Profile, dict]:
     column on the sidecar's grid to 1e-12 relative (floored at one cell
     width, so a node at s = 0 is not held to an exact zero).  A mismatch
     raises ValueError naming the file and the first bad data row, counted
-    from 1 after the header; a sidecar without one of the grid keys n, d,
+    from 1 after the header, as does a value that is not finite, which is
+    also named by its column; a sidecar without one of the grid keys n, d,
     s0, ds or without boundary or rough raises ValueError naming the
     sidecar and the key.
     """
@@ -452,12 +620,17 @@ def read_snapshot(csv_path: str) -> tuple[Profile, dict]:
     if data.shape[0] != n:
         raise ValueError(f"{csv_path}: {data.shape[0]} rows where the sidecar's grid.n = {n} "
                          f"(first bad row {min(data.shape[0], n) + 1})")
+    bad = ~np.isfinite(data)
+    if bad.any():
+        i, j = np.argwhere(bad)[0]
+        raise ValueError(f"{csv_path}: row {i + 1} has {_snapshot_columns(d)[j]} = "
+                         f"{float(data[i, j])!r}, which is not finite")
     prof = Profile(meta["grid"]["s0"], meta["grid"]["ds"], data[:, 1], data[:, 2],
                    data[:, 3:3 + d], data[:, 3 + d:], meta["boundary"], meta["rough"])
     s = prof.s_samples
     off = ~(np.abs(data[:, 0] - s) <= 1e-12 * np.maximum(np.abs(s), prof.ds))
     if off.any():
         i = int(np.argmax(off))
-        raise ValueError(f"{csv_path}: row {i + 1} has s = {data[i, 0]!r}, "
-                         f"off the sidecar grid's s = {s[i]!r}")
+        raise ValueError(f"{csv_path}: row {i + 1} has s = {float(data[i, 0])!r}, "
+                         f"off the sidecar grid's s = {float(s[i])!r}")
     return prof, meta

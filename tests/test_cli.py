@@ -100,6 +100,22 @@ def test_simulate_csv_with_a_sidecar_missing_grid_n_exits_2(tmp_path, capsys):
     assert "init.csv.meta.json: missing key 'grid.n'" in capsys.readouterr().err
 
 
+def test_simulate_csv_with_a_non_finite_value_exits_2(tmp_path, capsys):
+    p = Profile(-np.pi, 2 * np.pi / 16, np.full(16, 0.7), np.zeros(16), np.zeros((16, 1)),
+                np.zeros((16, 1)), rough=True)
+    csv_path = str(tmp_path / "init.csv")
+    write_snapshot(csv_path, p, {})
+    with open(csv_path) as fh:
+        lines = fh.read().splitlines()
+    lines[7] = lines[7].replace("0.69999999999999996", "nan", 1)
+    with open(csv_path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+    cfg = write_json(tmp_path / "sim.json",
+                     {"initial": {"kind": "csv", "path": csv_path}, "times": [0.5]})
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "init.csv: row 7 has tau = nan, which is not finite" in capsys.readouterr().err
+
+
 def test_internal_error_exits_3(tmp_path, monkeypatch, capsys):
     def faulty(cfg, out_dir, tol):
         raise RuntimeError("internal error: inversion residual 1.607e-07")

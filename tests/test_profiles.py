@@ -1,10 +1,15 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from stringlab import profiles
 from stringlab.geometry import StateU
 from stringlab.profiles import (
+    BOUNDARY_MODES,
     CellField,
     KnotTable,
     Profile,
@@ -215,6 +220,88 @@ def test_snapshot_writer_matches_fmt17(tmp_path):
         assert fh.read() == want.encode()
 
 
+def _fmt17_hard_values():
+    """Values where a 17-digit formatter is easy to get wrong: powers of ten and their
+    neighbours, exact ties, edges and random bit patterns (returned: all, powers, ties)."""
+    rng = np.random.default_rng(15)
+    tens = np.array([float(f"1e{k}") for k in range(-320, 309)])
+    with np.errstate(over="ignore"):  # 5e308 is inf
+        tens = np.concatenate([tens, np.nextafter(tens, -np.inf), np.nextafter(tens, np.inf),
+                               0.5 * tens, 5.0 * tens])
+    # exact 17th-digit ties: an 18th digit 5 and nothing after it
+    low = rng.integers(575 * 10**12, 10**15, 500) + rng.choice([1, 3, 5, 7], 500) / 8
+    high = rng.integers(10**15, 2 * 10**15, 500) + rng.choice([1, 3], 500) / 4
+    ties = np.concatenate([low, high])
+    # zero, subnormals, the largest floats, non-finite values, 17-digit edges and the
+    # fixed/scientific switches
+    edges = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308,
+                      1e308, -1e308, 1.7976931348623157e308, np.inf, -np.inf, np.nan, 1e16 - 2,
+                      1e16 + 2, 1e17 - 16, 1e17 + 16, 1e-5, 1e-4, 9.9999999999999991e-5])
+    integers = rng.integers(10**14, 10**16, 2000) + 0.5
+    bits = rng.integers(0, 2**64, 200_000, dtype=np.uint64).view(np.float64)
+    return np.concatenate([tens, ties, edges, integers, bits]), tens, ties
+
+
+def test_csv_rows_print_every_float_as_fmt17(monkeypatch):
+    x, tens, ties = _fmt17_hard_values()
+    x = np.concatenate([x, np.zeros(-x.size % 7)]).reshape(-1, 7)
+    calls = []
+    monkeypatch.setattr(profiles, "fmt17", lambda v: calls.append(float(v)) or fmt17(v))
+    got = profiles._csv_rows(x)
+    want = "".join(",".join(map(fmt17, row)) + "\n" for row in x.tolist()).encode()
+    assert got == want
+    # every tie goes to fmt17; the powers of ten and their neighbours are scaled,
+    # but for the few that land a hair off 1e16 and carry
+    assert set(ties.tolist()) <= set(calls)
+    tens = tens[(np.abs(tens) >= 1e-270) & (np.abs(tens) <= 1e270)]
+    assert len(set(calls) & set(tens.tolist())) <= 0.01 * tens.size
+
+
+def test_ascii8_prints_every_four_digit_half():
+    # the halves split and print independently, so each value in each half is checked
+    k = np.arange(10_000)
+    n = k * 10_000 + k[::-1]
+    assert profiles._ascii8(n).astype("<i8").view("S8").tolist() == [b"%08d" % v for v in n.tolist()]
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data(), n=st.integers(1, 40), d=st.sampled_from([1, 2, 3]),
+       boundary=st.sampled_from(BOUNDARY_MODES), rough=st.booleans())
+def test_snapshot_round_trips_bytes_and_bits(tmp_path_factory, data, n, d, boundary, rough):
+    # any finite values, -0.0, subnormals and the extremes among them
+    vals = np.array(data.draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                                       min_size=n * (2 + 2 * d), max_size=n * (2 + 2 * d))))
+    vals = vals.reshape(n, 2 + 2 * d)
+    s0, ds = data.draw(st.floats(-1e6, 1e6)), data.draw(st.floats(1e-6, 1e3))
+    p = Profile(s0, ds, vals[:, 0], vals[:, 1], vals[:, 2:2 + d], vals[:, 2 + d:], boundary, rough)
+    tmp = tmp_path_factory.mktemp("snap")
+    first, again = str(tmp / "a.csv"), str(tmp / "b.csv")
+    write_snapshot(first, p, {"t": 0.5})
+    q, meta = read_snapshot(first)
+    write_snapshot(again, q, meta)
+    for ext in ("", ".meta.json"):
+        with open(first + ext, "rb") as fa, open(again + ext, "rb") as fb:
+            assert fa.read() == fb.read()
+    for name in ("tau", "v", "eta", "zeta"):
+        assert np.array_equal(getattr(q, name).view(np.uint64), getattr(p, name).view(np.uint64))
+    assert (q.s0, q.ds, q.boundary, q.rough) == (p.s0, p.ds, p.boundary, p.rough)
+
+
+def test_snapshot_writer_memory_does_not_grow_with_n(tmp_path):
+    rng = np.random.default_rng(3)
+    peaks = []
+    for n in (16_384, 131_072):
+        p = Profile(-np.pi, 2 * np.pi / n, rng.uniform(0.4, 1.0, n), rng.uniform(-0.2, 0.2, n),
+                    rng.normal(size=(n, 1)), rng.normal(size=(n, 1)))
+        tracemalloc.start()
+        try:
+            write_snapshot(str(tmp_path / "snap.csv"), p)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.05 * peaks[0], peaks
+
+
 def test_snapshot_roundtrip(tmp_path):
     rng = np.random.default_rng(1)
     n, d = 37, 3
@@ -285,6 +372,19 @@ def test_read_snapshot_rejects_a_shifted_s_row(tmp_path, rough):
     path = _tampered_snapshot(tmp_path, lambda ls: ls, rough)
     p, _ = read_snapshot(path)
     assert p.n == 12 and p.rough == rough
+
+
+@pytest.mark.parametrize("text, shown", [("nan", "nan"), ("-inf", "-inf"), ("1e999", "inf")])
+def test_read_snapshot_names_the_row_and_column_of_a_non_finite_value(tmp_path, text, shown):
+    def spoil_row_3(lines):
+        cells = lines[3].split(",")
+        cells[5] = text  # zeta_1
+        lines[3] = ",".join(cells)
+        return lines
+
+    path = _tampered_snapshot(tmp_path, spoil_row_3)
+    with pytest.raises(ValueError, match=rf"snap\.csv: row 3 has zeta_1 = {shown}, which is not finite"):
+        read_snapshot(path)
 
 
 def _drop_sidecar_key(csv_path, key):
