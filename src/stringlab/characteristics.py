@@ -35,33 +35,28 @@ error lives only in the initial-curve tables and field interpolation.
 
 The ODE dy xi0 = tau(0, xi0) is separable, so the tables come from one
 quadrature at the data's own s-points: the knots y(s) = integral_0^s
-dsigma/tau and the value columns (s, Phi, E+, E-), whose s-integrands are
-(v, eta - zeta, eta + zeta)/tau.  Smooth and rough data share one
-monotone table type and reader (`profiles.KnotTable`): smooth data use
-fourth-order quadrature on their grid and cubic Hermite interpolation
-(certified monotone interval by interval), rough data exact cell sums and
-linear interpolation, so a rough table's slope is the cell state itself.  Rough
-data are run cells from the start: a CellField of any cell widths, whose
-knots sit only where the data jump (a rough Profile is compressed once to
-its runs of equal samples).  An oscillated tiling with a few runs per
-oscillation cell is built, evolved and paired on its runs, never on its
-samples, and `evolve_cells` returns a CellField of the same kind, so an
-evolved field is initial data again.
+dsigma/tau and the columns (s, Phi, E+, E-).  They are stored by family,
+A = (xi0 + Phi)/2 with E+/2 read at y + t and B = (xi0 - Phi)/2 with E-/2
+read at y - t, so xi = A(y + t) + B(y - t), the string X = [E+(y + t) +
+E-(y - t)]/2 (dy X = eta, dt X = -zeta) and the state is the families'
+slopes there.  Smooth and rough data share one monotone table type and
+reader (`profiles.KnotTable`): smooth data use fourth-order quadrature on
+their grid and cubic Hermite interpolation (certified monotone interval by
+interval), rough data exact cell sums and linear interpolation, so a rough
+table's slope is the cell state itself.  Rough data are run cells from the
+start: a CellField of any cell widths, whose knots sit only where the data
+jump (a rough Profile is compressed once to its runs of equal samples), and
+`evolve_cells` returns a CellField of the same kind, so an evolved field is
+initial data again.
 
 Inversion.  Every state evaluation needs the y with xi(t, y) = s.  One
 vectorized, safeguarded Newton solver (`xi_time_inverse`) serves all of
-them: the initial-curve inverse (t = 0), solves and string
-reconstruction.  Times and positions are arrays that broadcast together,
-so a whole set of slices is one call.  Newton uses
-the exact slope of the tables' own interpolants inside the Lipschitz
-bracket, falls back to bisection, and converges in about five steps.  Each
-step is one evaluation: each foot is located once and read for value and
-slope together, and `evolve_states` reads its states off the feet of the
-final residual evaluation.
-
-The string X is d'Alembert's sum too: dy X = eta and dt X = -zeta in the
-straightening coordinates, so X = [E+(y + t) + E-(y - t)]/2 is read at the
-same feet off the E+- columns of the same table.
+them, over arrays of times and positions that broadcast together.  Each
+step reads one column per foot, A at y + t and B at y - t, value and slope
+off one lookup.  At one time Newton starts on the linear interpolant of
+xi(t, .) over a coarse y lattice (one node per 16 points) and converges in
+2-3 steps.  One final read of each foot's family gives the residual, the
+state and X.
 
 Periodic data are global in time exactly: with t = m Y_p + r, the solution
 satisfies U(t, s) = U(r, s - m Phi_p) (the shift taken modulo S_p), so
@@ -75,7 +70,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import DomainError, StateU, state_from_blocks
+from .geometry import DomainError, StateU
 from .profiles import (CellField, KnotTable, Profile, centered_slopes, cumulative_integral, require_finite,
                        uniform_grid)
 from .waves import StringGraph
@@ -146,17 +141,19 @@ def admissibility(source: Profile | CellField) -> AdmissibilityWindow:
 class CharacteristicFlow(KnotTable):
     """Immutable evaluation machinery for one set of initial data.
 
-    The initial data are one monotone `KnotTable` over the knots `y_edges`:
-    the value columns xi0 = s, Phi, E+ (d rows) and E- (d rows), whose
-    y-slopes tau, v, eta - zeta and eta + zeta are the initial state.
-    Smooth tables take their `secants` from the quadrature increments;
-    rough data are a CellField (a rough Profile is compressed to one cell
-    per run of equal samples), so rough knots sit only at the data's jumps.
-    `profile` is the Profile the flow was built from (None for a CellField),
-    kept only for the output grid of `solve_augmented` and
-    `galilean_on_solution`.  All methods are pure and safe for concurrent
-    callers.  `alpha`/`delta` record the admissible window used; the slopes
-    are certified inside [delta - 1e-9, 1/delta + 1e-9].
+    The initial data are one monotone `KnotTable` over the knots `y_edges`
+    whose rows come in two characteristic families: A = (xi0 + Phi)/2 and
+    E+/2 (d rows), read at the foot y + t, then B = (xi0 - Phi)/2 and E-/2,
+    read at y - t, where xi0 = s, Phi and E+- are the initial columns.  Their
+    y-slopes (tau + v)/2, (eta - zeta)/2, (tau - v)/2 and (eta + zeta)/2 are
+    the initial state.  Smooth tables take their `secants` from the
+    quadrature increments; rough data are a CellField (a rough Profile is
+    compressed to one cell per run of equal samples), so rough knots sit
+    only at the data's jumps.  `profile` is the Profile the flow was built
+    from (None for a CellField), kept only for the output grid of
+    `solve_augmented` and `galilean_on_solution`.  All methods are pure and
+    safe for concurrent callers.  `alpha`/`delta` record the admissible
+    window used; the slopes are certified inside [delta - 1e-9, 1/delta + 1e-9].
     """
 
     profile: Profile | None
@@ -164,49 +161,59 @@ class CharacteristicFlow(KnotTable):
     alpha: float
     delta: float
 
-    xi_nodes = property(lambda self: self.values[0])
-    phi_nodes = property(lambda self: self.values[1])
-    xi_slopes = property(lambda self: self.slopes[0])
-    phi_slopes = property(lambda self: self.slopes[1])
-    s_period = property(lambda self: None if self.periods is None else float(self.periods[0]))
-    phi_period = property(lambda self: None if self.periods is None else float(self.periods[1]))
+    xi_nodes = property(lambda self: self.values[0] + self.values[1 + self.d])
+    phi_nodes = property(lambda self: self.values[0] - self.values[1 + self.d])
+    xi_slopes = property(lambda self: self.slopes[0] + self.slopes[1 + self.d])
+    s_period = property(lambda self: None if self.periods is None
+                        else float(self.periods[0] + self.periods[1 + self.d]))
+    phi_period = property(lambda self: None if self.periods is None
+                          else float(self.periods[0] - self.periods[1 + self.d]))
 
     @property
     def boundary(self) -> str:
         return "constant" if self.s_period is None else "periodic"
 
+    def _family(self, sign, first=False):
+        """The rows the foot y + sign t reads: A and E+/2 for sign 1, B and
+        E-/2 for sign -1; with first, only A or B."""
+        start = 0 if sign > 0 else 1 + self.d
+        return slice(start, start + (1 if first else 1 + self.d))
+
     def xi0(self, y, deriv=False):
-        """Initial curve xi(0, y), defined for every real y (its slope with deriv)."""
-        return self._tables(self._cell(y), value=not deriv, slope=deriv)[int(deriv)][0]
+        """Initial curve xi(0, y) = A(y) + B(y), defined for every real y (its slope with deriv)."""
+        return np.add(*self._tables(self._cell(y), [0, 1 + self.d], not deriv, deriv)[int(deriv)])
 
     def phi0(self, y, deriv=False):
-        """Antiderivative of v(0, xi0(.)), normalized to vanish at y = 0."""
-        return self._tables(self._cell(y), value=not deriv, slope=deriv)[int(deriv)][1]
-
-    def xi0_inverse(self, s):
-        """Monotone inversion of the initial curve: xi_time_inverse at t = 0."""
-        return xi_time_inverse(self, 0.0, s)
-
-    def invariants_at(self, y):
-        """(v+tau, v-tau, eta-zeta, eta+zeta) of the initial data at xi0(y): table slopes at y."""
-        cell = self._cell(y)
-        (ap, cp), (am, cm) = _carried(self, cell, 1), _carried(self, cell, -1)
-        return ap, am, cp, cm
+        """Phi(y) = A(y) - B(y), the antiderivative of v(0, xi0(.)), zero at y = 0."""
+        return np.subtract(*self._tables(self._cell(y), [0, 1 + self.d], not deriv, deriv)[int(deriv)])
 
 
-def _carried(flow, cell, sign):
-    """The invariants a foot carries, from the table slopes at its `_cell`
-    lookup: v + tau and eta - zeta for the + foot (sign 1), v - tau and
-    eta + zeta for the - foot (sign -1); eta -+ zeta C-ordered (*shape, d)."""
-    d = flow.d
-    cols = slice(2, 2 + d) if sign > 0 else slice(2 + d, None)
-    m, c = (flow._tables(cell, k, value=False, slope=True)[1] for k in (slice(0, 2), cols))
-    return m[1] + sign * m[0], _trailing(c)
+def _feet(flow, t, y, first=False, value=True, slope=True):
+    """The feet y + t and y - t, each located once: per foot the (values,
+    slopes) of its family's rows (only A or B with first), each shaped
+    (rows, *y.shape), the one not asked for None."""
+    return [flow._tables(flow._cell(y + sign * t), flow._family(sign, first), value, slope)
+            for sign in (1, -1)]
+
+
+def _state(feet):
+    """U at (t, xi(t, y)) from the family slopes at the feet y + t and y - t:
+    tau, v = A' +- B' and eta = E+'/2 + E-'/2, zeta = E-'/2 - E+'/2."""
+    (_, p), (_, m) = feet
+    return StateU(p[0] + m[0], p[0] - m[0], _trailing(p[1:] + m[1:]), _trailing(m[1:] - p[1:]))
 
 
 def _trailing(a):
-    """Table columns (columns, *shape) as one C-ordered (*shape, columns) array."""
+    """Table rows (rows, *shape) as one C-ordered (*shape, rows) array."""
     return np.ascontiguousarray(np.moveaxis(a, 0, -1))
+
+
+def _by_family(a, d):
+    """Rows (xi0, E+ (d), Phi, E- (d)) turned in place into the family rows
+    ((xi0 + Phi)/2, E+/2, (xi0 - Phi)/2, E-/2); halving is exact."""
+    a[0], a[1 + d] = a[0] + a[1 + d], a[0] - a[1 + d]
+    a *= 0.5
+    return a
 
 
 def build_flow(source: Profile | CellField, alpha: float | None = None,
@@ -214,19 +221,19 @@ def build_flow(source: Profile | CellField, alpha: float | None = None,
     """Construct the straightening map for admissible initial data.
 
     One cumulative quadrature of (1, v, eta - zeta, eta + zeta)/tau over s
-    at the data's own s-points gives the knots y(s) and the value columns
-    Phi, E+ and E-; the s-points are the xi0 column, and the integrands'
-    numerators, with tau for the 1, are the columns' y-slopes.  Rough data
-    are cells (a CellField, or a rough Profile compressed to its runs of
-    equal samples by `Profile.runs`), of any widths, whose columns are exact
-    cumulative cell sums at the breaks.  Smooth profiles use the
-    fourth-order `cumulative_integral` on their grid, whose periodic tables
-    close at s0 + S_p with full-period trapezoid sums; their secants are the
+    at the data's own s-points gives the knots y(s) and the columns Phi, E+
+    and E-; the s-points are the xi0 column, and the integrands' numerators,
+    with tau for the 1, are the columns' y-slopes.  The columns are stored by
+    family (`CharacteristicFlow`).  Rough data are cells (a CellField, or a
+    rough Profile compressed to its runs of equal samples by
+    `Profile.runs`), of any widths, whose columns are exact cumulative cell
+    sums at the breaks.  Smooth profiles use the fourth-order
+    `cumulative_integral` on their grid, whose periodic tables close at
+    s0 + S_p with full-period trapezoid sums; their secants are the
     quadrature increments over the y-increments, so a constant state reads
-    back to rounding.  Every column vanishes at s = 0: its value there, read
-    off the columns' `KnotTable` in s (the integrands as slopes, linear or
-    Hermite as the flow's table, periodic data wound by their period), is
-    subtracted.
+    back to rounding.  Every column vanishes at y = 0, read off the flow's
+    own table: the knots move by the root of xi0, and Phi and E+- lose their
+    values there, so xi0(0) and Phi(0) are 0 to rounding on any grid.
     Raises InadmissibleDataError through `admissibility`, and DomainError
     for a one-sample smooth constant-boundary profile (no knot interval), an
     aperiodic window without s = 0, a slope outside [delta - 1e-9,
@@ -251,9 +258,10 @@ def build_flow(source: Profile | CellField, alpha: float | None = None,
                                   f"got n = {n} at s0 = {profile.s0:.6g}")
         U = profile.state()
         s = profile.s0 + ds * np.arange(n + (s_period is not None))
-    # the integrand numerators (1, v, eta - zeta, eta + zeta), one row each;
-    # the 1 becomes tau below, and the rows are then the columns' y-slopes
-    W = np.vstack([np.ones_like(U.tau), U.v, (U.eta - U.zeta).T, (U.eta + U.zeta).T])
+    # the integrand numerators (1, eta - zeta, v, eta + zeta), one row each,
+    # C-ordered so that a family's rows gather without a copy; the 1 becomes
+    # tau below, and the rows are then the columns' y-slopes
+    W = np.vstack([np.ones_like(U.tau), (U.eta - U.zeta).T, U.v, (U.eta + U.zeta).T]).copy("C")
     if s_period is None and not s[0] <= 0.0 <= s[-1]:
         raise DomainError("the window must contain s = 0 (normalization xi(0,0) = 0)")
     if rough:
@@ -261,28 +269,16 @@ def build_flow(source: Profile | CellField, alpha: float | None = None,
         Q = np.zeros((len(W), len(s)))
         np.multiply(W, cells.widths() / tau, out=Q[:, 1:])
         np.cumsum(Q[:, 1:], axis=1, out=Q[:, 1:])
-        G = W / tau  # the columns' s-slopes
     else:
         if s_period is not None:  # the closing knot repeats the first sample
             W = np.hstack([W, W[:, :1]])
         tau = U.tau if s_period is None else np.append(U.tau, U.tau[0])
-        G = W / tau
-        Q, secants = np.empty_like(W), np.empty((len(W), len(s) - 1))
-        for i, g in enumerate(G):
+        Q, secants = np.empty(W.shape), np.empty((len(W), len(s) - 1))
+        for i, g in enumerate(W / tau):
             Q[i], secants[i] = cumulative_integral(g[:n], ds, profile.boundary)
         # the increments over the y-increments; the xi0 column's increment is ds
         secants[1:] /= secants[0]
         secants[0] = ds / secants[0]
-    mode = "pc" if rough else "smooth"
-    periods, y_period = None if s_period is None else Q[:, -1].copy(), None
-    # every column vanishes at s = 0, read off the columns' table in s
-    in_s = KnotTable(mode, s, Q, G, None, s_period, periods)
-    Q -= in_s._tables(in_s._cell(0.0), slice(None))[0][:, None]
-    y = Q[0].copy()
-    Q[0], W[0] = s, tau
-    if periods is not None:
-        y_period, periods[0] = float(periods[0]), s_period
-    flow = CharacteristicFlow(mode, y, Q, W, secants, y_period, periods, profile, U.d, alpha, delta)
     if np.min(tau) < delta - 1e-9 or np.max(tau) > 1.0 / delta + 1e-9:
         raise DomainError("initial-curve slope escaped [delta, 1/delta]")
     if not rough:
@@ -296,36 +292,34 @@ def build_flow(source: Profile | CellField, alpha: float | None = None,
                 f"the smooth initial curve is not certified monotone on s in "
                 f"[{s[i]:.6g}, {s[i + 1]:.6g}] (Fritsch-Carlson a = {a[i]:.3g}, b = {b[i]:.3g}, "
                 f"need a, b > 0 and a^2 + b^2 <= 9); use rough=True or a finer grid")
+    periods, y_period, y = None, None, Q[0].copy()
+    if s_period is not None:
+        periods, y_period = Q[:, -1].copy(), float(Q[0, -1])
+        periods[0] = s_period
+    Q[0], W[0], d = s, tau, U.d
+    V, M, sec, per = (None if a is None else _by_family(a, d) for a in (Q, W, secants, periods))
+    flow = CharacteristicFlow("pc" if rough else "smooth", y, V, M, sec, y_period, per, profile, d,
+                              alpha, delta)
+    # every column vanishes at y = 0: the knots move by xi0's root, then A
+    # and B lose the half of Phi(0) they carry (keeping A + B = xi0), E+-/2 all
+    flow.y_edges = y - _inverse(flow, 0.0, 0.0)[0]
+    c = flow._tables(flow._cell(0.0), slice(None))[0]
+    c[0] = 0.5 * (c[0] - c[1 + d])
+    c[1 + d] = -c[0]
+    flow.values -= c[:, None]
     return flow
 
 
 def xi_evaluate(flow: CharacteristicFlow, t, y):
     """(xi, dt xi, dy xi) at (t, y) from the d'Alembert formulas: dt xi = v, dy xi = tau."""
-    y = np.asarray(y, dtype=float)
-    plus, minus = flow._cell(y + t), flow._cell(y - t)
-    U = _state_at(flow, plus, minus)
-    return _dalembert(flow._tables(plus)[0], flow._tables(minus)[0]), U.v, U.tau
+    (p, dp), (m, dm) = _feet(flow, t, np.asarray(y, dtype=float), first=True)
+    return p[0] + m[0], dp[0] - dm[0], dp[0] + dm[0]
 
 
 def _xi_only(flow, t, y, deriv=False):
-    """xi(t, y) by d'Alembert; with deriv, dy xi from the tables' own slopes.
-
-    Each foot y +- t is located once (`_cell`) and both tables read off it.
-    """
-    p, m = (flow._tables(flow._cell(f), value=not deriv, slope=deriv)[int(deriv)]
-            for f in (y + t, y - t))
-    return _dalembert(p, m)
-
-
-def _dalembert(p, m):
-    """xi(t, y) from the (xi0, Phi) rows read at the feet y + t and y - t, or dy xi from their slopes."""
-    return 0.5 * (p[0] + m[0]) + 0.5 * (p[1] - m[1])
-
-
-def _feet(flow, t, y, slope=False):
-    """The feet y + t and y - t, each located once: per foot its `_cell` lookup
-    and the (values, slopes) of xi0 and Phi read there (slopes only with slope)."""
-    return [(c, flow._tables(c, slope=slope)) for c in (flow._cell(y + t), flow._cell(y - t))]
+    """xi(t, y) = A(y + t) + B(y - t); with deriv, dy xi from the tables' own slopes."""
+    p, m = (f[int(deriv)][0] for f in _feet(flow, t, y, True, not deriv, deriv))
+    return p + m
 
 
 def xi_time_inverse(flow: CharacteristicFlow, t, s):
@@ -333,27 +327,26 @@ def xi_time_inverse(flow: CharacteristicFlow, t, s):
 
     With e = s - xi(t, 0), the Lipschitz bounds delta <= dy xi <= 1/delta
     put the root in [e delta, e/delta] (in [e/delta, e delta] for e < 0).
-    Newton starts at the bracket midpoint and steps with the exact slope of
-    the tables' interpolants: cubic Hermite for smooth flows, the cell slopes
-    for rough ones.  Each step is one evaluation: each foot y +- t is
-    located once and both tables give their value and y-slope off one
-    gather of the knot data (`_feet`).  Every evaluation narrows the
-    bracket, and a step that leaves it or fails to halve the previous step
-    is replaced by bisection, so the iteration cannot fail.  A point stops
-    once its step is at most 1e-12 (1 + |y|).  Periodic flows solve at the
-    reduced time of `_reduce_time` and add the whole y-periods back, so
-    |t| = 1e9 inverts as accurately as |t| < Y_p / 2.  A non-finite t or s
-    raises ValueError naming it.
+    Newton starts where `_newton_start` puts it and steps with the exact
+    slope of the tables' interpolants (cubic Hermite for smooth flows, the
+    cell slopes for rough ones), each step one read of A at y + t and B at
+    y - t (`_feet`).  Every evaluation narrows the bracket, and a step that
+    leaves it or fails to halve the previous step is replaced by bisection,
+    so the iteration cannot fail.  A point stops once its step is at most
+    1e-12 (1 + |y|).  Periodic flows solve at the reduced time of
+    `_reduce_time` and add the whole y-periods back.  The residual must stay
+    within 1e-8 (1 + |s|) plus 8 ulps of (|y| + |t|)/delta, the rounding of a
+    d'Alembert sum at feet that far out (aperiodic data at |t| = 1e9).  A
+    non-finite t or s raises ValueError naming it.
     """
     return _inverse(flow, t, s)[0]
 
 
 def _inverse(flow, t, s):
-    """`xi_time_inverse`, and the `_cell` lookups of the feet of its final
-    residual evaluation.
-
-    The feet are those of the solution y at the reduced time, shaped like
-    it, so `evolve_states` and `reconstruct_string` read their states off them.
+    """`xi_time_inverse`, and the reads of its final evaluation: per foot the
+    values and slopes of its family's rows (`_feet`), shaped like y at the
+    reduced time, so `evolve_states` and `reconstruct_string` read their
+    states and X off them.
     """
     t, s = require_finite("t", t), require_finite("s", s)
     t, shift, lag = _reduce_time(flow, t)
@@ -364,32 +357,49 @@ def _inverse(flow, t, s):
     margin = 1e-9 * (1.0 + np.abs(e))
     lo = np.where(e >= 0.0, e * flow.delta, e / flow.delta) - margin
     hi = np.where(e >= 0.0, e / flow.delta, e * flow.delta) + margin
-    y = 0.5 * (lo + hi)
+    y, lo, hi = _newton_start(flow, t, s, lo, hi)
     step = hi - lo
     live = np.arange(y.size)  # points still iterating
     for _ in range(200):
         if not live.size:
             break
         tl, yl = t[live], y[live]
-        (_, (p, dp)), (_, (m, dm)) = _feet(flow, tl, yl, slope=True)
-        f = _dalembert(p, m) - s[live]
+        (p, dp), (m, dm) = _feet(flow, tl, yl, first=True)
+        f = p[0] + m[0] - s[live]
         lo_l = np.where(f < 0.0, yl, lo[live])
         hi_l = np.where(f < 0.0, hi[live], yl)
-        newton = f / _dalembert(dp, dm)
+        newton = f / (dp[0] + dm[0])
         y_new = yl - newton
         bisect = (y_new < lo_l) | (y_new > hi_l) | (np.abs(newton) > 0.5 * np.abs(step[live]))
         y_new = np.where(bisect, 0.5 * (lo_l + hi_l), y_new)
         lo[live], hi[live], y[live], step[live] = lo_l, hi_l, y_new, y_new - yl
         live = live[np.abs(y_new - yl) > 1e-12 * (1.0 + np.abs(y_new))]
     t, s, y = (a.reshape(shape) for a in (t, s, y))
-    (plus, (p, _)), (minus, (m, _)) = _feet(flow, t, y)
-    if y.size:
-        resid = float(np.max(np.abs(_dalembert(p, m) - s)))
-        scale = 1.0 + float(np.max(np.abs(s)))
-        if resid > 1e-8 * scale:
-            # unreachable for a bi-Lipschitz curve; indicates a broken bracket
-            raise RuntimeError(f"internal error: inversion residual {resid:.3e}")
-    return y - lag, (plus, minus)
+    feet = _feet(flow, t, y)
+    (vp, _), (vm, _) = feet
+    resid = np.abs(vp[0] + vm[0] - s)
+    bound = 1e-8 * (1.0 + np.abs(s)) + 8.0 * np.spacing((np.abs(y) + np.abs(t)) / flow.delta)
+    if np.any(resid > bound):
+        # unreachable for a bi-Lipschitz curve; indicates a broken bracket
+        i = np.unravel_index(np.argmax(resid - bound), shape)
+        raise RuntimeError(f"internal error: inversion residual {resid[i]:.3e} > {bound[i]:.3e} "
+                           f"at t = {t[i]:.6g}, s = {s[i]:.6g}")
+    return y - lag, feet
+
+
+def _newton_start(flow, t, s, lo, hi):
+    """Newton's start and brackets for the points (t, s) in brackets [lo, hi]:
+    at one time for all, y on the linear interpolant of xi(t, .) over a
+    lattice spanning the brackets, one node per 16 points, and the brackets
+    narrowed to the lattice interval around s; else the bracket midpoints."""
+    if not t.size or np.any(t != t[0]):
+        return 0.5 * (lo + hi), lo, hi
+    yc = np.linspace(np.min(lo), np.max(hi), s.size // 16 + 2)
+    xc = _xi_only(flow, t[0], yc)
+    j = np.clip(np.searchsorted(xc, s), 1, yc.size - 1)
+    y0, y1, x0, x1 = yc[j - 1], yc[j], xc[j - 1], xc[j]
+    lo, hi = np.maximum(lo, y0), np.minimum(hi, y1)
+    return np.clip(y0 + (s - x0) * ((y1 - y0) / (x1 - x0)), lo, hi), lo, hi
 
 
 def _reduce_time(flow, t):
@@ -407,29 +417,18 @@ def _reduce_time(flow, t):
     return t - m * flow.y_period, m * flow.phi_period - j * flow.s_period, j * flow.y_period
 
 
-def _state_at(flow, plus, minus):
-    """U at (t, xi(t, y)) from the invariants the feet y + t and y - t carry,
-    given their `_cell` lookups."""
-    (ap, cp), (am, cm) = _carried(flow, plus, 1), _carried(flow, minus, -1)
-    return state_from_blocks(ap, am, cp, cm)
-
-
 def evolve_states(flow: CharacteristicFlow, t, s_points) -> StateU:
     """Exact solution state at times t and positions s_points (broadcast together).
 
-    Periodic flows evaluate far times exactly through one period shift
-    (`_reduce_time`): xi0(y + Y_p) = xi0(y) + S_p and Phi(y + Y_p) =
-    Phi(y) + Phi_p give xi(m Y_p + r, y) = xi(r, y) + m Phi_p, so
-    U(t, s) = U(r, s - m Phi_p) with m = round(t / Y_p), the shift taken
-    modulo S_p.  The feet y +- r then stay within a period of the table;
-    evaluated directly, the d'Alembert sum at |t| = 1e9 would lose about
-    nine digits to cancellation.  For m = 0 nothing changes.  The states
-    are the tables' slopes at the feet of the inversion's final residual
-    evaluation, so no foot is located twice.
+    Periodic flows evaluate at the reduced time of `_reduce_time`, whose feet
+    stay within a period of the table (evaluated directly, the d'Alembert sum
+    at |t| = 1e9 would lose about nine digits to cancellation).  The states
+    are the family slopes at the feet of the inversion's final read, so no
+    foot is located twice.
     """
     t, s = require_finite("t", t), require_finite("s_points", s_points)
     r, shift, _ = _reduce_time(flow, t)
-    return _state_at(flow, *_inverse(flow, r, s - shift)[1])
+    return _state(_inverse(flow, r, s - shift)[1])
 
 
 def _source_profile(flow):
@@ -479,7 +478,7 @@ def tau_slope_consistency(flow: CharacteristicFlow, t, s_points) -> float:
     r, shift, _ = _reduce_time(flow, require_finite("t", t))
     s = np.asarray(s_points, dtype=float) - shift
     y, feet = _inverse(flow, r, s)
-    U = _state_at(flow, *feet)
+    U = _state(feet)
     slope = np.diff(s) / np.diff(y)
     tau_mid = 0.5 * (U.tau[1:] + U.tau[:-1])
     return float(np.max(np.abs(slope - tau_mid)))
@@ -493,11 +492,12 @@ def evolve_cells(flow: CharacteristicFlow, t: float) -> CellField:
     of the initial data); mapping those y-breakpoints through xi(t, .) gives
     the exact evolved cells.  Past the breaks up to a point of their stable
     merge, y + t lies in the knot interval of the last b - t break and y - t
-    in that of the last b + t break: each cell reads its state off the slope
-    rows there, with no point located.  Periodic flows evolve to the reduced
-    time r of `_reduce_time` and shift the breakpoints by m Phi_p (mod S_p),
-    as `evolve_states` does, so far times keep full accuracy.  The field
-    keeps the flow's period, so it builds the flow of its own evolution.
+    in that of the last b + t break: each cell reads its state off the
+    families' slope rows there, with no point located.  Periodic flows
+    evolve to the reduced time r of `_reduce_time` and shift the breakpoints
+    by m Phi_p (mod S_p), as `evolve_states` does, so far times keep full
+    accuracy.  The field keeps the flow's period, so it builds the flow of
+    its own evolution.
     """
     if flow.mode != "pc":
         raise DomainError("evolve_cells requires a rough (piecewise-constant) flow")
@@ -520,9 +520,8 @@ def evolve_cells(flow: CharacteristicFlow, t: float) -> CellField:
     c, mode = np.take(np.cumsum(minus), last), "wrap" if periodic else "clip"
     kp = np.take(order[~minus][:len(b) - 1], last - c, mode=mode)
     km = np.take(order[minus][:len(b) - 1] - n, c - 1, mode=mode)
-    M, d = flow.slopes, flow.d
-    U = state_from_blocks(np.take(M[1] + M[0], kp), np.take(M[1] - M[0], km),
-                          np.take(M[2:2 + d].T, kp, axis=0), np.take(M[2 + d:].T, km, axis=0))
+    U = _state([(None, np.take(flow.slopes[flow._family(sign)], k, axis=1))
+                for sign, k in ((1, kp), (-1, km))])
     breaks_y = np.take(pts, keep)
     breaks_y = np.append(breaks_y, breaks_y[0] + flow.y_period) if periodic else breaks_y
     # xi(t, .) increases strictly, but two breaks_y a rounding apart can map
@@ -535,11 +534,11 @@ def reconstruct_string(flow: CharacteristicFlow, times, s_points) -> list[String
     """String graphs X(t, .) on a uniform s grid, by d'Alembert.
 
     X(t, xi(t, y)) = [E+(y + t) + E-(y - t)]/2 with E+- = integral_0^y
-    (eta -+ zeta) dy, the E+- columns of the flow's table, so X(0, 0) = 0.
-    X (the E+- values), ds X = eta/tau and dt X = -zeta - v eta/tau (from the
-    slopes) come off the feet of one inversion.  Periodic flows add back the
-    whole periods `_reduce_time` drops: with t = m Y_p + r and lag = j Y_p,
-    X(t, s) = X(r, s - shift) + m (E+_p - E-_p)/2 - j (E+_p + E-_p)/2.
+    (eta -+ zeta) dy, the E+-/2 rows of the flow's families, so X(0, 0) = 0.
+    X (their values), ds X = eta/tau and dt X = -zeta - v eta/tau (from the
+    slopes) come off the final read of one inversion.  Periodic flows add
+    back the whole periods `_reduce_time` drops: with t = m Y_p + r and
+    lag = j Y_p, X(t, s) = X(r, s - shift) + m (E+_p - E-_p)/2 - j (E+_p + E-_p)/2.
     Degenerate states (tau < delta/2) raise DomainError; s_points off a
     uniform grid raise ValueError (`uniform_grid`; a one-point grid takes the
     source profile's ds, and a CellField flow has none).
@@ -552,18 +551,17 @@ def reconstruct_string(flow: CharacteristicFlow, times, s_points) -> list[String
     if not times:
         return []
     tq, sq = np.broadcast_arrays(require_finite("times", times)[:, None], s_pts)
-    plus, minus = _inverse(flow, tq, sq)[1]
-    U = _state_at(flow, plus, minus)
+    feet = _inverse(flow, tq, sq)[1]
+    U = _state(feet)
     if np.any(U.tau < 0.5 * flow.delta):
         raise DomainError("degenerate state: tau below delta/2")
-    d = flow.d
-    X = 0.5 * _trailing(flow._tables(plus, slice(2, 2 + d))[0]
-                        + flow._tables(minus, slice(2 + d, None))[0])
+    (vp, _), (vm, _) = feet
+    X = _trailing(vp[1:] + vm[1:])
     if flow.y_period is not None:
         r, _, lag = _reduce_time(flow, tq)
         m, j = np.round((tq - r) / flow.y_period), np.round(lag / flow.y_period)
-        ep, em = flow.periods[2:2 + d], flow.periods[2 + d:]
-        X += 0.5 * (m[..., None] * (ep - em) - j[..., None] * (ep + em))
+        ep, em = flow.periods[flow._family(1)][1:], flow.periods[flow._family(-1)][1:]
+        X += m[..., None] * (ep - em) - j[..., None] * (ep + em)
 
     dxds = U.eta / U.tau[..., None]
     dxdt = -U.zeta - U.v[..., None] * dxds

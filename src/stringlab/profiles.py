@@ -283,7 +283,7 @@ class CellField:
         span = self.breaks[-1] - self.breaks[0]
         if self.period is not None and not abs(span - self.period) <= 1e-9 * self.period:
             raise ValueError(f"a periodic cell field's breaks must span its period "
-                             f"{self.period!r}; they span {span!r}")
+                             f"{float(self.period)!r}; they span {float(span)!r}")
 
     @property
     def m(self) -> int:

@@ -7,7 +7,8 @@ The brute-force Legendre dual and the hull sampler live in
 
 import numpy as np
 
-from stringlab.characteristics import _reduce_time, _state_at, _xi_only
+from stringlab.characteristics import _feet, _reduce_time, _state, _xi_only
+from stringlab.geometry import state_from_blocks
 from stringlab.profiles import CellField
 from stringlab.validate import legendre_bruteforce, random_hull_states  # noqa: F401
 
@@ -21,13 +22,15 @@ def lagrangian_reference(Y, W):
     return -np.sqrt(rad)
 
 
-def evolve_cells_by_midpoints(flow, t):
+def evolve_cells_by_midpoints(flow, t, source=None):
     """`evolve_cells` by searching the knots at every cell's midpoint.
 
     The breaks b - t and b + t are sorted together and merged within 64 ulps;
     each cell's state is read off the tables at both feet of its midpoint,
     each foot located by a search of the knots, and the breaks are mapped
-    through xi(t, .) the same way.
+    through xi(t, .) the same way.  Given the flow's source CellField, the
+    states come instead from its unsplit states at the feet's cells, in the
+    block coordinates v +- tau and eta -+ zeta.
     """
     b = flow.y_edges
     t, shift, _ = _reduce_time(flow, t)
@@ -41,5 +44,10 @@ def evolve_cells_by_midpoints(flow, t):
         breaks_y = pts[np.diff(pts, prepend=-np.inf) > tol]
     mid = 0.5 * (breaks_y[:-1] + breaks_y[1:])
     breaks = np.maximum.accumulate(_xi_only(flow, t, breaks_y) + shift)
-    states = _state_at(flow, flow._cell(mid + t), flow._cell(mid - t))
+    if source is None:
+        states = _state(_feet(flow, t, mid))
+    else:
+        (kp, km), U = (flow._cell(mid + sign * t)[2] for sign in (1, -1)), source.states
+        states = state_from_blocks(U.v[kp] + U.tau[kp], U.v[km] - U.tau[km],
+                                   U.eta[kp] - U.zeta[kp], U.eta[km] + U.zeta[km])
     return CellField(breaks, states, flow.s_period)

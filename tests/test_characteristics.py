@@ -11,8 +11,10 @@ from stringlab import datasets
 from stringlab.characteristics import (
     CharacteristicFlow,
     InadmissibleDataError,
+    _feet,
+    _newton_start,
     _reduce_time,
-    _state_at,
+    _state,
     _xi_only,
     admissibility,
     build_flow,
@@ -94,7 +96,7 @@ def test_flow_constant_state_is_linear():
     flow = build_flow(p)
     y = np.array([-7.3, -1.0, 0.0, 0.4, 11.8])
     assert np.max(np.abs(flow.xi0(y) - 0.6 * y)) < 1e-12
-    assert np.max(np.abs(flow.xi0_inverse(0.6 * y) - y)) < 1e-11
+    assert np.max(np.abs(xi_time_inverse(flow, 0.0, 0.6 * y) - y)) < 1e-11
 
 
 def test_flow_wave_state_is_linear():
@@ -405,20 +407,17 @@ def test_solve_global_in_time(rough):
 @pytest.mark.parametrize("rough", [False, True])
 def test_periodic_time_reduction_matches_direct_evaluation(rough):
     # U(m Y_p + r, s) = U(r, s - m Phi_p) is exact; at moderate |t| the
-    # direct inversion is still accurate, so the two routes agree closely
+    # direct inversion is still accurate, so the two routes agree closely:
+    # the family slopes read at the unreduced feet y +- t give the same state
     flow = build_flow(datasets.rough_manifold_base(cells=101, alpha=0.2) if rough
                       else datasets.smooth_manifold_profile(n=1024, alpha=0.2))
     assert abs(flow.phi_period) > 1.0
     s = np.linspace(-6.0, 6.0, 97)
     for t in (2.5 * flow.y_period, -3.4 * flow.y_period, 1e3):
-        y = xi_time_inverse(flow, t, s)
-        ap, _, cp, _ = flow.invariants_at(y + t)
-        _, am, _, cm = flow.invariants_at(y - t)
+        direct = _state(_feet(flow, t, xi_time_inverse(flow, t, s)))
         U = evolve_states(flow, t, s)
-        assert np.max(np.abs(U.tau - 0.5 * (ap - am))) < 1e-10
-        assert np.max(np.abs(U.v - 0.5 * (ap + am))) < 1e-10
-        assert np.max(np.abs(U.eta - 0.5 * (cp + cm))) < 1e-10
-        assert np.max(np.abs(U.zeta - 0.5 * (cm - cp))) < 1e-10
+        for f in ("tau", "v", "eta", "zeta"):
+            assert np.max(np.abs(getattr(U, f) - getattr(direct, f))) < 1e-10, (t, f)
 
 
 @pytest.mark.parametrize("source", [
@@ -456,7 +455,7 @@ def test_evolve_cells_reduces_periodic_time():
         y = np.append(pts, pts[0] + flow.y_period)
         direct = _xi_only(flow, t, y)
         mid = 0.5 * (y[:-1] + y[1:])
-        want = _state_at(flow, flow._cell(mid + t), flow._cell(mid - t))
+        want = _state(_feet(flow, t, mid))
         cells = evolve_cells(flow, t)
         assert cells.m == len(y) - 1
         k = int(np.argmin(np.abs(wrap(cells.breaks[:-1] - direct[0]))))
@@ -483,6 +482,37 @@ def test_rough_reduction_matches_evolved_cells_at_large_time():
             for got, ref in ((U.tau, want.tau), (U.v, want.v), (U.eta, want.eta),
                              (U.zeta, want.zeta)):
                 assert np.max(np.abs(got - ref[wide])) < 1e-12
+
+
+@pytest.mark.parametrize("rough", [False, True], ids=["smooth", "rough"])
+def test_aperiodic_data_solve_at_far_times(rough):
+    # a constant state translates: y = (s - v t)/tau is about -1.4e8 at
+    # t = 1e9, where one ulp of y (3e-8) already exceeds 1e-8 (1 + |s|); the
+    # residual bound grows with the rounding of the d'Alembert sum at feet
+    # that large, and the states, read in the constant tails, are exact
+    p = datasets.constant_profile(0.7, 0.1, [0.3, 0, 0], [0, 0.2, 0], n=64, boundary="constant",
+                                  rough=rough)
+    flow = build_flow(p)
+    s = np.linspace(-5.0, 5.0, 41)
+    near = evolve_states(flow, 1e6, s)
+    for t in (1e9, -1e9, 1e6, -1e6):
+        U = evolve_states(flow, t, s)
+        for f, want in (("tau", 0.7), ("v", 0.1), ("eta", [0.3, 0, 0]), ("zeta", [0, 0.2, 0])):
+            assert np.max(np.abs(getattr(U, f) - np.asarray(want))) <= 4e-16, (t, f)
+            assert np.array_equal(getattr(U, f), getattr(near, f)), (t, f)
+        y = xi_time_inverse(flow, t, s)
+        assert np.max(np.abs(y - (s - 0.1 * t) / 0.7)) <= 1e-15 * abs(t), t
+
+
+def test_inversion_residual_failure_still_raises():
+    # an inflated delta puts the root outside the Lipschitz bracket: Newton
+    # stops at the bracket's edge, and the residual check raises at |t| <= 1e6
+    # as it does at t = 0.5
+    p = datasets.constant_profile(0.7, 0.1, [0.3, 0, 0], [0, 0.2, 0], n=64, boundary="constant")
+    broken = dataclasses.replace(build_flow(p), delta=0.9)
+    for t in (0.5, 1e6, -1e6):
+        with pytest.raises(RuntimeError, match=r"inversion residual .* at t = "):
+            xi_time_inverse(broken, t, np.array([3.0]))
 
 
 def test_finite_propagation_exact_tails():
@@ -552,7 +582,7 @@ def test_xi0_inverse_across_periods():
     p = datasets.smooth_manifold_profile(n=1024)
     flow = build_flow(p)
     y = np.linspace(-40.0, 40.0, 257)  # spans multiple straightened periods
-    back = flow.xi0_inverse(flow.xi0(y))
+    back = xi_time_inverse(flow, 0.0, flow.xi0(y))
     assert np.max(np.abs(back - y)) < 1e-9
 
 
@@ -580,10 +610,10 @@ def test_rough_tables_knot_at_the_data_jumps():
     twin = dataclasses.replace(osc, eta=osc.eta + 1e-3 * np.arange(osc.n)[:, None])
     full = build_flow(twin, flow.alpha, flow.delta)
     assert len(full.y_edges) == osc.n + 1
-    assert np.array_equal(flow.xi_nodes, full.xi_nodes[edges])
-    for f in ("y_edges", "phi_nodes"):
+    for f in ("y_edges", "xi_nodes", "phi_nodes"):
         assert np.max(np.abs(getattr(flow, f) - getattr(full, f)[edges])) < 1e-11, f
-    assert np.array_equal(flow.slopes[:2], full.slopes[:2, edges[:-1]])
+    ab = [0, 1 + flow.d]  # the rows A' = (tau + v)/2 and B' = (tau - v)/2
+    assert np.array_equal(flow.slopes[ab], full.slopes[ab][:, edges[:-1]])
     for t in (0.5, -25.0, 37.7):
         cells = evolve_cells(flow, t)
         U = evolve_states(flow, t, 0.5 * (cells.breaks[:-1] + cells.breaks[1:]))
@@ -622,23 +652,36 @@ def test_run_free_tables_are_the_per_sample_sums(base):
 
 
 @pytest.mark.parametrize("rough", [False, True], ids=["smooth", "rough"])
-def test_xi_one_lookup_per_foot(rough):
-    # _xi_only locates each foot once and reads both tables off it: the same
-    # numbers as evaluating each table at each foot on its own
+def test_xi_one_lookup_per_foot(rough, monkeypatch):
+    # _xi_only locates each foot once and reads one row there, A at y + t and
+    # B at y - t: d'Alembert's sum of the xi0 and Phi tables, to rounding
     flow = build_flow(datasets.rough_manifold_base(101, alpha=0.2) if rough
                       else datasets.smooth_manifold_profile(n=512))
     y = np.linspace(-30.0, 30.0, 1001)
+    reads = []
+    tables = CharacteristicFlow._tables
+
+    def counted(self, cell, cols, *args):
+        reads.append((np.shape(cell[0]), len(self.values[cols])))
+        return tables(self, cell, cols, *args)
+
     for t in (0.0, 0.3, -25.0, 1e3):
         for deriv in (False, True):
             ref = (0.5 * (flow.xi0(y + t, deriv) + flow.xi0(y - t, deriv))
                    + 0.5 * (flow.phi0(y + t, deriv) - flow.phi0(y - t, deriv)))
-            assert np.array_equal(_xi_only(flow, t, y, deriv), ref), (t, deriv)
+            reads.clear()
+            with monkeypatch.context() as mp:
+                mp.setattr(CharacteristicFlow, "_tables", counted)
+                got = _xi_only(flow, t, y, deriv)
+            assert reads == [(y.shape, 1)] * 2, (t, deriv)
+            assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref)), (t, deriv)
 
 
 def _two_evaluation_inverse(flow, t, s, y_tol=1e-12):
-    """The safeguarded Newton of `xi_time_inverse` with two evaluations per
-    step, the value and then the slope, each locating both feet on its own.
-    Returns y and the number of Newton steps."""
+    """The safeguarded Newton of `xi_time_inverse`, from its start
+    (`_newton_start`), with two evaluations per step, the value and then the
+    slope, each locating both feet on its own.  Returns y and the number of
+    Newton steps."""
     t, shift, lag = _reduce_time(flow, np.asarray(t, dtype=float))
     s = np.asarray(s, dtype=float) - shift
     e = s - _xi_only(flow, t, np.zeros_like(t))
@@ -647,7 +690,8 @@ def _two_evaluation_inverse(flow, t, s, y_tol=1e-12):
     margin = 1e-9 * (1.0 + np.abs(e))
     lo = np.where(e >= 0.0, e * flow.delta, e / flow.delta) - margin
     hi = np.where(e >= 0.0, e / flow.delta, e * flow.delta) + margin
-    y, step, live, steps = 0.5 * (lo + hi), hi - lo, np.arange(e.size), 0
+    y, lo, hi = _newton_start(flow, t, s, lo, hi)
+    step, live, steps = hi - lo, np.arange(e.size), 0
     while live.size and steps < 200:
         steps += 1
         tl, yl = t[live], y[live]
@@ -664,9 +708,9 @@ def _two_evaluation_inverse(flow, t, s, y_tol=1e-12):
 
 
 def _state_by_hand(flow, y, t):
-    """(tau, v, eta, zeta) at (t, xi(t, y)) from the y-slopes of the table
-    columns at both feet, one column at a time: the cell slope of a rough
-    table, the Hermite slope (with the interval's secant) of a smooth one."""
+    """(tau, v, eta, zeta) at (t, xi(t, y)) from the y-slopes of the family
+    rows at both feet, one row at a time: the cell slope of a rough table,
+    the Hermite slope (with the interval's secant) of a smooth one."""
     d = flow.d
 
     def slopes(foot):
@@ -674,16 +718,16 @@ def _state_by_hand(flow, y, t):
         knots = flow.y_edges
         k = np.clip(np.searchsorted(knots, foot, side="right") - 1, 0, len(knots) - 2)
         if flow.mode == "pc":
-            return [col[k] for col in flow.slopes]
+            return [row[k] for row in flow.slopes]
         u = np.clip((foot - knots[k]) / (knots[k + 1] - knots[k]), 0.0, 1.0)
         w0, w1, w2 = 6.0 * u * (u - 1.0), (1.0 - u) * (1.0 - 3.0 * u), u * (3.0 * u - 2.0)
-        return [w1 * col[k] + w2 * col[k + 1] - w0 * sec[k]
-                for col, sec in zip(flow.slopes, flow.secants)]
+        return [w1 * row[k] + w2 * row[k + 1] - w0 * sec[k]
+                for row, sec in zip(flow.slopes, flow.secants)]
 
     p, m = slopes(y + t), slopes(y - t)
-    ap, am = p[1] + p[0], m[1] - m[0]
-    ep, em = np.stack(p[2:2 + d], axis=-1), np.stack(m[2 + d:], axis=-1)
-    return 0.5 * (ap - am), 0.5 * (ap + am), 0.5 * (ep + em), 0.5 * (em - ep)
+    a, b = p[0], m[1 + d]  # A' = (tau + v)/2 at y + t, B' = (tau - v)/2 at y - t
+    ep, em = np.stack(p[1:1 + d], axis=-1), np.stack(m[2 + d:], axis=-1)
+    return a + b, a - b, ep + em, em - ep
 
 
 @pytest.mark.parametrize("source", [
@@ -695,10 +739,11 @@ def _state_by_hand(flow, y, t):
 ], ids=["smooth", "rough_alpha", "smooth_constant", "rough_constant"])
 def test_newton_makes_one_evaluation_per_step(source, monkeypatch):
     # each Newton step locates each foot once and reads value and slope off
-    # that one lookup: 2 lookups per step, plus 2 for xi(t, 0) and 2 for the
-    # final residual, whose feet evolve_states reads its states off as the
-    # tables' slopes, locating no foot again; the results are those of the
-    # two-evaluation Newton and of reading the slopes by hand, bit for bit
+    # that one lookup: 2 lookups per step, plus 2 for xi(t, 0), 2 for the
+    # warm start's lattice (one time for every point) and 2 for the final
+    # read, whose family slopes evolve_states reads its states off, locating
+    # no foot again; the results are those of the two-evaluation Newton from
+    # the same start and of reading the slopes by hand, bit for bit
     flow = build_flow(source())
     s = np.linspace(-3.0, 3.0, 257)
     times = [0.0, 0.3, -25.0, 1e3] + ([1e9, -1e9] if flow.y_period is not None else [])
@@ -714,21 +759,41 @@ def test_newton_makes_one_evaluation_per_step(source, monkeypatch):
         monkeypatch.setattr(CharacteristicFlow, "_cell", counted)
         lookups.clear()
         got = xi_time_inverse(flow, t, s)
-        assert len(lookups) == 2 * steps + 4, (t, steps, len(lookups))
+        assert len(lookups) == 2 * steps + 6, (t, steps, len(lookups))
         lookups.clear()
         U = evolve_states(flow, t, s)
         monkeypatch.undo()
-        assert len(lookups) == 2 * steps + 4, (t, steps, len(lookups))
+        assert len(lookups) == 2 * steps + 6, (t, steps, len(lookups))
         assert np.array_equal(got, want), t
         r, shift, _ = _reduce_time(flow, t)
         y, _ = _two_evaluation_inverse(flow, r, s - shift)
         for f, ref in zip(("tau", "v", "eta", "zeta"), _state_by_hand(flow, y, r)):
             assert np.array_equal(getattr(U, f), ref), (t, f)
-    # times and positions that broadcast together
+    # times and positions that broadcast together start at the bracket midpoints
     tt = np.linspace(-2.0, 2.0, 5)[:, None]
     assert np.array_equal(xi_time_inverse(flow, tt, s), _two_evaluation_inverse(flow, tt, s)[0])
     U = evolve_states(flow, tt, s)
     assert U.tau.shape == (5, 257) and U.eta.shape == (5, 257, flow.d)
+
+
+def test_warm_start_needs_at_most_three_newton_evaluations(monkeypatch):
+    # the smooth_solve profile: at one time Newton starts on the lattice
+    # interpolant, so past xi(t, 0), the lattice and the final read (two
+    # table reads each) at most three evaluations (two reads each) remain
+    flow = build_flow(datasets.smooth_manifold_profile(n=16384, d=3))
+    s = flow.profile.s_samples
+    reads = []
+    tables = CharacteristicFlow._tables
+
+    def counted(self, *args):
+        reads.append(1)
+        return tables(self, *args)
+
+    monkeypatch.setattr(CharacteristicFlow, "_tables", counted)
+    for t in (-5.0, 0.3, 1e3, 1e9):
+        reads.clear()
+        xi_time_inverse(flow, t, s)
+        assert len(reads) <= 6 + 2 * 3, (t, len(reads))
 
 
 def _assert_same_cells(a, b, s_tol=1e-12, u_tol=4e-16):
@@ -889,14 +954,61 @@ def test_evolve_cells_with_constant_boundary(seed, n, d, t):
         assert np.max(np.abs(getattr(got.states, f)[[0, -1]] - want)) <= 4e-16, f
 
 
+def _random_smooth(seed, d, periodic):
+    """Smooth admissible data on 256 samples of [-2 pi, 2 pi): five random
+    hull states blended by a smooth periodic partition of unity; the hull
+    and the window are convex, so every blend is admissible."""
+    rng = np.random.default_rng(seed)
+    alpha, delta = rng.uniform(-0.3, 0.3), rng.uniform(0.2, 0.6)
+    U = random_hull_states(rng, 5, alpha, delta, d)
+    n, period = 256, 4.0 * np.pi
+    s = -2.0 * np.pi + period / n * np.arange(n)
+    w = np.exp(2.0 * np.cos(s[:, None] / 2.0 - rng.uniform(0.0, 2.0 * np.pi, 5)))
+    w /= w.sum(axis=1, keepdims=True)
+    return Profile(s[0], period / n, w @ U.tau, w @ U.v, w @ U.eta, w @ U.zeta,
+                   "periodic" if periodic else "constant")
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), d=st.sampled_from([1, 3]), rough=st.booleans(),
+       periodic=st.booleans(), t=st.floats(-40.0, 40.0))
+def test_inversion_on_random_admissible_data(seed, d, rough, periodic, t):
+    # at the reduced time (periodic data also at |t| = 1e9) the residual is
+    # within its bound and y within its Lipschitz bracket; xi off the family
+    # rows is d'Alembert's sum of the xi0 and Phi tables to rounding; rough
+    # cells evolve to the states of the unsplit slopes, bit for bit
+    source = _random_cells(seed, 12, d, periodic) if rough else _random_smooth(seed, d, periodic)
+    flow = build_flow(source)
+    s = np.sort(np.random.default_rng(seed).uniform(-6.0, 6.0, 64))
+    for time_ in (t, 1e9, -1e9) if periodic else (t,):
+        r, shift, _ = _reduce_time(flow, time_)
+        y = xi_time_inverse(flow, r, s - shift)
+        e = s - shift - _xi_only(flow, r, np.zeros(1))
+        margin = 1e-9 * (1.0 + np.abs(e))
+        assert np.all(y >= np.minimum(e * flow.delta, e / flow.delta) - margin), time_
+        assert np.all(y <= np.maximum(e * flow.delta, e / flow.delta) + margin), time_
+        xi = _xi_only(flow, r, y)
+        bound = 1e-8 * (1.0 + np.abs(s - shift)) + 8.0 * np.spacing((np.abs(y) + abs(r)) / flow.delta)
+        assert np.all(np.abs(xi - (s - shift)) <= bound), time_
+        ref = (0.5 * (flow.xi0(y + r) + flow.xi0(y - r))
+               + 0.5 * (flow.phi0(y + r) - flow.phi0(y - r)))
+        assert np.max(np.abs(xi - ref)) <= 1e-13 * np.max(np.abs(ref)), time_
+        if rough:
+            _assert_cells_equal(evolve_cells(flow, time_),
+                                evolve_cells_by_midpoints(flow, time_, source))
+
+
 def test_rough_tables_without_runs_knot_every_sample():
     base = datasets.rough_manifold_base(101)
     flow = build_flow(base)
     assert len(flow.y_edges) == base.n + 1
-    assert np.array_equal(flow.xi_nodes, base.s0 + base.ds * np.arange(base.n + 1))
-    # every slope row holds the cell states: tau, v, eta - zeta, eta + zeta
-    assert np.array_equal(flow.slopes, np.vstack([base.tau, base.v, (base.eta - base.zeta).T,
-                                                  (base.eta + base.zeta).T]))
+    # xi0 = A + B is s at the knots, to the rounding of the family split
+    s = base.s0 + base.ds * np.arange(base.n + 1)
+    assert np.max(np.abs(flow.xi_nodes - s)) <= np.spacing(np.max(np.abs(s)))
+    # every slope row holds the cell states by family: (tau + v)/2,
+    # (eta - zeta)/2, then (tau - v)/2, (eta + zeta)/2; halving is exact
+    assert np.array_equal(flow.slopes, 0.5 * np.vstack([base.tau + base.v, (base.eta - base.zeta).T,
+                                                        base.tau - base.v, (base.eta + base.zeta).T]))
 
 
 @pytest.mark.parametrize("base", [datasets.rough_manifold_base(101),
@@ -1030,8 +1142,9 @@ def test_reconstruct_accepts_a_grid_without_zero():
     s_pts = np.linspace(-1.0, 1.0, 33)
     (g,) = reconstruct_string(flow, [0.7], s_pts)
     (part,) = reconstruct_string(flow, [0.7], s_pts[20:])
-    assert np.array_equal(part.X, g.X[20:])
-    assert np.array_equal(part.dXds, g.dXds[20:])
+    # Newton's warm start depends on the whole grid, so its last bits may differ
+    for f in ("X", "dXds"):
+        assert np.max(np.abs(getattr(part, f) - getattr(g, f)[20:])) <= 2 * np.spacing(2.0), f
 
 
 OFF_GRID = [0.0, 0.1, 0.5]

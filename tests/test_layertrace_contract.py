@@ -1,0 +1,49 @@
+"""The benchmark's layer tracer reads the package from outside; keep its reads working.
+
+`perfbench/layertrace.py` wraps each layer in its `LAYERS` table and derives
+work counts from the flow's fields (`mode`, `xi_nodes`, `y_edges`), from
+`xi_evaluate(flow, t, y)` and from `CellField.m`.  A refactor that renames
+one of them should fail here, not in a traced benchmark run.
+"""
+
+import importlib.util
+import pathlib
+
+import numpy as np
+import pytest
+
+from stringlab import datasets
+from stringlab.characteristics import build_flow, evolve_cells, xi_time_inverse
+
+LAYERTRACE = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "layertrace.py"
+
+
+@pytest.fixture(scope="module")
+def layertrace():
+    spec = importlib.util.spec_from_file_location("layertrace_contract", LAYERTRACE)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_layer_binding_resolves(layertrace):
+    for name, (owner, attr, counts, extra) in layertrace.LAYERS.items():
+        assert callable(vars(owner)[attr]), name
+        assert counts is None or callable(counts), name
+        assert all(q in layertrace.UNITS for q in extra), name
+
+
+@pytest.mark.parametrize("source", [lambda: datasets.smooth_manifold_profile(n=256),
+                                    lambda: datasets.rough_manifold_base(31)],
+                         ids=["smooth", "rough"])
+def test_flow_counts_read_the_flow(layertrace, source):
+    flow = build_flow(source())
+    nodes = layertrace._c_build_flow(flow, (), {})["table_nodes"]
+    assert nodes == len(flow.y_edges)
+    s = np.linspace(-2.0, 2.0, 9)
+    y = xi_time_inverse(flow, 0.7, s)
+    counts = layertrace._c_xi_time_inverse(y, (flow, 0.7, s), {})
+    assert counts["points"] == s.size and counts["residual_max"] < 1e-12
+    if flow.mode == "pc":
+        cells = evolve_cells(flow, 0.7)
+        assert layertrace._c_evolve_cells(cells, (flow, 0.7), {}) == {"cells": cells.m}

@@ -430,4 +430,6 @@ def test_cell_field_rejects_malformed_input():
         CellField(np.array([0.0, 1.5, 1.0]), U)
     with pytest.raises(ValueError, match="must span its period"):
         CellField(np.array([0.0, 1.0, 2.0]), U, period=2.5)
+    with pytest.raises(ValueError, match=r"its period 2\.0; they span 2\.5$"):  # plain floats
+        CellField([0, 1, 2.5], U, period=np.float64(2.0))
     assert CellField(np.array([0.0, 1.0, 2.0]), U, period=2.0).period == 2.0
