@@ -54,9 +54,9 @@ vectorized, safeguarded Newton solver (`xi_time_inverse`) serves all of
 them, over arrays of times and positions that broadcast together.  Each
 step reads one column per foot, A at y + t and B at y - t, value and slope
 off one lookup.  At one time Newton starts on the linear interpolant of
-xi(t, .) over a coarse y lattice (one node per 16 points) and converges in
-2-3 steps.  One final read of each foot's family gives the residual, the
-state and X.
+xi(t, .) over a coarse y lattice of the flow's own (one node per 16 knots)
+and converges in 2-3 steps.  One final read per foot (A or B, and the
+family's slopes) gives the residual and the state; X is read at its cells.
 
 Periodic data are global in time exactly: with t = m Y_p + r, the solution
 satisfies U(t, s) = U(r, s - m Phi_p) (the shift taken modulo S_p), so
@@ -162,7 +162,6 @@ class CharacteristicFlow(KnotTable):
     delta: float
 
     xi_nodes = property(lambda self: self.values[0] + self.values[1 + self.d])
-    phi_nodes = property(lambda self: self.values[0] - self.values[1 + self.d])
     xi_slopes = property(lambda self: self.slopes[0] + self.slopes[1 + self.d])
     s_period = property(lambda self: None if self.periods is None
                         else float(self.periods[0] + self.periods[1 + self.d]))
@@ -182,10 +181,6 @@ class CharacteristicFlow(KnotTable):
     def xi0(self, y, deriv=False):
         """Initial curve xi(0, y) = A(y) + B(y), defined for every real y (its slope with deriv)."""
         return np.add(*self._tables(self._cell(y), [0, 1 + self.d], not deriv, deriv)[int(deriv)])
-
-    def phi0(self, y, deriv=False):
-        """Phi(y) = A(y) - B(y), the antiderivative of v(0, xi0(.)), zero at y = 0."""
-        return np.subtract(*self._tables(self._cell(y), [0, 1 + self.d], not deriv, deriv)[int(deriv)])
 
 
 def _feet(flow, t, y, first=False, value=True, slope=True):
@@ -327,37 +322,55 @@ def xi_time_inverse(flow: CharacteristicFlow, t, s):
 
     With e = s - xi(t, 0), the Lipschitz bounds delta <= dy xi <= 1/delta
     put the root in [e delta, e/delta] (in [e/delta, e delta] for e < 0).
-    Newton starts where `_newton_start` puts it and steps with the exact
-    slope of the tables' interpolants (cubic Hermite for smooth flows, the
-    cell slopes for rough ones), each step one read of A at y + t and B at
-    y - t (`_feet`).  Every evaluation narrows the bracket, and a step that
-    leaves it or fails to halve the previous step is replaced by bisection,
-    so the iteration cannot fail.  A point stops once its step is at most
-    1e-12 (1 + |y|).  Periodic flows solve at the reduced time of
-    `_reduce_time` and add the whole y-periods back.  The residual must stay
-    within 1e-8 (1 + |s|) plus 8 ulps of (|y| + |t|)/delta, the rounding of a
-    d'Alembert sum at feet that far out (aperiodic data at |t| = 1e9).  A
-    non-finite t or s raises ValueError naming it.
+    Newton starts at `_newton_start`, whose lattice depends on the flow and
+    t alone, so a point's y does not depend on the call's other points.  It
+    steps with the exact slope of the tables' interpolants, each step one
+    read of A at y + t and B at y - t (`_feet`).  Every evaluation narrows
+    the bracket, and a step that leaves it or fails to halve the previous
+    step is replaced by bisection, so the iteration cannot fail.  A point
+    stops once its step is at most 1e-12 (1 + |y|).  Periodic flows solve at
+    the reduced time of `_reduce_time` and add the whole y-periods back.
+    The residual must stay within 1e-8 (1 + |s|) plus 8 ulps of
+    (|y| + |t|)/delta, the rounding of a d'Alembert sum at feet that far
+    out (aperiodic data at |t| = 1e9).  A non-finite t or s raises
+    ValueError naming it.
     """
     return _inverse(flow, t, s)[0]
 
 
 def _inverse(flow, t, s):
-    """`xi_time_inverse`, and the reads of its final evaluation: per foot the
-    values and slopes of its family's rows (`_feet`), shaped like y at the
-    reduced time, so `evolve_states` and `reconstruct_string` read their
-    states and X off them.
-    """
+    """(y, cells, feet): `xi_time_inverse`, then per foot of its final read
+    at the reduced time the `_cell` lookup and (values, slopes) as `_feet`
+    gives them, the value of A or B only; `reconstruct_string` reads X at
+    the cells."""
     t, s = require_finite("t", t), require_finite("s", s)
     t, shift, lag = _reduce_time(flow, t)
     s = s - shift
     e = s - _xi_only(flow, t, np.zeros_like(t))
+    t, s, e = np.broadcast_arrays(t, s, e)
     shape = e.shape
-    t, s, e = (a.ravel() for a in np.broadcast_arrays(t, s, e))
+    y = _newton(flow, *(a.ravel() for a in (t, s, e))).reshape(shape)
+    cells = [flow._cell(y + sign * t) for sign in (1, -1)]
+    feet = [(flow._tables(c, flow._family(sign, True))[0],
+             flow._tables(c, flow._family(sign), False, True)[1]) for c, sign in zip(cells, (1, -1))]
+    (xp, _), (xm, _) = feet
+    resid = np.abs(xp[0] + xm[0] - s)
+    bound = 1e-8 * (1.0 + np.abs(s)) + 8.0 * np.spacing((np.abs(y) + np.abs(t)) / flow.delta)
+    if not np.all(resid <= bound):  # a NaN fails too
+        # unreachable for a bi-Lipschitz curve; indicates a broken bracket
+        i = np.unravel_index(np.argmax(~(resid <= bound)), shape)
+        raise RuntimeError(f"internal error: inversion residual {resid[i]:.3e} > {bound[i]:.3e} "
+                           f"at t = {t[i]:.6g}, s = {s[i]:.6g}")
+    return y - lag, cells, feet
+
+
+def _newton(flow, t, s, e):
+    """The safeguarded Newton of `xi_time_inverse` on flat t and s, with
+    e = s - xi(t, 0); its work arrays die with the call, before the final read."""
     margin = 1e-9 * (1.0 + np.abs(e))
     lo = np.where(e >= 0.0, e * flow.delta, e / flow.delta) - margin
     hi = np.where(e >= 0.0, e / flow.delta, e * flow.delta) + margin
-    y, lo, hi = _newton_start(flow, t, s, lo, hi)
+    y = _newton_start(flow, t, s, lo, hi)
     step = hi - lo
     live = np.arange(y.size)  # points still iterating
     for _ in range(200):
@@ -374,32 +387,30 @@ def _inverse(flow, t, s):
         y_new = np.where(bisect, 0.5 * (lo_l + hi_l), y_new)
         lo[live], hi[live], y[live], step[live] = lo_l, hi_l, y_new, y_new - yl
         live = live[np.abs(y_new - yl) > 1e-12 * (1.0 + np.abs(y_new))]
-    t, s, y = (a.reshape(shape) for a in (t, s, y))
-    feet = _feet(flow, t, y)
-    (vp, _), (vm, _) = feet
-    resid = np.abs(vp[0] + vm[0] - s)
-    bound = 1e-8 * (1.0 + np.abs(s)) + 8.0 * np.spacing((np.abs(y) + np.abs(t)) / flow.delta)
-    if np.any(resid > bound):
-        # unreachable for a bi-Lipschitz curve; indicates a broken bracket
-        i = np.unravel_index(np.argmax(resid - bound), shape)
-        raise RuntimeError(f"internal error: inversion residual {resid[i]:.3e} > {bound[i]:.3e} "
-                           f"at t = {t[i]:.6g}, s = {s[i]:.6g}")
-    return y - lag, feet
+    return y
 
 
 def _newton_start(flow, t, s, lo, hi):
-    """Newton's start and brackets for the points (t, s) in brackets [lo, hi]:
-    at one time for all, y on the linear interpolant of xi(t, .) over a
-    lattice spanning the brackets, one node per 16 points, and the brackets
-    narrowed to the lattice interval around s; else the bracket midpoints."""
+    """Newton's start for the points (t, s) in their brackets [lo, hi]: at
+    one time, the linear interpolant of xi(t, .) over a lattice across the
+    knots, one node per 16 (s less whole s-periods over one y-period for
+    periodic flows); the bracket midpoint for a point whose lattice
+    interval does not hold s (beyond the lattice, or flat by rounding) and
+    for calls at several times."""
+    y = 0.5 * (lo + hi)
     if not t.size or np.any(t != t[0]):
-        return 0.5 * (lo + hi), lo, hi
-    yc = np.linspace(np.min(lo), np.max(hi), s.size // 16 + 2)
+        return y
+    yc = np.linspace(flow.y_edges[0], flow.y_edges[-1], flow.y_edges.size // 16 + 2)
     xc = _xi_only(flow, t[0], yc)
+    wind, y_p = 0.0, 0.0
+    if flow.y_period is not None:
+        wind, y_p = np.floor((s - xc[0]) / flow.s_period), flow.y_period
+        s = s - wind * flow.s_period
     j = np.clip(np.searchsorted(xc, s), 1, yc.size - 1)
     y0, y1, x0, x1 = yc[j - 1], yc[j], xc[j - 1], xc[j]
-    lo, hi = np.maximum(lo, y0), np.minimum(hi, y1)
-    return np.clip(y0 + (s - x0) * ((y1 - y0) / (x1 - x0)), lo, hi), lo, hi
+    held = (x0 <= s) & (s <= x1) & (x0 < x1)
+    start = y0 + (s - x0) * ((y1 - y0) / np.where(held, x1 - x0, 1.0)) + wind * y_p
+    return np.clip(np.where(held, start, y), lo, hi)
 
 
 def _reduce_time(flow, t):
@@ -428,7 +439,7 @@ def evolve_states(flow: CharacteristicFlow, t, s_points) -> StateU:
     """
     t, s = require_finite("t", t), require_finite("s_points", s_points)
     r, shift, _ = _reduce_time(flow, t)
-    return _state(_inverse(flow, r, s - shift)[1])
+    return _state(_inverse(flow, r, s - shift)[2])
 
 
 def _source_profile(flow):
@@ -477,7 +488,7 @@ def tau_slope_consistency(flow: CharacteristicFlow, t, s_points) -> float:
     """
     r, shift, _ = _reduce_time(flow, require_finite("t", t))
     s = np.asarray(s_points, dtype=float) - shift
-    y, feet = _inverse(flow, r, s)
+    y, _, feet = _inverse(flow, r, s)
     U = _state(feet)
     slope = np.diff(s) / np.diff(y)
     tau_mid = 0.5 * (U.tau[1:] + U.tau[:-1])
@@ -535,10 +546,10 @@ def reconstruct_string(flow: CharacteristicFlow, times, s_points) -> list[String
 
     X(t, xi(t, y)) = [E+(y + t) + E-(y - t)]/2 with E+- = integral_0^y
     (eta -+ zeta) dy, the E+-/2 rows of the flow's families, so X(0, 0) = 0.
-    X (their values), ds X = eta/tau and dt X = -zeta - v eta/tau (from the
-    slopes) come off the final read of one inversion.  Periodic flows add
-    back the whole periods `_reduce_time` drops: with t = m Y_p + r and
-    lag = j Y_p, X(t, s) = X(r, s - shift) + m (E+_p - E-_p)/2 - j (E+_p + E-_p)/2.
+    X, their values at the cells of one inversion's final read, ds X =
+    eta/tau and dt X = -zeta - v eta/tau, off that read's slopes.  Periodic
+    flows add back the whole periods `_reduce_time` drops: with t = m Y_p +
+    r and lag = j Y_p, X(t, s) = X(r, s - shift) + m (E+_p - E-_p)/2 - j (E+_p + E-_p)/2.
     Degenerate states (tau < delta/2) raise DomainError; s_points off a
     uniform grid raise ValueError (`uniform_grid`; a one-point grid takes the
     source profile's ds, and a CellField flow has none).
@@ -551,12 +562,13 @@ def reconstruct_string(flow: CharacteristicFlow, times, s_points) -> list[String
     if not times:
         return []
     tq, sq = np.broadcast_arrays(require_finite("times", times)[:, None], s_pts)
-    feet = _inverse(flow, tq, sq)[1]
+    _, cells, feet = _inverse(flow, tq, sq)
     U = _state(feet)
     if np.any(U.tau < 0.5 * flow.delta):
         raise DomainError("degenerate state: tau below delta/2")
-    (vp, _), (vm, _) = feet
-    X = _trailing(vp[1:] + vm[1:])
+    xp, xm = (flow._tables(c, slice(f.start + 1, f.stop))[0]
+              for c, f in zip(cells, (flow._family(1), flow._family(-1))))
+    X = _trailing(xp + xm)
     if flow.y_period is not None:
         r, _, lag = _reduce_time(flow, tq)
         m, j = np.round((tq - r) / flow.y_period), np.round(lag / flow.y_period)
