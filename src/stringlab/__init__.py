@@ -17,7 +17,6 @@ from .geometry import (
     dual_fields,
     embed_state,
     from_rescaled,
-    galilean_shift,
     hamiltonian,
     in_cm,
     in_g,
@@ -25,7 +24,6 @@ from .geometry import (
     in_m_eps,
     in_s_kappa,
     lagrangian,
-    membership,
     to_rescaled,
 )
 from .profiles import CellField, Profile, read_snapshot, write_snapshot
@@ -77,7 +75,6 @@ from .weak import (
     extrapolate_tables,
     loglog_slope,
     oscillate_profile,
-    pairing,
     pairing_matrix,
     pairing_tables,
     verify_generalized_solution,

@@ -58,10 +58,9 @@ xi(t, .) over a coarse y lattice of the flow's own (one node per 16 knots)
 and converges in 2-3 steps.  One final read per foot (A or B, and the
 family's slopes) gives the residual and the state; X is read at its cells.
 
-Periodic data are global in time exactly: with t = m Y_p + r, the solution
-satisfies U(t, s) = U(r, s - m Phi_p) (the shift taken modulo S_p), so
-`evolve_states`, `evolve_cells` and `reconstruct_string` evaluate |t| = 1e9
-as accurately as |t| < Y_p / 2.
+Periodic data are global in time exactly: a whole period of time only
+shifts the solution (`_reduce_time`), so `evolve_states`, `evolve_cells`
+and `reconstruct_string` evaluate |t| = 1e9 as accurately as |t| < Y_p / 2.
 """
 
 from __future__ import annotations
@@ -177,10 +176,6 @@ class CharacteristicFlow(KnotTable):
         E-/2 for sign -1; with first, only A or B."""
         start = 0 if sign > 0 else 1 + self.d
         return slice(start, start + (1 if first else 1 + self.d))
-
-    def xi0(self, y, deriv=False):
-        """Initial curve xi(0, y) = A(y) + B(y), defined for every real y (its slope with deriv)."""
-        return np.add(*self._tables(self._cell(y), [0, 1 + self.d], not deriv, deriv)[int(deriv)])
 
 
 def _feet(flow, t, y, first=False, value=True, slope=True):
@@ -416,10 +411,15 @@ def _newton_start(flow, t, s, lo, hi):
 def _reduce_time(flow, t):
     """(r, shift, lag) with xi(t, y) = xi(r, y + lag) + shift, so U(t, s) = U(r, s - shift).
 
-    For periodic flows t = m Y_p + r with m = round(t / Y_p), so |r| <= Y_p / 2,
-    and m Phi_p = shift + j S_p with the shift in [-S_p/2, S_p/2]; the whole
-    s-periods j S_p dropped from the shift are lag = j Y_p in y.  Aperiodic
-    flows and m = 0 give (t, 0, 0).
+    The periodic-time algebra, in one place.  For periodic flows t = m Y_p + r
+    with m = round(t / Y_p), so |r| <= Y_p / 2, and m Phi_p = shift + j S_p
+    with the shift in [-S_p/2, S_p/2]; the whole s-periods j S_p dropped from
+    the shift are lag = j Y_p in y.  The string moves by whole periods of
+    its E+- columns: X(t, s) = X(r, s - shift) + m (E+_p - E-_p)/2 - j (E+_p
+    + E-_p)/2.  At the reduced time the feet stay within a period of the
+    table; read at t itself, the d'Alembert sum at |t| = 1e9 would lose
+    about nine digits to cancellation.  Aperiodic flows and m = 0 give
+    (t, 0, 0).
     """
     if flow.y_period is None:
         return t, 0.0, 0.0
@@ -431,15 +431,11 @@ def _reduce_time(flow, t):
 def evolve_states(flow: CharacteristicFlow, t, s_points) -> StateU:
     """Exact solution state at times t and positions s_points (broadcast together).
 
-    Periodic flows evaluate at the reduced time of `_reduce_time`, whose feet
-    stay within a period of the table (evaluated directly, the d'Alembert sum
-    at |t| = 1e9 would lose about nine digits to cancellation).  The states
-    are the family slopes at the feet of the inversion's final read, so no
-    foot is located twice.
+    The states are the family slopes at the feet of the final read of
+    `_inverse`, which solves periodic flows at the reduced time of
+    `_reduce_time`, so no foot is located twice.
     """
-    t, s = require_finite("t", t), require_finite("s_points", s_points)
-    r, shift, _ = _reduce_time(flow, t)
-    return _state(_inverse(flow, r, s - shift)[2])
+    return _state(_inverse(flow, require_finite("t", t), require_finite("s_points", s_points))[2])
 
 
 def _source_profile(flow):
@@ -505,10 +501,9 @@ def evolve_cells(flow: CharacteristicFlow, t: float) -> CellField:
     merge, y + t lies in the knot interval of the last b - t break and y - t
     in that of the last b + t break: each cell reads its state off the
     families' slope rows there, with no point located.  Periodic flows
-    evolve to the reduced time r of `_reduce_time` and shift the breakpoints
-    by m Phi_p (mod S_p), as `evolve_states` does, so far times keep full
-    accuracy.  The field keeps the flow's period, so it builds the flow of
-    its own evolution.
+    evolve to the reduced time of `_reduce_time` and move the breakpoints
+    by its shift, so far times keep full accuracy.  The field keeps the
+    flow's period, so it builds the flow of its own evolution.
     """
     if flow.mode != "pc":
         raise DomainError("evolve_cells requires a rough (piecewise-constant) flow")
@@ -548,8 +543,7 @@ def reconstruct_string(flow: CharacteristicFlow, times, s_points) -> list[String
     (eta -+ zeta) dy, the E+-/2 rows of the flow's families, so X(0, 0) = 0.
     X, their values at the cells of one inversion's final read, ds X =
     eta/tau and dt X = -zeta - v eta/tau, off that read's slopes.  Periodic
-    flows add back the whole periods `_reduce_time` drops: with t = m Y_p +
-    r and lag = j Y_p, X(t, s) = X(r, s - shift) + m (E+_p - E-_p)/2 - j (E+_p + E-_p)/2.
+    flows add back the whole periods of E+- that `_reduce_time` drops.
     Degenerate states (tau < delta/2) raise DomainError; s_points off a
     uniform grid raise ValueError (`uniform_grid`; a one-point grid takes the
     source profile's ds, and a CellField flow has none).

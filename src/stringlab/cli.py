@@ -1,6 +1,6 @@
 """Batch command-line front end.
 
-    stringlab simulate   --config cfg.json [--out DIR] [--tol X]   exact + finite-volume run
+    stringlab simulate   --config cfg.json [--out DIR]             exact + finite-volume run
     stringlab thm1       --config cfg.json [--out DIR]             oscillatory-family rate table
     stringlab completion --config cfg.json [--out DIR]             weak-* completion experiment
     stringlab validate   [--config cfg.json] [--out DIR] [--seed N] [--inject NAME]
@@ -32,7 +32,7 @@ from .characteristics import (
     residual_augmented,
     solve_augmented,
 )
-from .finite_volume import advance, from_profile
+from .finite_volume import advance, from_profile, max_signal_speed
 from .geometry import DomainError, in_cm, in_g, in_m
 from .profiles import fmt17, read_snapshot, write_snapshot
 from .validate import run_validation
@@ -42,6 +42,10 @@ from .weak import completion_experiment
 
 class ConfigError(ValueError):
     pass
+
+
+# the most steps `simulate` lets its finite-volume cross-check take
+_FV_MAX_STEPS = 10**6
 
 
 def _parse_scalar(text: str):
@@ -112,7 +116,7 @@ def _build_initial(cfg: dict):
             n=n, d=int(init.get("d", 3)), s0=s0, period=period,
             hull_factor=float(init.get("hull_factor", 0.8)))
     if kind == "thm1_wave":
-        mode = int(init.get("mode", init.get("n_mode", 4)))
+        mode = int(init.get("mode", 4))
         return wave_to_augmented(oscillatory_family_init(mode, s0=s0, n=n, period=period))
     if kind == "constant":
         return datasets.constant_profile(
@@ -144,14 +148,41 @@ def _write_csv(out_dir: str, name: str, header: list[str], rows) -> str:
     return path
 
 
-def cmd_simulate(cfg: dict, out_dir: str, tol: float) -> dict:
+def _fv_inputs(cfg: dict, times: list) -> tuple[float, list]:
+    """The time of the finite-volume cross-check and its initial profiles, one per refinement.
+
+    Raises ConfigError naming cross_check_fv.t (by default the last of the
+    times) unless it is finite, positive and at most _FV_MAX_STEPS steps of
+    `advance` (CFL number 0.9) away at the finest refinement, by the initial
+    data's `max_signal_speed`.
+    """
+    fv_cfg = cfg.get("cross_check_fv", {})
+    t_fv = float(fv_cfg.get("t", times[-1] if times else 1.0))
+    if not 0.0 < t_fv < np.inf:
+        raise ConfigError(f"cross_check_fv.t = {t_fv!r} must be finite and positive")
+    profiles = [_build_initial(dict(cfg, grid=dict(cfg.get("grid", {}), n=int(n))))
+                for n in fv_cfg.get("refinements", [256, 512])]
+    if profiles:
+        finest = from_profile(max(profiles, key=lambda p: p.n))
+        steps = t_fv * max_signal_speed(finest.Y, finest.Z) / (0.9 * finest.ds)
+        if steps > _FV_MAX_STEPS:
+            raise ConfigError(f"cross_check_fv.t = {t_fv!r} needs about {steps:.3g} finite-volume "
+                              f"steps at n = {finest.n}, more than {_FV_MAX_STEPS}")
+    return t_fv, profiles
+
+
+def cmd_simulate(cfg: dict, out_dir: str) -> dict:
     os.makedirs(out_dir, exist_ok=True)
     profile = _build_initial(cfg)
+    times = [float(t) for t in cfg.get("times", [0.3, 1.0])]
+    fv_on = cfg.get("cross_check_fv", {}).get("enabled", True)
+    csv = cfg["initial"]["kind"] == "csv"
+    if fv_on and not csv:  # checked before any solve
+        t_fv, fv_profiles = _fv_inputs(cfg, times)
     win = admissibility(profile)
     flow = build_flow(profile, win.alpha, win.delta)
-    times = [float(t) for t in cfg.get("times", [0.3, 1.0])]
     # evolved states carry interpolation error on top of the exact transport
-    mtol = float(cfg.get("membership_tol", max(tol, 1e-6)))
+    mtol = float(cfg.get("membership_tol", 1e-6))
     meta = {
         "alpha": win.alpha, "delta": win.delta,
         "tolerances": {"membership": mtol},
@@ -183,17 +214,12 @@ def cmd_simulate(cfg: dict, out_dir: str, tol: float) -> dict:
         results.append({"name": "residual_augmented", "value": res_max,
                         "pass": res_max <= float(cfg.get("residual_tol", 1e-2))})
 
-    fv_cfg = cfg.get("cross_check_fv", {})
-    if fv_cfg.get("enabled", True) and cfg["initial"]["kind"] == "csv":
+    if fv_on and csv:
         results.append({"name": "fv_cross_check", "skipped": True, "pass": True,
                         "reason": "csv initial data cannot be resampled for refinement"})
-    elif fv_cfg.get("enabled", True):
-        t_fv = float(fv_cfg.get("t", times[-1] if times else 1.0))
+    elif fv_on:
         errs = []
-        for n_fv in fv_cfg.get("refinements", [256, 512]):
-            coarse_cfg = dict(cfg)
-            coarse_cfg["grid"] = dict(cfg.get("grid", {}), n=int(n_fv))
-            pN = _build_initial(coarse_cfg)
+        for pN in fv_profiles:
             stN, _ = advance(from_profile(pN), t_fv)
             exact = solve_augmented(pN, t_fv).to_hqyz()
             err = float((np.sum(np.abs(stN.Y - exact.Y)) + np.sum(np.abs(stN.Z - exact.Z))) * stN.ds)
@@ -305,8 +331,6 @@ def main(argv=None) -> int:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True)
         p.add_argument("--out", default=None)
-        if name == "simulate":
-            p.add_argument("--tol", type=float, default=1e-10)
     pv = sub.add_parser("validate")
     pv.add_argument("--config", default=None)
     pv.add_argument("--out", default=None)
@@ -319,7 +343,7 @@ def main(argv=None) -> int:
         cfg = load_config(args.config) if args.config else {}
         out_dir = args.out or cfg.get("out", "out")
         if args.command == "simulate":
-            report = cmd_simulate(cfg, out_dir, args.tol)
+            report = cmd_simulate(cfg, out_dir)
         elif args.command == "thm1":
             report = cmd_thm1(cfg, out_dir)
         elif args.command == "completion":

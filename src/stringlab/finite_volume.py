@@ -165,8 +165,11 @@ def advance(state: ConservativeState, t_final: float, cfl: float = 0.9) -> tuple
     """March to t_final with dt = cfl * ds / speed, re-bounded every step.
 
     The padded fields and the kernel's scratch are allocated once per call
-    and reused by every step.
+    and reused by every step.  A negative or non-finite t_final raises
+    ValueError: the march only runs forward, and would never reach it.
     """
+    if not 0.0 <= t_final < np.inf:
+        raise ValueError(f"advance needs a finite t_final >= 0; got {t_final!r}")
     W = _padded(state)
     work = _scratch(state.d, state.n)
     periodic = state.boundary == "periodic"

@@ -34,16 +34,6 @@ import numpy as np
 
 SIGN_BRANCHES = (1, -1)
 
-MEMBERSHIP_SETS = (
-    "S_kappa",
-    "M",
-    "M_eps",
-    "CM",
-    "G",
-    "M_alpha_delta",
-    "CM_cap_G",
-)
-
 
 class SuperluminalError(ValueError):
     """Raised when a gradient pair leaves the domain of the area density."""
@@ -55,20 +45,14 @@ class DomainError(ValueError):
 
 @dataclass
 class ManifoldParams:
-    """Constants fixing the invariant window G and the wave-family speed."""
+    """Constants fixing the invariant window G: its centre alpha and half-width delta."""
 
     alpha: float = 0.0
     delta: float = 0.5
-    kappa: float = 2.0 ** -0.5
-    d: int = 3
 
     def __post_init__(self):
         if not 0.0 < self.delta < 1.0:
             raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
-        if not 0.0 < self.kappa < 1.0:
-            raise ValueError(f"kappa must lie in (0, 1), got {self.kappa}")
-        if self.d < 1:
-            raise ValueError(f"d must be a positive integer, got {self.d}")
 
 
 @dataclass
@@ -220,15 +204,6 @@ def embed_state(Y, W) -> StateU:
     return StateU(tau, v, eta, zeta)
 
 
-def galilean_shift(U: StateU, u: float) -> StateU:
-    """Velocity boost (tau, v, eta, zeta) -> (tau, v + u, eta, zeta).
-
-    The companion coordinate change (t, s) -> (t, s + u t) is applied by the
-    solver, not here.
-    """
-    return StateU(U.tau.copy(), U.v + u, U.eta.copy(), U.zeta.copy())
-
-
 def in_g(U: StateU, alpha: float, delta: float, tol: float = 1e-10):
     """delta <= tau +- (v - alpha) <= 1/delta on both branches."""
     ok = True
@@ -279,35 +254,6 @@ def in_s_kappa(U: StateU, kappa: float, tol: float = 1e-10):
         _, c = U.block(eps)
         ok = ok & (np.abs(np.sum(c**2, axis=-1) - target) <= tol)
     return ok
-
-
-def membership(U: StateU, set_id: str, params: ManifoldParams | None = None,
-               tol: float = 1e-10, eps: int | None = None):
-    """Dispatch on the constraint-set identifier; see MEMBERSHIP_SETS.
-
-    Equalities are tested within tol, inequalities with slack tol.  "M_eps"
-    needs eps; "G", "M_alpha_delta", "CM_cap_G" need params.alpha/delta;
-    "S_kappa" needs params.kappa.
-    """
-    if params is None:
-        params = ManifoldParams()
-    if set_id == "M":
-        return in_m(U, tol)
-    if set_id == "CM":
-        return in_cm(U, tol)
-    if set_id == "G":
-        return in_g(U, params.alpha, params.delta, tol)
-    if set_id == "M_eps":
-        if eps is None:
-            raise ValueError("set 'M_eps' requires eps=+1 or -1")
-        return in_m_eps(U, eps, tol)
-    if set_id == "S_kappa":
-        return in_s_kappa(U, params.kappa, tol)
-    if set_id == "M_alpha_delta":
-        return in_m(U, tol) & in_g(U, params.alpha, params.delta, tol)
-    if set_id == "CM_cap_G":
-        return in_cm(U, tol) & in_g(U, params.alpha, params.delta, tol)
-    raise ValueError(f"unknown constraint set {set_id!r}; expected one of {MEMBERSHIP_SETS}")
 
 
 # Relative slack below which a block already sits on its sphere and is kept

@@ -9,12 +9,12 @@ s-grid with one of two boundary modes:
 Two sampling semantics coexist.  Smooth profiles place samples at the grid
 nodes s0 + i*ds and are interpolated with a centered-slope cubic Hermite
 (C^1, locally third order).  Rough profiles are piecewise constant on the
-cells [s0 + i*ds, s0 + (i+1)*ds): lookups return the cell value, which is
-the faithful reading for merely measurable data.
+cells [s0 + i*ds, s0 + (i+1)*ds), the faithful reading of merely
+measurable data.
 
 A KnotTable is the one reader of monotone tables on arbitrary knots: the
-characteristic flow's tables in y, their normalization in s and the wave
-solver's v0 antiderivative share its winding, Hermite weights and tails.
+characteristic flow's tables in y and the wave solver's v0 antiderivative
+share its winding, Hermite weights and tails.
 
 Snapshots are one CSV per time slice (columns s, tau, v, eta_1..d,
 zeta_1..d, floats printed as format(x, ".17g") prints them, LF endings) plus
@@ -109,15 +109,6 @@ def linear_interp(x0: float, dx: float, values: np.ndarray, q, boundary: str = "
     values = np.asarray(values, dtype=float)
     i, ip, tt = _locate(x0, dx, values, q, boundary)
     return (1.0 - tt) * values[i] + tt * values[ip]
-
-
-def cell_lookup(x0: float, dx: float, values: np.ndarray, q, boundary: str = "periodic"):
-    """Piecewise-constant lookup: value of the cell [x0 + i dx, x0 + (i+1) dx)."""
-    values = np.asarray(values)
-    n = values.shape[0]
-    q = np.asarray(q, dtype=float)
-    i = np.floor((q - x0) / dx).astype(int)
-    return values[_wrap(i, n, boundary)]
 
 
 def cumulative_integral(f: np.ndarray, dx: float, boundary: str = "constant"):
@@ -383,15 +374,6 @@ class Profile:
         return np.concatenate(
             [self.tau[:, None], self.v[:, None], self.eta, self.zeta], axis=1
         )
-
-    def fields_at(self, s) -> StateU:
-        """State interpolated (smooth) or looked up (rough) at positions s."""
-        if self.rough:
-            p = cell_lookup(self.s0, self.ds, self.packed(), s, self.boundary)
-        else:
-            p = cubic_interp(self.s0, self.ds, self.packed(), s, self.boundary)
-        d = self.d
-        return StateU(p[..., 0], p[..., 1], p[..., 2:2 + d], p[..., 2 + d:])
 
     def to_hqyz(self) -> StateHQYZ:
         return from_rescaled(self.state())

@@ -138,7 +138,7 @@ def check_transform_roundtrip(rng, inject=False) -> dict:
 
 
 def check_membership_forms(rng, inject=False) -> dict:
-    params = ManifoldParams(0.0, 0.4, d=3)
+    params = ManifoldParams(0.0, 0.4)
     on = random_hull_states(rng, 3000, params.alpha, params.delta)
     # lift half of them onto the manifold for mixed verdicts
     w, tau, v, eta, zeta = decompose_to_m_arrays(on, params)
@@ -166,7 +166,7 @@ def check_membership_forms(rng, inject=False) -> dict:
 
 
 def check_decomposition(rng, inject=False) -> dict:
-    params = ManifoldParams(0.0, 0.4, d=3)
+    params = ManifoldParams(0.0, 0.4)
     U = random_hull_states(rng, 500, params.alpha, params.delta)
     w, tau, v, eta, zeta = decompose_to_m_arrays(U, params)
     rec_eta = np.sum(w[..., None] * eta, axis=1)
@@ -183,7 +183,7 @@ def check_decomposition(rng, inject=False) -> dict:
 
 
 def check_hull_convexity(rng, inject=False) -> dict:
-    params = ManifoldParams(0.0, 0.4, d=3)
+    params = ManifoldParams(0.0, 0.4)
     U = random_hull_states(rng, 400, params.alpha, params.delta)
     _, tau, v, eta, zeta = decompose_to_m_arrays(U, params)
     lam = rng.uniform(0.0, 1.0, 400)
@@ -306,7 +306,7 @@ def check_test_function_normalization(rng, inject=False) -> dict:
 def check_oscillation_layouts(rng, inject=False) -> dict:
     base = datasets.subrelativistic_wave_base(cells=101)
     win = admissibility(base)
-    params = ManifoldParams(alpha=win.alpha, delta=win.delta, d=3)
+    params = ManifoldParams(alpha=win.alpha, delta=win.delta)
     g = TestFunction.gaussian(0.5, 0.9)
     osc_f, plan = oscillate_profile(base, 32, params, m=64, layout="forward")
     osc_r, _ = oscillate_profile(base, 32, params, m=64, layout="reversed")

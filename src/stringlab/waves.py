@@ -266,10 +266,7 @@ def oscillatory_family_init(mode: int, s0: float = -2.0 * np.pi, n: int = 4096,
         s = np.asarray(s, dtype=float)
         return np.zeros(s.shape + (3,))
 
-    ds = period / n
-    s = s0 + ds * np.arange(n)
-    return WaveInitialData(2.0 ** -0.5, s0, ds, x0_fn(s), v0_fn(s), dx0_fn(s),
-                           "periodic", x0_fn, v0_fn, dx0_fn)
+    return wave_initial_from_functions(2.0 ** -0.5, x0_fn, v0_fn, dx0_fn, s0, n, period)
 
 
 def oscillatory_limit_init(s0: float = -2.0 * np.pi, n: int = 4096,
@@ -294,10 +291,7 @@ def oscillatory_limit_init(s0: float = -2.0 * np.pi, n: int = 4096,
         s = np.asarray(s, dtype=float)
         return np.zeros(s.shape + (3,))
 
-    ds = period / n
-    s = s0 + ds * np.arange(n)
-    return WaveInitialData(2.0 ** -0.5, s0, ds, x0_fn(s), v0_fn(s), dx0_fn(s),
-                           "periodic", x0_fn, v0_fn, dx0_fn)
+    return wave_initial_from_functions(2.0 ** -0.5, x0_fn, v0_fn, dx0_fn, s0, n, period)
 
 
 def oscillatory_limit_solution(t, s) -> np.ndarray:

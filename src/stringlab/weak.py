@@ -48,7 +48,7 @@ from .geometry import (
     in_g,
     in_m,
 )
-from .profiles import CellField, Profile
+from .profiles import CellField, Profile, cubic_interp
 
 _SQRT2 = math.sqrt(2.0)
 _SQRT_HALF_PI = math.sqrt(0.5 * math.pi)
@@ -149,9 +149,6 @@ def default_family(s_lo: float = -2.0 * np.pi, s_hi: float = 2.0 * np.pi) -> lis
     return fam
 
 
-OBSERVABLES = ("h", "q", "Y", "Z", "q+1", "q-1", "Y-Z", "Y+Z")
-
-
 def observable_matrix(states: StateU) -> np.ndarray:
     """Stacked perspective coordinates [h, q, Y_1..d, Z_1..d], shape (..., 2+2d)."""
     if np.any(states.tau <= 0.0):
@@ -219,29 +216,6 @@ def pairing_matrix(source: Profile | CellField, g: TestFunction) -> np.ndarray:
     return _pairings(source, [g])[0]
 
 
-def pairing(source: Profile | CellField, g: TestFunction, observable: str):
-    """Pairing of one named observable against g (full-line convention).
-
-    Scalar observables return floats; Y/Z-type observables return length-d
-    vectors.  q+-1 and Y-+Z are assembled from the base pairings plus the
-    closed-form integral of g.
-    """
-    mat = pairing_matrix(source, g)
-    d = (mat.shape[-1] - 2) // 2
-    base = {"h": mat[0], "q": mat[1], "Y": mat[2:2 + d], "Z": mat[2 + d:]}
-    if observable in base:
-        return base[observable]
-    if observable == "q+1":
-        return base["q"] + g.normalization
-    if observable == "q-1":
-        return base["q"] - g.normalization
-    if observable == "Y-Z":
-        return base["Y"] - base["Z"]
-    if observable == "Y+Z":
-        return base["Y"] + base["Z"]
-    raise ValueError(f"unknown observable {observable!r}; expected one of {OBSERVABLES}")
-
-
 @dataclass
 class OscillationPlan:
     """Layout record of one oscillatory approximation."""
@@ -302,9 +276,9 @@ class OscillationPlan:
 def _interpolated(base: Profile, total: int) -> Profile:
     """A smooth base interpolated at the centres of `total` equal cells of its
     period: the states that `OscillationPlan.samples` decomposes."""
-    ds = base.period / total
-    return Profile.from_state(base.s0, ds, base.fields_at(base.s0 + (np.arange(total) + 0.5) * ds),
-                              "periodic", rough=True)
+    ds, d = base.period / total, base.d
+    p = cubic_interp(base.s0, base.ds, base.packed(), base.s0 + (np.arange(total) + 0.5) * ds)
+    return Profile(base.s0, ds, p[:, 0], p[:, 1], p[:, 2:2 + d], p[:, 2 + d:], "periodic", rough=True)
 
 
 def _largest_remainder(weights: np.ndarray, m: int) -> np.ndarray:
@@ -339,11 +313,6 @@ def oscillate_profile(base: Profile, n: float, params: ManifoldParams | None = N
     cubic interpolant can leave the window of its samples).  Requires
     n >= 2 per unit length and a periodic base.
     """
-    return _tiling(base, n, params, m, layout)
-
-
-def _tiling(base, n, params, m, layout, parts=None) -> tuple[CellField, OscillationPlan]:
-    """`oscillate_profile`, reusing `parts` (a same-base, same-params plan's `point_states`)."""
     if n < 2:
         raise ValueError("need at least 2 oscillation cells per unit length")
     if base.boundary != "periodic":
@@ -354,14 +323,13 @@ def _tiling(base, n, params, m, layout, parts=None) -> tuple[CellField, Oscillat
     cells = k * base.n
     if params is None:
         win = admissibility(base if base.rough else _interpolated(base, cells * m))
-        params = ManifoldParams(alpha=win.alpha, delta=win.delta, d=base.d)
+        params = ManifoldParams(alpha=win.alpha, delta=win.delta)
     n_eff = cells / base.period
     if not base.rough:
         plan = OscillationPlan(n, n_eff, cells, m, layout, 1.0 / m, base, params)
         return plan.samples().runs(), plan
 
-    if parts is None:
-        parts = decompose_to_m_arrays(base.state(), params)
+    parts = decompose_to_m_arrays(base.state(), params)
     w, tau, v, eta, zeta = parts
     counts = _largest_remainder(w, m)
     plan = OscillationPlan(n, n_eff, cells, m, layout, float(np.max(np.abs(counts / m - w))),
@@ -480,14 +448,13 @@ def completion_experiment(base: Profile, n_list, times, family: list[TestFunctio
         family = default_family(base.s0, base.s0 + base.period)
     if params is None:
         win = admissibility(base)
-        params = ManifoldParams(alpha=win.alpha, delta=win.delta, d=base.d)
+        params = ManifoldParams(alpha=win.alpha, delta=win.delta)
     times = list(times)
 
     n_eff, tables, osc_in_m = [], [], True
     plans, runs, evolved = [], [], []
-    for n in n_list:  # every level tiles from the first level's decomposition
-        parts = plans[0].point_states if plans else None
-        osc, plan = _tiling(base, n, params, m, "forward", parts)
+    for n in n_list:
+        osc, plan = oscillate_profile(base, n, params, m)
         plans.append(plan)
         n_eff.append(plan.n_eff)
         runs.append(osc.m)
@@ -551,7 +518,7 @@ def completion_experiment(base: Profile, n_list, times, family: list[TestFunctio
     }
 
     if compare_layouts:
-        osc_r, _ = _tiling(base, n_list[-1], params, m, "reversed", plans[0].point_states)
+        osc_r, _ = oscillate_profile(base, n_list[-1], params, m, "reversed")
         flow_r = build_flow(osc_r, params.alpha, params.delta)
         table_r = pairing_tables({t: evolve_cells(flow_r, t) for t in times}, family)
         report["layout_gap"] = float(np.max(np.abs(table_r - tables[-1])))

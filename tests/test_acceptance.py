@@ -130,7 +130,7 @@ def test_criterion_6_legendre_oracle():
 
 def test_criterion_7_decomposition_exactness():
     rng = np.random.default_rng(7130)
-    params = ManifoldParams(alpha=0.0, delta=0.4, d=3)
+    params = ManifoldParams(alpha=0.0, delta=0.4)
     U = random_hull_states(rng, 500, 0.0, 0.4, d=3)
     w, tau, v, eta, zeta = decompose_to_m_arrays(U, params)
     rec = max(

@@ -52,6 +52,30 @@ def test_simulate_command(tmp_path):
     assert all(o >= 0.8 for o in fv["orders"])
 
 
+@pytest.mark.parametrize("times, fv, message", [
+    ([0.3, -1.0], {}, "cross_check_fv.t = -1.0 must be finite and positive"),
+    ([0.3], {"t": 0.0}, "cross_check_fv.t = 0.0 must be finite and positive"),
+    ([0.3], {"t": float("nan")}, "cross_check_fv.t = nan must be finite and positive"),
+    ([0.3, 1e9], {}, "cross_check_fv.t = 1000000000.0 needs about 1.63e+10 finite-volume "
+                     "steps at n = 256, more than 1000000"),
+], ids=["negative", "zero", "nan", "too_many_steps"])
+def test_simulate_rejects_a_cross_check_time_before_any_solve(tmp_path, monkeypatch, capsys,
+                                                              times, fv, message):
+    # the finite-volume march only runs forward: at a time <= 0 it would compare
+    # the initial state with the exact one at t, and t = 1e9 needs about 1e10 steps
+    def unreachable(*args, **kwargs):
+        raise AssertionError("solved before the cross-check time was checked")
+
+    monkeypatch.setattr("stringlab.cli.solve_augmented", unreachable)
+    monkeypatch.setattr("stringlab.cli.advance", unreachable)
+    cfg = write_json(tmp_path / "sim.json", {
+        "initial": {"kind": "smooth_m"}, "grid": {"n": 256}, "times": times,
+        "cross_check_fv": dict(fv, refinements=[128, 256]),
+    })
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.strip() == f"error: {message}"
+
+
 def test_simulate_wave_data_cross_solver(tmp_path):
     cfg = write_json(tmp_path / "w.json", {
         "initial": {"kind": "thm1_wave", "mode": 4},
@@ -117,7 +141,7 @@ def test_simulate_csv_with_a_non_finite_value_exits_2(tmp_path, capsys):
 
 
 def test_internal_error_exits_3(tmp_path, monkeypatch, capsys):
-    def faulty(cfg, out_dir, tol):
+    def faulty(cfg, out_dir):
         raise RuntimeError("internal error: inversion residual 1.607e-07")
 
     monkeypatch.setattr("stringlab.cli.cmd_simulate", faulty)
@@ -127,7 +151,7 @@ def test_internal_error_exits_3(tmp_path, monkeypatch, capsys):
 
 
 def test_value_error_still_exits_2(tmp_path, monkeypatch, capsys):
-    def bad_input(cfg, out_dir, tol):
+    def bad_input(cfg, out_dir):
         raise ValueError("grid.n must be positive")
 
     monkeypatch.setattr("stringlab.cli.cmd_simulate", bad_input)
@@ -181,6 +205,7 @@ def test_completion_command(tmp_path):
 def test_flags_are_registered_only_where_read(tmp_path):
     cfg = write_json(tmp_path / "c.json", {"n_list": [8]})
     for argv in (["completion", "--config", cfg, "--seed", "3"],
+                 ["simulate", "--config", cfg, "--tol", "1e-8"],
                  ["thm1", "--config", cfg, "--tol", "1e-8"],
                  ["validate", "--tol", "1e-8"]):
         with pytest.raises(SystemExit) as exc:

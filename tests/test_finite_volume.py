@@ -123,6 +123,16 @@ def test_advance_calls_share_no_scratch():
     assert np.array_equal(b.Y, b_in[0]) and np.array_equal(b.Z, b_in[1])
 
 
+@pytest.mark.parametrize("t_final", [-1.0, -1e-300, np.nan, np.inf])
+def test_advance_rejects_a_time_it_cannot_reach(t_final):
+    # the march only runs forward: at a negative time it would take no step and
+    # return the initial state, and at an infinite one it would never end
+    st = from_profile(datasets.smooth_manifold_profile(n=64, d=1))
+    with pytest.raises(ValueError, match=f"advance needs a finite t_final >= 0; got {t_final!r}"):
+        advance(st, t_final)
+    assert advance(st, 0.0)[1] == 0
+
+
 def test_constant_state_is_a_fixed_point():
     p = datasets.constant_profile(0.6, 0.1, [0.3, 0, 0], [0.2, 0.1, 0], n=64)
     st = from_profile(p)

@@ -11,14 +11,13 @@ from stringlab.geometry import (
     dual_fields,
     embed_state,
     from_rescaled,
-    galilean_shift,
     hamiltonian,
     in_cm,
     in_g,
     in_m,
     in_m_eps,
+    in_s_kappa,
     lagrangian,
-    membership,
     membership_forms_agree,
     to_rescaled,
 )
@@ -157,31 +156,28 @@ def test_embed_constraint_identity():
 # -- membership ---------------------------------------------------------------
 
 def test_membership_examples():
-    params = ManifoldParams(alpha=0.0, delta=0.4, kappa=KAPPA, d=3)
     Y0 = np.array([0.6, 0.8, 0.0])
     wave = StateU(KAPPA, 0.0, KAPPA * Y0, np.zeros(3))
-    assert membership(wave, "M", params)
-    assert membership(wave, "S_kappa", params)
+    assert in_m(wave)
+    assert in_s_kappa(wave, KAPPA)
     hull = StateU(0.5, 0.0, np.zeros(3), np.zeros(3))
-    assert membership(hull, "CM", params)
-    assert not membership(hull, "M", params)
-    assert membership(hull, "G", params)  # 0.5 in [0.4, 2.5] on both branches
-    assert membership(hull, "CM_cap_G", params)
-    assert not membership(StateU(0.3, 0.0, np.zeros(3), np.zeros(3)), "G", params)
-    assert membership(wave, "M_eps", params, eps=1)
-    assert membership(wave, "M_eps", params, eps=-1)
+    assert in_cm(hull)
+    assert not in_m(hull)
+    assert in_g(hull, 0.0, 0.4)  # 0.5 in [0.4, 2.5] on both branches
+    assert in_cm(hull) & in_g(hull, 0.0, 0.4)
+    assert not in_g(StateU(0.3, 0.0, np.zeros(3), np.zeros(3)), 0.0, 0.4)
+    assert in_m_eps(wave, 1)
+    assert in_m_eps(wave, -1)
 
 
 def test_membership_unknown_set():
-    with pytest.raises(ValueError, match="unknown constraint set"):
-        membership(StateU(0.5, 0.0, np.zeros(3), np.zeros(3)), "bogus")
     with pytest.raises(ValueError):
         in_m_eps(StateU(0.5, 0.0, np.zeros(3), np.zeros(3)), 2)
 
 
 def test_membership_forms_agree_mixed_verdicts():
     rng = np.random.default_rng(2024)
-    params = ManifoldParams(0.0, 0.4, d=3)
+    params = ManifoldParams(0.0, 0.4)
     hull = random_hull_states(rng, 5000, 0.0, 0.4)
     _, tau, v, eta, zeta = decompose_to_m_arrays(hull, params)
     on = StateU(tau[:, 0], v[:, 0], eta[:, 0], zeta[:, 0])
@@ -198,7 +194,7 @@ def test_membership_forms_agree_mixed_verdicts():
 # -- extremal decomposition ---------------------------------------------------
 
 def test_decompose_reference_point():
-    params = ManifoldParams(alpha=0.0, delta=0.4, d=3)
+    params = ManifoldParams(alpha=0.0, delta=0.4)
     w, tau, v, eta, zeta = decompose_to_m_arrays(StateU(0.5, 0.0, np.zeros(3), np.zeros(3)), params)
     assert w.tolist() == [0.25, 0.25, 0.25, 0.25]
     mu = round(np.sqrt(0.75), 12)
@@ -214,7 +210,7 @@ def test_decompose_reference_point():
 
 
 def test_decompose_manifold_point_is_identity():
-    params = ManifoldParams(alpha=0.0, delta=0.4, d=3)
+    params = ManifoldParams(alpha=0.0, delta=0.4)
     Y0 = np.array([0.6, 0.8, 0.0])
     U = StateU(KAPPA, 0.0, KAPPA * Y0, np.zeros(3))
     w, tau, v, eta, zeta = decompose_to_m_arrays(U, params)
@@ -226,7 +222,7 @@ def test_decompose_manifold_point_is_identity():
 @pytest.mark.parametrize("d", [1, 3])
 def test_decompose_random_hull_states(d):
     rng = np.random.default_rng(123 + d)
-    params = ManifoldParams(alpha=0.0, delta=0.4, d=d)
+    params = ManifoldParams(alpha=0.0, delta=0.4)
     U = random_hull_states(rng, 500, 0.0, 0.4, d=d)
     w, tau, v, eta, zeta = decompose_to_m_arrays(U, params)
     assert np.max(np.abs(np.sum(w, axis=1) - 1.0)) < 1e-12
@@ -240,14 +236,14 @@ def test_decompose_random_hull_states(d):
 
 
 def test_decompose_precondition():
-    params = ManifoldParams(alpha=0.0, delta=0.4, d=3)
+    params = ManifoldParams(alpha=0.0, delta=0.4)
     with pytest.raises(DomainError):
         decompose_to_m_arrays(StateU(0.9, 0.5, 0.8 * np.ones(3), np.zeros(3)), params)
 
 
 def test_hull_segments_stay_inside():
     rng = np.random.default_rng(77)
-    params = ManifoldParams(alpha=0.0, delta=0.4, d=3)
+    params = ManifoldParams(alpha=0.0, delta=0.4)
     U = random_hull_states(rng, 300, 0.0, 0.4)
     _, tau, v, eta, zeta = decompose_to_m_arrays(U, params)
     lam = rng.uniform(0.0, 1.0, 300)
@@ -261,23 +257,14 @@ def test_hull_segments_stay_inside():
 
 # -- Galilean boost -----------------------------------------------------------
 
-def test_galilean_examples():
-    U = StateU(0.5, 0.0, np.zeros(3), np.zeros(3))
-    same = galilean_shift(U, 0.0)
-    assert same.v == 0.0 and same.tau == 0.5
-    shifted = galilean_shift(U, 0.1)
-    assert shifted.v == pytest.approx(0.1) and shifted.tau == 0.5
-    assert np.all(shifted.eta == 0) and np.all(shifted.zeta == 0)
-
-
 def test_galilean_hull_membership_recheck():
     rng = np.random.default_rng(5)
     U = random_hull_states(rng, 200, 0.0, 0.4)
     for u in (0.05, -0.2, 0.8):
-        shifted = galilean_shift(U, u)
+        shifted = StateU(U.tau, U.v + u, U.eta, U.zeta)
         # shifted membership is exactly the shifted inequality, recomputed
         expect = shifted.sum_squares() + 2.0 * np.abs(shifted.cross()) <= 1.0 + 1e-10
         assert np.array_equal(in_cm(shifted, 1e-10), expect)
-    small = galilean_shift(U, 1e-3)
+    small = StateU(U.tau, U.v + 1e-3, U.eta, U.zeta)
     margin = 1.0 - (U.sum_squares() + 2.0 * np.abs(U.cross()))
     assert np.all(in_cm(small, 1e-10) | (margin < 0.01))

@@ -14,6 +14,7 @@ import pytest
 
 from stringlab import datasets
 from stringlab.characteristics import build_flow, evolve_cells, xi_time_inverse
+from stringlab.weak import completion_experiment
 
 LAYERTRACE = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "layertrace.py"
 
@@ -47,3 +48,18 @@ def test_flow_counts_read_the_flow(layertrace, source):
     if flow.mode == "pc":
         cells = evolve_cells(flow, 0.7)
         assert layertrace._c_evolve_cells(cells, (flow, 0.7), {}) == {"cells": cells.m}
+
+
+def test_traced_completion_records_every_tiling(layertrace):
+    # a completion run tiles once per level and once more for the reversed
+    # layout, each through `oscillate_profile`, so the tracer sees all three
+    tracer = layertrace.Tracer()
+    tracer.pass_id = 0
+    tracer.install()
+    try:
+        completion_experiment(datasets.subrelativistic_wave_base(101), [8, 16], [0.0, 1.0], m=16,
+                              compare_layouts=True)
+    finally:
+        tracer.restore()
+    assert tracer.pass_layers(0)["weak.oscillate_profile"]["calls"] == 3
+    assert tracer.all_restored()

@@ -13,7 +13,6 @@ from stringlab.profiles import (
     CellField,
     KnotTable,
     Profile,
-    cell_lookup,
     centered_slopes,
     cubic_interp,
     cumulative_integral,
@@ -45,13 +44,9 @@ def test_cubic_interp_third_order():
     assert min(orders) > 2.7
 
 
-def test_linear_interp_and_cell_lookup():
+def test_linear_interp():
     vals = np.array([1.0, 2.0, 4.0])
     assert linear_interp(0.0, 1.0, vals, np.array([0.5]), "constant")[0] == 1.5
-    cells = cell_lookup(0.0, 1.0, vals, np.array([0.2, 1.9, 2.5]), "constant")
-    assert list(cells) == [1.0, 2.0, 4.0]
-    # periodic wrap
-    assert cell_lookup(0.0, 1.0, vals, np.array([3.4]), "periodic")[0] == 1.0
 
 
 def _interp_one(x0, dx, values, slopes, q, boundary):
@@ -177,8 +172,6 @@ def test_profile_fields_and_semantics():
     rough = Profile(0.0, 0.5, np.linspace(1, 2, n), np.zeros(n),
                     np.zeros((n, 2)), np.zeros((n, 2)), "periodic", rough=True)
     assert rough.s_samples[0] == 0.25  # cell centers
-    st = rough.fields_at(np.array([0.1]))  # inside cell 0
-    assert st.tau[0] == rough.tau[0]
 
 
 def test_profile_validation():

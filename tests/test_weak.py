@@ -21,7 +21,6 @@ from stringlab.weak import (
     loglog_slope,
     observable_matrix,
     oscillate_profile,
-    pairing,
     pairing_matrix,
     pairing_tables,
     verify_generalized_solution,
@@ -122,23 +121,22 @@ def test_default_family_composition():
 def test_pairing_constant_observable():
     p = datasets.constant_profile(0.5, 0.0, [0.2, 0, 0], [0.1, 0, 0], n=512)
     g = TestFunction.gaussian(0.4, 0.7)
-    assert pairing(p, g, "h") == pytest.approx(2.0 * g.normalization, abs=1e-8)
-    assert pairing(p, g, "q+1") == pytest.approx(g.normalization, abs=1e-8)
-    assert pairing(p, g, "q-1") == pytest.approx(-g.normalization, abs=1e-8)
-    Ym = pairing(p, g, "Y-Z")
+    mat = pairing_matrix(p, g)  # (h, q, Y, Z) against g
+    h, q, Y, Z = mat[0], mat[1], mat[2:5], mat[5:]
+    assert h == pytest.approx(2.0 * g.normalization, abs=1e-8)
+    assert q + g.normalization == pytest.approx(g.normalization, abs=1e-8)
+    assert q - g.normalization == pytest.approx(-g.normalization, abs=1e-8)
     want = np.array([(0.2 - 0.1) / 0.5 * g.normalization, 0.0, 0.0])
-    assert np.max(np.abs(Ym - want)) < 1e-8
-    with pytest.raises(ValueError):
-        pairing(p, g, "energy")
+    assert np.max(np.abs((Y - Z) - want)) < 1e-8
 
 
 def test_pairing_matrix_uses_the_fields_own_period():
     # g's support crosses s0, so the pairing needs the periodic images; the
-    # profile, its runs and the named observable all take the field's period
+    # profile and its runs both take the field's period
     b = datasets.subrelativistic_wave_base(101)
     g = TestFunction.gaussian(b.s0 + 0.2, 0.5)
     mat = pairing_matrix(b, g)
-    assert mat[0] == pairing(b, g, "h") == pytest.approx(1.7725, abs=1e-4)
+    assert mat[0] == pytest.approx(1.7725, abs=1e-4)
     assert np.array_equal(pairing_matrix(b.runs(), g), mat)
 
 
@@ -160,14 +158,14 @@ def test_change_of_variables_identity():
     sa = float(_xi_only(flow, t, np.array([a_y]))[0])
     sb = float(_xi_only(flow, t, np.array([b_y]))[0])
     cells = evolve_cells(flow, t)
-    val = pairing(cells, TestFunction.indicator(sa, sb), "h")
+    val = pairing_matrix(cells, TestFunction.indicator(sa, sb))[0]
     assert val == pytest.approx(b_y - a_y, abs=1e-12)
 
 
 def test_pairing_gap_decays_like_one_over_n():
     base = datasets.subrelativistic_wave_base(cells=101)
     win = admissibility(base)
-    params = ManifoldParams(alpha=win.alpha, delta=win.delta, d=3)
+    params = ManifoldParams(alpha=win.alpha, delta=win.delta)
     g = TestFunction.gaussian(1.0, 0.8)
     ref = pairing_matrix(base, g)
     gaps, n_eff = [], []
@@ -185,7 +183,7 @@ def test_pairing_gap_decays_like_one_over_n():
 def test_oscillate_manifold_base_is_identity():
     base = datasets.rough_manifold_base(cells=101)
     win = admissibility(base)
-    params = ManifoldParams(alpha=win.alpha, delta=win.delta, d=3)
+    params = ManifoldParams(alpha=win.alpha, delta=win.delta)
     runs, plan = oscillate_profile(base, 8, params, m=16)
     osc = plan.samples()
     # each base cell decomposes to itself, so the tiling repeats the base values
@@ -220,7 +218,7 @@ def test_oscillation_runs_are_the_runs_of_its_samples(base, layout):
 
 def test_oscillate_constant_hull_state_four_phase():
     base = datasets.constant_profile(0.5, 0.0, [0, 0, 0], [0, 0, 0], n=8, rough=True)
-    params = ManifoldParams(alpha=0.0, delta=0.4, d=3)
+    params = ManifoldParams(alpha=0.0, delta=0.4)
     _, plan = oscillate_profile(base, 16, params, m=16)
     osc = plan.samples()
     mu = np.sqrt(0.75)
@@ -245,7 +243,7 @@ def test_oscillate_wave_limit_mirrors_relativistic_family():
     base = Profile(base.s0, base.ds, base.tau, base.v, base.eta, base.zeta,
                    base.boundary, rough=True)
     win = admissibility(base)
-    params = ManifoldParams(alpha=win.alpha, delta=win.delta, d=3)
+    params = ManifoldParams(alpha=win.alpha, delta=win.delta)
     _, plan = oscillate_profile(base, 16, params, m=16)
     U = plan.samples().state()
     assert np.all(in_m(U, 1e-10))
@@ -267,7 +265,7 @@ def test_oscillate_smooth_base_takes_the_window_of_its_interpolated_states():
     win = admissibility(base)
     assert plan.params.delta < win.delta
     with pytest.raises(DomainError):
-        oscillate_profile(base, 8, ManifoldParams(alpha=win.alpha, delta=win.delta, d=base.d), m=16)
+        oscillate_profile(base, 8, ManifoldParams(alpha=win.alpha, delta=win.delta), m=16)
 
 
 def test_oscillate_validation():
@@ -282,7 +280,7 @@ def test_oscillate_validation():
 def test_layout_order_does_not_move_the_limit():
     base = datasets.subrelativistic_wave_base(cells=101)
     win = admissibility(base)
-    params = ManifoldParams(alpha=win.alpha, delta=win.delta, d=3)
+    params = ManifoldParams(alpha=win.alpha, delta=win.delta)
     g = TestFunction.gaussian(0.5, 0.9)
     ref = pairing_matrix(base, g)
     fwd, plan = oscillate_profile(base, 32, params, m=64, layout="forward")
@@ -379,7 +377,7 @@ def test_completion_identities_are_verify_generalized_solution():
     fam = default_family(base.s0, base.s0 + base.period)
     report = completion_experiment(base, n_list, times, fam)
     win = admissibility(base)
-    params = ManifoldParams(alpha=win.alpha, delta=win.delta, d=base.d)
+    params = ManifoldParams(alpha=win.alpha, delta=win.delta)
     tables, n_eff = [], []
     for n in n_list:
         osc, plan = oscillate_profile(base, n, params)
@@ -423,7 +421,7 @@ def test_strong_convergence_of_reconstructed_strings():
     # graphs evaluate exactly through the two transported antiderivatives
     base = datasets.subrelativistic_wave_base(cells=101)
     win = admissibility(base)
-    params = ManifoldParams(alpha=win.alpha, delta=win.delta, d=3)
+    params = ManifoldParams(alpha=win.alpha, delta=win.delta)
     kappa = 2.0 ** -0.5
     tt, ss = np.linspace(0.0, 2.0, 9), np.linspace(-np.pi, np.pi, 201)
 
@@ -459,7 +457,7 @@ def test_strong_convergence_of_reconstructed_strings():
 def test_oscillation_quantization_d1():
     base = datasets.rough_hull_base(cells=64, d=1)
     win = admissibility(base)
-    params = ManifoldParams(alpha=win.alpha, delta=win.delta, d=1)
+    params = ManifoldParams(alpha=win.alpha, delta=win.delta)
     m = 32
     _, plan = oscillate_profile(base, 8, params, m=m)
     osc = plan.samples()
