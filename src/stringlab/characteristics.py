@@ -306,10 +306,10 @@ def xi_evaluate(flow: CharacteristicFlow, t, y):
     return p[0] + m[0], dp[0] - dm[0], dp[0] + dm[0]
 
 
-def _xi_only(flow, t, y, deriv=False):
-    """xi(t, y) = A(y + t) + B(y - t); with deriv, dy xi from the tables' own slopes."""
-    p, m = (f[int(deriv)][0] for f in _feet(flow, t, y, True, not deriv, deriv))
-    return p + m
+def _xi_only(flow, t, y):
+    """xi(t, y) = A(y + t) + B(y - t)."""
+    (p, _), (m, _) = _feet(flow, t, y, True, slope=False)
+    return p[0] + m[0]
 
 
 def xi_time_inverse(flow: CharacteristicFlow, t, s):
@@ -479,12 +479,10 @@ def tau_slope_consistency(flow: CharacteristicFlow, t, s_points) -> float:
     Returns max |(s_{i+1}-s_i)/(y_{i+1}-y_i) - tau_mid|, a second-order
     consistency measure between the secants of xi(t, .) and the state read
     off the tables' slopes.
-    It is taken at the reduced time of `_reduce_time`, where the y are
-    small: whole periods change neither slope nor state.
+    The y are solved at the reduced time of `_reduce_time` (`_inverse`).
     """
-    r, shift, _ = _reduce_time(flow, require_finite("t", t))
-    s = np.asarray(s_points, dtype=float) - shift
-    y, _, feet = _inverse(flow, r, s)
+    s = np.asarray(s_points, dtype=float)
+    y, _, feet = _inverse(flow, t, s)
     U = _state(feet)
     slope = np.diff(s) / np.diff(y)
     tau_mid = 0.5 * (U.tau[1:] + U.tau[:-1])

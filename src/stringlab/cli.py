@@ -3,14 +3,14 @@
     stringlab simulate   --config cfg.json [--out DIR]             exact + finite-volume run
     stringlab thm1       --config cfg.json [--out DIR]             oscillatory-family rate table
     stringlab completion --config cfg.json [--out DIR]             weak-* completion experiment
-    stringlab validate   [--config cfg.json] [--out DIR] [--seed N] [--inject NAME]
-                                                                   invariant battery
+    stringlab validate   [--out DIR] [--seed N] [--inject NAME]    invariant battery
 
 Configs are JSON, or flat `key = value` text with dotted keys for nesting
 (`grid.n = 4096`).  Exit codes: 0 success, 1 validation failure, 2 bad
-input or configuration, 3 internal error (a fault of the program, such as
-an inversion that misses its residual bound, never of the input).  All
-artifacts are deterministic for a fixed seed: CSV files use
+input or configuration (a ValueError), 3 internal error (any other
+exception, with its traceback unless a RuntimeError: a fault of the
+program, such as an inversion that misses its residual bound, never of the
+input).  All artifacts are deterministic for a fixed seed: CSV files use
 17-significant-digit floats and LF endings, JSON reports are key-sorted,
 and no timestamps are emitted.
 """
@@ -21,19 +21,14 @@ import argparse
 import json
 import os
 import sys
+import traceback
 
 import numpy as np
 
 from . import datasets
-from .characteristics import (
-    InadmissibleDataError,
-    admissibility,
-    build_flow,
-    residual_augmented,
-    solve_augmented,
-)
+from .characteristics import admissibility, build_flow, residual_augmented, solve_augmented
 from .finite_volume import advance, from_profile, max_signal_speed
-from .geometry import DomainError, in_cm, in_g, in_m
+from .geometry import in_cm, in_g, in_m
 from .profiles import fmt17, read_snapshot, write_snapshot
 from .validate import run_validation
 from .waves import dalembert_wave_solve, oscillatory_family_init, oscillatory_limit_solution, wave_to_augmented
@@ -104,8 +99,10 @@ def _build_initial(cfg: dict):
     n = int(grid.get("n", 4096))
     s0 = float(grid.get("s0", -2.0 * np.pi))
     period = float(grid.get("period", 4.0 * np.pi))
-    kind = _require(cfg, "initial")["kind"]
-    init = cfg["initial"]
+    init = _require(cfg, "initial")
+    if not isinstance(init, dict) or "kind" not in init:
+        raise ConfigError(f"initial must be an object with a 'kind', got {init!r}")
+    kind = init["kind"]
     if kind == "smooth_m":
         return datasets.smooth_manifold_profile(
             n=n, d=int(init.get("d", 3)), s0=s0, period=period,
@@ -182,7 +179,7 @@ def cmd_simulate(cfg: dict, out_dir: str) -> dict:
     win = admissibility(profile)
     flow = build_flow(profile, win.alpha, win.delta)
     # evolved states carry interpolation error on top of the exact transport
-    mtol = float(cfg.get("membership_tol", 1e-6))
+    mtol = 1e-6
     meta = {
         "alpha": win.alpha, "delta": win.delta,
         "tolerances": {"membership": mtol},
@@ -205,14 +202,14 @@ def cmd_simulate(cfg: dict, out_dir: str) -> dict:
     # centered-in-time residual of the augmented system around each snapshot
     # (discrete differencing is meaningless on piecewise-constant data)
     if not profile.rough:
-        dt_fd = float(cfg.get("residual_dt", 1e-3))
+        dt_fd = 1e-3
         res_max = 0.0
         for t in times:
             stack = [solve_augmented(flow, t - dt_fd), solve_augmented(flow, t),
                      solve_augmented(flow, t + dt_fd)]
             res_max = max(res_max, residual_augmented(stack, dt_fd)["max_abs"])
         results.append({"name": "residual_augmented", "value": res_max,
-                        "pass": res_max <= float(cfg.get("residual_tol", 1e-2))})
+                        "pass": res_max <= 1e-2})
 
     if fv_on and csv:
         results.append({"name": "fv_cross_check", "skipped": True, "pass": True,
@@ -263,7 +260,7 @@ def cmd_thm1(cfg: dict, out_dir: str) -> dict:
     for i, mode in enumerate(n_list):
         rows.append([mode, sup_errors[i], ratios[i - 1] if i > 0 else ""])
     _write_csv(out_dir, "thm1_rates.csv", ["n", "sup_error", "ratio"], rows)
-    lo, hi = float(cfg.get("ratio_lo", 1.6)), float(cfg.get("ratio_hi", 2.4))
+    lo, hi = 1.6, 2.4  # the pass band of each halving ratio
     report = {
         "experiment": "thm1",
         "params": {"n_list": [int(m) for m in n_list], "t_samples": nt, "s_samples": ns},
@@ -291,10 +288,7 @@ def cmd_completion(cfg: dict, out_dir: str) -> dict:
     n_list = cfg.get("n_list", [8, 16, 32, 64, 128])
     times = [float(t) for t in cfg.get("times", [0.0, 0.5, 1.0, 1.5, 2.0])]
     report = completion_experiment(
-        base, n_list, times, m=int(cfg.get("samples_per_cell", 64)),
-        identity_tol=float(cfg.get("identity_tol", 1e-3)),
-        compare_layouts=bool(cfg.get("compare_layouts", True)),
-    )
+        base, n_list, times, m=int(cfg.get("samples_per_cell", 64)), compare_layouts=True)
 
     rows = []
     for i, nv in enumerate(report["n_values"]):
@@ -330,34 +324,30 @@ def main(argv=None) -> int:
     for name in ("simulate", "thm1", "completion"):
         p = sub.add_parser(name)
         p.add_argument("--config", required=True)
-        p.add_argument("--out", default=None)
+        p.add_argument("--out", default="out")
     pv = sub.add_parser("validate")
-    pv.add_argument("--config", default=None)
-    pv.add_argument("--out", default=None)
-    pv.add_argument("--seed", type=int, default=None)
+    pv.add_argument("--out", default="out")
+    pv.add_argument("--seed", type=int, default=0)
     pv.add_argument("--inject", default=None,
                     help="force the named invariant check to fail (harness self-test)")
     args = ap.parse_args(argv)
 
     try:
-        cfg = load_config(args.config) if args.config else {}
-        out_dir = args.out or cfg.get("out", "out")
-        if args.command == "simulate":
-            report = cmd_simulate(cfg, out_dir)
-        elif args.command == "thm1":
-            report = cmd_thm1(cfg, out_dir)
-        elif args.command == "completion":
-            report = cmd_completion(cfg, out_dir)
+        if args.command == "validate":
+            report = run_validation(seed=args.seed, inject=args.inject)
+            _write_report(args.out, "validate_report.json", report)
         else:
-            inject = args.inject or cfg.get("inject")
-            seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
-            report = run_validation(seed=seed, inject=inject)
-            _write_report(out_dir, "validate_report.json", report)
-    except (ConfigError, InadmissibleDataError, DomainError, ValueError) as exc:
+            cmd = {"simulate": cmd_simulate, "thm1": cmd_thm1, "completion": cmd_completion}
+            report = cmd[args.command](load_config(args.config), args.out)
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RuntimeError as exc:
         print(f"internal error: {str(exc).removeprefix('internal error: ')}", file=sys.stderr)
+        return 3
+    except Exception as exc:
+        traceback.print_exc()
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
     print(json.dumps({"experiment": report["experiment"], "pass": report["pass"]},
                      sort_keys=True))

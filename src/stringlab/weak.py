@@ -6,9 +6,9 @@ perspective coordinates u = (h, q, Y, Z) = (1, v, eta, zeta)/tau:
     profiles u_n -> u  iff  integral (u_n - u) g ds -> 0  for all g in L^1,
     uniformly in t on compacts.
 
-Hull states oscillate down to manifold states: each sample of a profile
-valued in CM cap G splits (extremal decomposition) into at most four
-M cap G points whose tau and v agree with the sample, so tiling an
+Hull states oscillate down to manifold states: each cell of a rough
+profile valued in CM cap G splits (extremal decomposition) into at most four
+M cap G points whose tau and v agree with the cell, so tiling an
 oscillation cell with those points in proportion to their weights leaves
 every windowed average of (h, q, Y, Z) on the original profile.  As the
 cell count n grows, the tilings converge weak-* to the hull profile
@@ -20,14 +20,14 @@ equal states (a CellField, at most four runs per oscillation cell); it is
 checked, evolved and paired on those runs, and `OscillationPlan.samples`
 gives the same tiling sample by sample.
 
-Every pairing is one weight vector per test function (the integral of g
-over each cell or sample) times the field's observable matrix.  Cell
-weights come from closed-form antiderivatives, so the oscillation
-measurements carry no quadrature noise; rough profiles pair on their runs
-and smooth profiles fall back to trapezoid weights.  The weak identities
-of the limit are checked against the exact pairings of its own evolved
-cells, which a completion run computes once and also compares with the
-extrapolated limit.  scipy is imported only when a Gaussian
+The layer takes cells only: a CellField, or a rough Profile on its runs
+(`Profile.runs`); a smooth Profile raises ValueError.  Every pairing is one
+weight vector per test function (the exact integral of g over each cell,
+from its closed-form antiderivative, so the oscillation measurements carry
+no quadrature noise) times the field's observable matrix.  The weak
+identities of the limit are checked against the exact pairings of its own
+evolved cells, which a completion run computes once and also compares with
+the extrapolated limit.  scipy is imported only when a Gaussian
 antiderivative is first evaluated, so importing the package loads numpy alone.
 """
 
@@ -48,7 +48,7 @@ from .geometry import (
     in_g,
     in_m,
 )
-from .profiles import CellField, Profile, cubic_interp
+from .profiles import CellField, Profile
 
 _SQRT2 = math.sqrt(2.0)
 _SQRT_HALF_PI = math.sqrt(0.5 * math.pi)
@@ -166,38 +166,32 @@ def _wind_range(lo_img, hi_img, g_lo, g_hi, period):
     return range(k_lo, k_hi + 1)
 
 
-def _weights(source: Profile | CellField, g: TestFunction) -> np.ndarray:
-    """Integral of g over each cell of a cell field, or each sample of a smooth profile.
+def _weights(cells: CellField, g: TestFunction) -> np.ndarray:
+    """Integral of g over each cell, exactly through the antiderivative of g.
 
-    Cells integrate exactly through the antiderivative of g, smooth periodic
-    profiles by the rectangle rule, both summed over the periodic images (by
-    the field's own period) that meet g's support and, in each image, only over
-    the cells or samples that cover it (one searchsorted on the support
-    bounds); without a period a cell field is supported on its own
-    breakpoint window.  Smooth constant-boundary profiles take trapezoid
-    weights.
+    Periodic fields sum over the images (by the field's own period) that
+    meet g's support and, in each image, only over the cells that cover it
+    (one searchsorted on the support bounds); without a period the field is
+    supported on its own breakpoint window.
     """
-    if isinstance(source, CellField):
-        pts, size, rule, period = source.breaks, source.m, g.antiderivative, source.period
-    elif source.boundary == "periodic":
-        pts, size, period = source.s_samples, source.n, source.period
-        rule = lambda x: source.ds * g(x)
-    else:
-        w = source.ds * g(source.s_samples)
-        w[[0, -1]] *= 0.5
-        return w
-    c = len(pts) - size  # a cell needs both its breaks, a sample only itself
+    pts, period = cells.breaks, cells.period
     if period is None:
-        f = rule(pts)
-        return np.subtract(f[1:], f[:-1]) if c else f
+        return np.diff(g.antiderivative(pts))
     g_lo, g_hi = g.support()
-    w = np.zeros(size)
+    w = np.zeros(cells.m)
     for k in _wind_range(pts[0], pts[-1], g_lo, g_hi, period):
         lo, hi = pts.searchsorted((g_lo - k * period, g_hi - k * period))
-        a, b = max(int(lo) - c, 0), min(int(hi) + 1, len(pts))
-        f = rule(pts[a:b] + k * period)
-        w[a:b - c] += np.subtract(f[1:], f[:-1]) if c else f
+        a, b = max(int(lo) - 1, 0), min(int(hi) + 1, len(pts))
+        w[a:b - 1] += np.diff(g.antiderivative(pts[a:b] + k * period))
     return w
+
+
+def _rough(base: Profile) -> Profile:
+    """base itself; a smooth Profile raises ValueError."""
+    if not base.rough:
+        raise ValueError("the weak-* layer takes cells: pass a CellField or a rough Profile, "
+                         "not a smooth Profile")
+    return base
 
 
 def _pairings(source: Profile | CellField, family: list[TestFunction]) -> np.ndarray:
@@ -205,10 +199,9 @@ def _pairings(source: Profile | CellField, family: list[TestFunction]) -> np.nda
 
     A rough profile pairs on its runs of equal samples (`Profile.runs`).
     """
-    if isinstance(source, Profile) and source.rough:
-        source = source.runs()
-    obs = observable_matrix(source.states if isinstance(source, CellField) else source.state())
-    return np.stack([_weights(source, g) @ obs for g in family])
+    cells = source if isinstance(source, CellField) else _rough(source).runs()
+    obs = observable_matrix(cells.states)
+    return np.stack([_weights(cells, g) @ obs for g in family])
 
 
 def pairing_matrix(source: Profile | CellField, g: TestFunction) -> np.ndarray:
@@ -220,22 +213,18 @@ def pairing_matrix(source: Profile | CellField, g: TestFunction) -> np.ndarray:
 class OscillationPlan:
     """Layout record of one oscillatory approximation."""
 
-    n_requested: float
     n_eff: float
     cells: int
     samples_per_cell: int
     layout: str
     max_weight_quantization: float
     base: Profile
-    params: ManifoldParams
-    counts: np.ndarray | None = None          # (base.n, 4) for aligned rough bases
-    point_states: tuple | None = None         # decomposition arrays of the base cells
+    counts: np.ndarray    # (base.n, 4) samples of each decomposition point per oscillation cell
+    point_states: tuple   # decomposition arrays (w, tau, v, eta, zeta) of the base cells
 
     def limit_profile(self) -> Profile:
         """Exact weak limit of the emitted tiling (equals the base when the
         quantized proportions are exact, e.g. quarter weights)."""
-        if self.counts is None or self.point_states is None:
-            return self.base
         p = self.counts / self.samples_per_cell
         _, tau, v, eta, zeta = self.point_states
         return Profile(
@@ -250,35 +239,20 @@ class OscillationPlan:
 
         Sample j of an oscillation cell (counted from its far end in the
         reversed layout) holds the decomposition point whose share of the
-        cell covers it; a smooth base decomposes at every sample.  Its runs
-        (`Profile.runs`) are the cells that `oscillate_profile` returns.
+        cell covers it.  Its runs (`Profile.runs`) are the cells that
+        `oscillate_profile` returns.
         """
         base, m = self.base, self.samples_per_cell
         total = self.cells * m
-        ds = base.period / total
         ordinal = np.arange(total) % m
         if self.layout == "reversed":
             ordinal = m - 1 - ordinal
-        if self.counts is not None:
-            _, tau, v, eta, zeta = self.point_states
-            src = (np.arange(total) // (self.cells // base.n * m)) % base.n
-            thr = np.cumsum(self.counts, axis=1)[src]
-        else:
-            w, tau, v, eta, zeta = decompose_to_m_arrays(_interpolated(base, total).state(),
-                                                         self.params)
-            src = np.arange(total)
-            thr = np.cumsum(w, axis=1) * m
+        _, tau, v, eta, zeta = self.point_states
+        src = (np.arange(total) // (self.cells // base.n * m)) % base.n
+        thr = np.cumsum(self.counts, axis=1)[src]
         pick = np.minimum(np.sum(thr <= (ordinal[:, None] + 0.5), axis=1), 3)
-        return Profile(base.s0, ds, tau[src, pick], v[src, pick], eta[src, pick],
-                       zeta[src, pick], "periodic", rough=True)
-
-
-def _interpolated(base: Profile, total: int) -> Profile:
-    """A smooth base interpolated at the centres of `total` equal cells of its
-    period: the states that `OscillationPlan.samples` decomposes."""
-    ds, d = base.period / total, base.d
-    p = cubic_interp(base.s0, base.ds, base.packed(), base.s0 + (np.arange(total) + 0.5) * ds)
-    return Profile(base.s0, ds, p[:, 0], p[:, 1], p[:, 2:2 + d], p[:, 2 + d:], "periodic", rough=True)
+        return Profile(base.s0, base.period / total, tau[src, pick], v[src, pick],
+                       eta[src, pick], zeta[src, pick], "periodic", rough=True)
 
 
 def _largest_remainder(weights: np.ndarray, m: int) -> np.ndarray:
@@ -295,7 +269,7 @@ def _largest_remainder(weights: np.ndarray, m: int) -> np.ndarray:
 
 def oscillate_profile(base: Profile, n: float, params: ManifoldParams | None = None,
                       m: int = 64, layout: str = "forward") -> tuple[CellField, OscillationPlan]:
-    """Tile hull data with manifold states at ~n oscillation cells per unit length.
+    """Tile rough hull data with manifold states at ~n oscillation cells per unit length.
 
     Returns the tiling as its runs of equal states, a periodic CellField,
     and the plan (`plan.samples()` is the same tiling sampled at m samples
@@ -304,36 +278,29 @@ def oscillate_profile(base: Profile, n: float, params: ManifoldParams | None = N
     decomposition points occupy runs of samples proportional to their
     weights (off by at most one sample), in index order or, in the
     reversed layout, backwards.  The cell count snaps to a multiple of the
-    base grid, so rough bases decompose once per base cell, each oscillation
+    base grid, so the base decomposes once per base cell, each oscillation
     cell holds at most four runs, and quarter weights tile exactly when m is
     a multiple of 4.  Empty runs are dropped and adjacent equal states
     merged, as `Profile.runs` does on the samples.  Without `params` the
-    window is the `admissibility` window of the states decomposed: the base
-    samples of a rough base, the interpolated states of a smooth one (the
-    cubic interpolant can leave the window of its samples).  Requires
-    n >= 2 per unit length and a periodic base.
+    window is the `admissibility` window of the base.  Requires n >= 2 per
+    unit length and a rough periodic base; a smooth one raises ValueError.
     """
     if n < 2:
         raise ValueError("need at least 2 oscillation cells per unit length")
-    if base.boundary != "periodic":
+    if _rough(base).boundary != "periodic":
         raise ValueError("oscillation layouts are defined on periodic profiles")
     if layout not in ("forward", "reversed"):
         raise ValueError("layout must be 'forward' or 'reversed'")
+    if params is None:
+        win = admissibility(base)
+        params = ManifoldParams(alpha=win.alpha, delta=win.delta)
     k = max(1, round(n * base.period / base.n))
     cells = k * base.n
-    if params is None:
-        win = admissibility(base if base.rough else _interpolated(base, cells * m))
-        params = ManifoldParams(alpha=win.alpha, delta=win.delta)
-    n_eff = cells / base.period
-    if not base.rough:
-        plan = OscillationPlan(n, n_eff, cells, m, layout, 1.0 / m, base, params)
-        return plan.samples().runs(), plan
-
     parts = decompose_to_m_arrays(base.state(), params)
     w, tau, v, eta, zeta = parts
     counts = _largest_remainder(w, m)
-    plan = OscillationPlan(n, n_eff, cells, m, layout, float(np.max(np.abs(counts / m - w))),
-                           base, params, counts, parts)
+    plan = OscillationPlan(cells / base.period, cells, m, layout,
+                           float(np.max(np.abs(counts / m - w))), base, counts, parts)
     # the four runs of every oscillation cell in layout order, k cells per base cell
     src = np.repeat(np.arange(base.n), 4 * k)
     pick = np.tile([0, 1, 2, 3] if layout == "forward" else [3, 2, 1, 0], cells)
@@ -429,6 +396,14 @@ def _identities(limit_table, rhs, family, tol, continuous_only=True) -> dict:
     }
 
 
+def _evolve_and_pair(source: Profile | CellField, params: ManifoldParams, times,
+                     family: list[TestFunction]) -> tuple[dict, np.ndarray]:
+    """The fields of source's flow evolved to every time (`evolve_cells`), and their pairings."""
+    flow = build_flow(source, params.alpha, params.delta)
+    fields = {t: evolve_cells(flow, t) for t in times}
+    return fields, pairing_tables(fields, family)
+
+
 def completion_experiment(base: Profile, n_list, times, family: list[TestFunction] | None = None,
                           m: int = 64, params: ManifoldParams | None = None,
                           identity_tol: float = 1e-3, compare_layouts: bool = False) -> dict:
@@ -442,7 +417,9 @@ def completion_experiment(base: Profile, n_list, times, family: list[TestFunctio
     (relativistic) data whenever the base leaves the manifold.  Per level it
     also gives the sizes that set the cost: the tiling's `runs`, the largest
     `evolved_cells` count over the times, and the plan's
-    `max_weight_quantization`.
+    `max_weight_quantization`.  Raises ValueError for empty times (before
+    any tiling) and for an n_list that snaps to fewer than two distinct
+    levels (before extrapolating, which needs two).
     """
     if family is None:
         family = default_family(base.s0, base.s0 + base.period)
@@ -450,6 +427,8 @@ def completion_experiment(base: Profile, n_list, times, family: list[TestFunctio
         win = admissibility(base)
         params = ManifoldParams(alpha=win.alpha, delta=win.delta)
     times = list(times)
+    if not times:
+        raise ValueError("times must hold at least one time")
 
     n_eff, tables, osc_in_m = [], [], True
     plans, runs, evolved = [], [], []
@@ -461,11 +440,14 @@ def completion_experiment(base: Profile, n_list, times, family: list[TestFunctio
         # the run states are exactly the distinct states of the tiling's samples
         ok = in_m(osc.states, 1e-10) & in_g(osc.states, params.alpha, params.delta, 1e-10)
         osc_in_m = osc_in_m and bool(np.all(ok))
-        flow = build_flow(osc, params.alpha, params.delta)
-        fields = {t: evolve_cells(flow, t) for t in times}
+        fields, table = _evolve_and_pair(osc, params, times, family)
         evolved.append(max(f.m for f in fields.values()))
-        tables.append(pairing_tables(fields, family))
-        del flow, fields  # free this level before the next one is built
+        tables.append(table)
+        del fields  # free this level before the next one is built
+    if len(set(n_eff)) < 2:
+        levels = ", ".join(f"{x:.4g}" for x in n_eff)
+        raise ValueError(f"n_list {list(n_list)} snaps to the levels [{levels}] (oscillation "
+                         f"cells per unit length); the extrapolation needs two distinct levels")
     tables = np.stack(tables)
 
     limit_table = extrapolate_tables(n_eff, tables)
@@ -482,10 +464,7 @@ def completion_experiment(base: Profile, n_list, times, family: list[TestFunctio
     uniformity = float(np.max(hi[lo > 0.0] / lo[lo > 0.0], initial=1.0))
 
     # direct evolution of the exact weak limit of the tiling
-    limit_prof = plans[-1].limit_profile()
-    limit_flow = build_flow(limit_prof, params.alpha, params.delta)
-    direct_fields = {t: evolve_cells(limit_flow, t) for t in times}
-    direct_table = pairing_tables(direct_fields, family)
+    direct_fields, direct_table = _evolve_and_pair(plans[-1].limit_profile(), params, times, family)
     extrap_vs_direct = float(np.max(np.abs(limit_table - direct_table)))
 
     identities = _identities(limit_table, direct_table, family, identity_tol)
@@ -519,8 +498,7 @@ def completion_experiment(base: Profile, n_list, times, family: list[TestFunctio
 
     if compare_layouts:
         osc_r, _ = oscillate_profile(base, n_list[-1], params, m, "reversed")
-        flow_r = build_flow(osc_r, params.alpha, params.delta)
-        table_r = pairing_tables({t: evolve_cells(flow_r, t) for t in times}, family)
+        _, table_r = _evolve_and_pair(osc_r, params, times, family)
         report["layout_gap"] = float(np.max(np.abs(table_r - tables[-1])))
         report["layout_gap_scale"] = float(gaps[-1])
     return report

@@ -580,12 +580,6 @@ def test_finite_propagation_exact_tails():
         assert np.max(np.abs(U.zeta)) < 1e-13
 
 
-def test_tau_slope_cross_check():
-    p = datasets.smooth_manifold_profile(n=2048)
-    flow = build_flow(p)
-    assert tau_slope_consistency(flow, 0.7, p.s_samples) < 5e-4
-
-
 def test_rough_flow_exact_transport():
     base = datasets.rough_manifold_base(cells=101)
     flow = build_flow(base)
@@ -699,8 +693,9 @@ def test_run_free_tables_are_the_per_sample_sums(base):
 
 @pytest.mark.parametrize("rough", [False, True], ids=["smooth", "rough"])
 def test_xi_one_lookup_per_foot(rough, monkeypatch):
-    # _xi_only locates each foot once and reads one row there, A at y + t and
-    # B at y - t: d'Alembert's sum of the xi0 and Phi tables, to rounding
+    # _xi_only (and xi_evaluate, for the slope dy xi) locates each foot once
+    # and reads one row there, A at y + t and B at y - t: d'Alembert's sum of
+    # the xi0 and Phi tables, to rounding
     flow = build_flow(datasets.rough_manifold_base(101, alpha=0.2) if rough
                       else datasets.smooth_manifold_profile(n=512))
     y = np.linspace(-30.0, 30.0, 1001)
@@ -718,7 +713,7 @@ def test_xi_one_lookup_per_foot(rough, monkeypatch):
             reads.clear()
             with monkeypatch.context() as mp:
                 mp.setattr(CharacteristicFlow, "_tables", counted)
-                got = _xi_only(flow, t, y, deriv)
+                got = xi_evaluate(flow, t, y)[2] if deriv else _xi_only(flow, t, y)
             assert reads == [(y.shape, 1)] * 2, (t, deriv)
             assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref)), (t, deriv)
 
@@ -744,7 +739,7 @@ def _two_evaluation_inverse(flow, t, s, y_tol=1e-12):
         f = _xi_only(flow, tl, yl) - s[live]
         lo_l = np.where(f < 0.0, yl, lo[live])
         hi_l = np.where(f < 0.0, hi[live], yl)
-        newton = f / _xi_only(flow, tl, yl, True)
+        newton = f / xi_evaluate(flow, tl, yl)[2]
         y_new = yl - newton
         bisect = (y_new < lo_l) | (y_new > hi_l) | (np.abs(newton) > 0.5 * np.abs(step[live]))
         y_new = np.where(bisect, 0.5 * (lo_l + hi_l), y_new)

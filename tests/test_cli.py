@@ -160,6 +160,25 @@ def test_value_error_still_exits_2(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().err.strip() == "error: grid.n must be positive"
 
 
+def test_an_initial_without_a_kind_exits_2(tmp_path, capsys):
+    cfg = write_json(tmp_path / "sim.json", {"initial": "smooth_m"})
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.strip() == \
+        "error: initial must be an object with a 'kind', got 'smooth_m'"
+
+
+def test_any_other_exception_exits_3(tmp_path, monkeypatch, capsys):
+    def faulty(cfg, out_dir):
+        raise IndexError("index 5 is out of bounds for axis 0 with size 4")
+
+    monkeypatch.setattr("stringlab.cli.cmd_simulate", faulty)
+    cfg = write_json(tmp_path / "sim.json", {"initial": {"kind": "smooth_m"}})
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err[0] == "Traceback (most recent call last):"
+    assert err[-1] == "internal error: IndexError: index 5 is out of bounds for axis 0 with size 4"
+
+
 def test_thm1_command(tmp_path):
     cfg = write_json(tmp_path / "t.json", {
         "n_list": [8, 16, 32],
@@ -202,12 +221,30 @@ def test_completion_command(tmp_path):
     assert lines[0] == "n,g_id,t,pairing_gap"
 
 
+@pytest.mark.parametrize("cfg, message", [
+    ({"n_list": [8]}, "n_list [8] snaps to the levels [8.037]"),
+    ({"n_list": [8, 8]}, "n_list [8, 8] snaps to the levels [8.037, 8.037]"),
+    ({"n_list": [8, 9]}, "n_list [8, 9] snaps to the levels [8.037, 8.037]"),
+    ({"times": []}, "times must hold at least one time"),
+], ids=["one_level", "repeated_level", "one_snapped_level", "no_times"])
+def test_completion_needs_two_levels_and_a_time(tmp_path, monkeypatch, capsys, cfg, message):
+    # 8 and 9 cells per unit length both snap to one cell per base cell of
+    # the 101-cell base; an empty times list fails before any tiling
+    if "times" in cfg:
+        monkeypatch.setattr("stringlab.weak.oscillate_profile",
+                            lambda *args, **kw: pytest.fail("tiled before checking the times"))
+    path = write_json(tmp_path / "c.json", dict(cfg, samples_per_cell=16))
+    assert main(["completion", "--config", path, "--out", str(tmp_path / "o")]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_flags_are_registered_only_where_read(tmp_path):
     cfg = write_json(tmp_path / "c.json", {"n_list": [8]})
     for argv in (["completion", "--config", cfg, "--seed", "3"],
                  ["simulate", "--config", cfg, "--tol", "1e-8"],
                  ["thm1", "--config", cfg, "--tol", "1e-8"],
-                 ["validate", "--tol", "1e-8"]):
+                 ["validate", "--tol", "1e-8"],
+                 ["validate", "--config", cfg]):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2

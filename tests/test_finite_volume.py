@@ -166,17 +166,6 @@ def test_cfl_step_at_exactly_the_bound_is_accepted():
         st = lax_friedrichs_step(st, cfl * st.ds / max_signal_speed(st.Y, st.Z), cfl_max=cfl)
 
 
-def test_discrete_conservation_under_periodic_boundary():
-    p = datasets.smooth_manifold_profile(n=256)
-    st = from_profile(p)
-    tot0 = conservation_totals(st)
-    for _ in range(100):
-        st = lax_friedrichs_step(st, 0.8 * st.ds / max_signal_speed(st.Y, st.Z))
-    tot1 = conservation_totals(st)
-    assert np.max(np.abs(tot1["Y"] - tot0["Y"])) < 1e-12
-    assert np.max(np.abs(tot1["Z"] - tot0["Z"])) < 1e-12
-
-
 def test_totals_require_periodic():
     p = datasets.smooth_manifold_profile(n=64, boundary="constant")
     with pytest.raises(ValueError):

@@ -10,7 +10,7 @@ import pytest
 
 from stringlab import datasets
 from stringlab.characteristics import _xi_only, admissibility, build_flow, evolve_cells
-from stringlab.geometry import DomainError, ManifoldParams, in_g, in_m
+from stringlab.geometry import ManifoldParams, in_g, in_m
 from stringlab.profiles import Profile
 from stringlab.waves import oscillatory_limit_init, wave_to_augmented
 from stringlab.weak import (
@@ -28,15 +28,6 @@ from stringlab.weak import (
 
 
 # -- test functions -----------------------------------------------------------
-
-def test_normalizations_match_quadrature():
-    for g in (TestFunction.gaussian(0.3, 0.7), TestFunction.hat(-1.0, 1.3),
-              TestFunction.indicator(-2.0, 1.5)):
-        lo, hi = g.support(1e-18)
-        grid = np.linspace(lo, hi, 400001)
-        quad = np.trapezoid(np.abs(g(grid)), grid)
-        assert abs(quad - g.normalization) < 1e-10
-
 
 def test_antiderivatives_match_values():
     rng = np.random.default_rng(4)
@@ -119,7 +110,7 @@ def test_default_family_composition():
 # -- pairings -----------------------------------------------------------------
 
 def test_pairing_constant_observable():
-    p = datasets.constant_profile(0.5, 0.0, [0.2, 0, 0], [0.1, 0, 0], n=512)
+    p = datasets.constant_profile(0.5, 0.0, [0.2, 0, 0], [0.1, 0, 0], n=512, rough=True)
     g = TestFunction.gaussian(0.4, 0.7)
     mat = pairing_matrix(p, g)  # (h, q, Y, Z) against g
     h, q, Y, Z = mat[0], mat[1], mat[2:5], mat[5:]
@@ -138,16 +129,6 @@ def test_pairing_matrix_uses_the_fields_own_period():
     mat = pairing_matrix(b, g)
     assert mat[0] == pytest.approx(1.7725, abs=1e-4)
     assert np.array_equal(pairing_matrix(b.runs(), g), mat)
-
-
-def test_pairing_smooth_vs_cells_consistency():
-    # the same underlying state paired through both quadrature routes
-    base = datasets.rough_manifold_base(cells=4096)
-    smooth = datasets.smooth_manifold_profile(n=4096)
-    g = TestFunction.gaussian(0.7, 0.8)
-    a = pairing_matrix(base, g)
-    b = pairing_matrix(smooth, g)
-    assert np.max(np.abs(a - b)) < 1e-4  # cell-center vs node sampling
 
 
 def test_change_of_variables_identity():
@@ -253,21 +234,6 @@ def test_oscillate_wave_limit_mirrors_relativistic_family():
     assert np.max(np.abs(base.eta[:, 1])) == 0.0
 
 
-def test_oscillate_smooth_base_takes_the_window_of_its_interpolated_states():
-    # the cubic interpolant of a smooth hull base leaves the window fitted to
-    # its samples, so the default window is fitted to the interpolated states
-    # the tiling decomposes; a window fitted to the samples still fails
-    base = datasets.smooth_hull_profile(n=256, hull_factor=0.5)
-    runs, plan = oscillate_profile(base, 8, m=16)
-    U = runs.states
-    assert runs.m == plan.cells * plan.samples_per_cell == 4096  # a run per sample
-    assert np.all(in_m(U)) and np.all(in_g(U, plan.params.alpha, plan.params.delta))
-    win = admissibility(base)
-    assert plan.params.delta < win.delta
-    with pytest.raises(DomainError):
-        oscillate_profile(base, 8, ManifoldParams(alpha=win.alpha, delta=win.delta), m=16)
-
-
 def test_oscillate_validation():
     base = datasets.rough_manifold_base(cells=32)
     with pytest.raises(ValueError):
@@ -275,56 +241,34 @@ def test_oscillate_validation():
     p = datasets.smooth_manifold_profile(n=64, boundary="constant")
     with pytest.raises(ValueError):
         oscillate_profile(p, 8)
-
-
-def test_layout_order_does_not_move_the_limit():
-    base = datasets.subrelativistic_wave_base(cells=101)
-    win = admissibility(base)
-    params = ManifoldParams(alpha=win.alpha, delta=win.delta)
-    g = TestFunction.gaussian(0.5, 0.9)
-    ref = pairing_matrix(base, g)
-    fwd, plan = oscillate_profile(base, 32, params, m=64, layout="forward")
-    rev, _ = oscillate_profile(base, 32, params, m=64, layout="reversed")
-    gap_f = np.max(np.abs(pairing_matrix(fwd, g) - ref))
-    gap_r = np.max(np.abs(pairing_matrix(rev, g) - ref))
-    assert gap_f < 4.0 / plan.n_eff and gap_r < 4.0 / plan.n_eff
+    # the weak-* layer takes cells: a smooth periodic hull profile is refused,
+    # not interpolated and sampled
+    smooth = datasets.smooth_hull_profile(n=64)
+    with pytest.raises(ValueError, match="pass a CellField or a rough Profile"):
+        oscillate_profile(smooth, 8)
+    with pytest.raises(ValueError, match="pass a CellField or a rough Profile"):
+        pairing_matrix(smooth, TestFunction.gaussian(0.0, 1.0))
 
 
 def test_pairing_tables_match_per_function_pairings():
-    # one observable matrix per field gives the per-g pairings; smooth
-    # constant profiles keep the trapezoid rule
+    # one observable matrix per field gives the per-g pairings
     rough = datasets.subrelativistic_wave_base(cells=101)
     fam = default_family(rough.s0, rough.s0 + rough.period)
-    fields = {
-        "cells": evolve_cells(build_flow(rough), 0.7),
-        "rough": rough,
-        "smooth_periodic": datasets.smooth_hull_profile(n=256),
-        "smooth_constant": datasets.smooth_manifold_profile(n=256, boundary="constant"),
-    }
+    fields = {"cells": evolve_cells(build_flow(rough), 0.7), "rough": rough}
     tables = pairing_tables(fields, fam)
     for row, src in zip(tables, fields.values()):
         for g, got in zip(fam, row):
             assert np.max(np.abs(got - pairing_matrix(src, g))) < 1e-14
-    # each periodic image sums g only over the cells or samples covering its
-    # support; the sum over every cell of every image is the same pairing
-    cells, smooth = fields["cells"], fields["smooth_periodic"]
-
-    def exact(g, x):
-        return np.diff(g.antiderivative(x))
-
-    full_sums = [(cells.breaks, cells.states, exact),
-                 (rough.s0 + rough.ds * np.arange(rough.n + 1), rough.state(), exact),
-                 (smooth.s_samples, smooth.state(), lambda g, x: smooth.ds * g(x))]
-    for row, (pts, states, rule) in zip(tables, full_sums):
+    # each periodic image sums g only over the cells covering its support;
+    # the sum over every cell of every image is the same pairing
+    cells = fields["cells"]
+    full_sums = [(cells.breaks, cells.states),
+                 (rough.s0 + rough.ds * np.arange(rough.n + 1), rough.state())]
+    for row, (pts, states) in zip(tables, full_sums):
         obs = observable_matrix(states)
         for g, got in zip(fam, row):
-            ref = sum(rule(g, pts + k * rough.period) for k in range(-5, 6)) @ obs
+            ref = sum(np.diff(g.antiderivative(pts + k * rough.period)) for k in range(-5, 6)) @ obs
             assert np.max(np.abs(got - ref)) < 1e-11, g.label
-    prof = fields["smooth_constant"]
-    obs = observable_matrix(prof.state())
-    for g, got in zip(fam, tables[-1]):
-        ref = np.trapezoid(g(prof.s_samples)[:, None] * obs, dx=prof.ds, axis=0)
-        assert np.max(np.abs(got - ref)) < 1e-14
 
 
 # -- distance, extrapolation, identities ---------------------------------------
