@@ -648,15 +648,13 @@ def xi_wave_residual(flow: CharacteristicFlow, t_pts, y_pts, dy_fd: float) -> fl
 
     Centered second differences with distinct steps, dt = dy/2 (equal steps
     would telescope exactly through the d'Alembert form and measure nothing);
-    the residual decays at second order for smooth data.
+    the residual decays at second order for smooth data.  Each of the five
+    stencil points is one read of xi over the whole lattice.
     """
     dt_fd = 0.5 * dy_fd
-    worst = 0.0
+    t = np.asarray(t_pts, dtype=float)[:, None]
     y = np.asarray(y_pts, dtype=float)
-    for t in t_pts:
-        dtt = (_xi_only(flow, t + dt_fd, y) - 2.0 * _xi_only(flow, t, y)
-               + _xi_only(flow, t - dt_fd, y)) / dt_fd**2
-        dyy = (_xi_only(flow, t, y + dy_fd) - 2.0 * _xi_only(flow, t, y)
-               + _xi_only(flow, t, y - dy_fd)) / dy_fd**2
-        worst = max(worst, float(np.max(np.abs(dtt - dyy))))
-    return worst
+    xi2 = 2.0 * _xi_only(flow, t, y)
+    dtt = (_xi_only(flow, t + dt_fd, y) - xi2 + _xi_only(flow, t - dt_fd, y)) / dt_fd**2
+    dyy = (_xi_only(flow, t, y + dy_fd) - xi2 + _xi_only(flow, t, y - dy_fd)) / dy_fd**2
+    return float(np.max(np.abs(dtt - dyy)))

@@ -16,6 +16,7 @@ from .characteristics import (
     evolve_states,
     solve_augmented,
     tau_slope_consistency,
+    xi_evaluate,
     xi_wave_residual,
 )
 from .finite_volume import conservation_totals, from_profile, lax_friedrichs_step, max_signal_speed
@@ -24,6 +25,7 @@ from .geometry import (
     StateU,
     decompose_to_m_arrays,
     dual_fields,
+    embed_state,
     from_rescaled,
     hamiltonian,
     in_cm,
@@ -34,6 +36,7 @@ from .geometry import (
     to_rescaled,
 )
 from .profiles import Profile
+from .waves import WaveInitialData, branch_residuals, dalembert_wave_solve, oscillatory_family_init
 from .weak import TestFunction, oscillate_profile, pairing_matrix
 
 
@@ -103,8 +106,6 @@ def check_legendre_duality(rng, inject=False) -> dict:
 
 
 def check_embedding_constraint(rng, inject=False) -> dict:
-    from .geometry import embed_state
-
     Y = rng.uniform(-1.2, 1.2, (200, 3))
     W = rng.uniform(-0.55, 0.55, (200, 3))
     U = embed_state(Y, W)
@@ -200,8 +201,6 @@ def check_hull_convexity(rng, inject=False) -> dict:
 
 
 def check_wave_propagation(rng, inject=False) -> dict:
-    from .waves import branch_residuals, dalembert_wave_solve, oscillatory_family_init, WaveInitialData
-
     init = oscillatory_family_init(4, n=2048)
     g = dalembert_wave_solve(init, 0.8 + (0.3 if inject else 0.0))
     if inject:
@@ -214,14 +213,8 @@ def check_wave_propagation(rng, inject=False) -> dict:
 def check_flow_bounds(rng, inject=False) -> dict:
     p = datasets.smooth_manifold_profile(n=1024, d=3)
     flow = build_flow(p)
-    y = np.linspace(-8.0, 8.0, 300)
-    worst_lo, worst_hi = np.inf, -np.inf
-    for t in (-2.0, 0.0, 1.5):
-        from .characteristics import xi_evaluate
-
-        _, _, dxi = xi_evaluate(flow, t, y)
-        worst_lo = min(worst_lo, float(np.min(dxi)))
-        worst_hi = max(worst_hi, float(np.max(dxi)))
+    _, _, dxi = xi_evaluate(flow, np.array([[-2.0], [0.0], [1.5]]), np.linspace(-8.0, 8.0, 300))
+    worst_lo, worst_hi = float(np.min(dxi)), float(np.max(dxi))
     if inject:
         worst_lo = flow.delta - 1e-3
     lo_ok = worst_lo >= flow.delta - 1e-10

@@ -33,13 +33,15 @@ class StringGraph:
 
     Built with arrays, or by `dalembert_wave_solve` with the derivative
     fields deferred: its `_derive` gives both, on the first read of either
-    one, and they are kept.  Assigning a field replaces it.
+    one, and they are kept.  Assigning a field replaces it.  The fields are
+    shaped (..., n, d): one row per time of a (t, s) lattice, whose t then
+    holds the times; `n` and `d` read the trailing axes.
     """
 
-    def __init__(self, t: float, s0: float, ds: float, X: np.ndarray, dXds: np.ndarray | None,
+    def __init__(self, t, s0: float, ds: float, X: np.ndarray, dXds: np.ndarray | None,
                  dXdt: np.ndarray | None, boundary: str = "periodic"):
         self.t, self.s0, self.ds, self.X, self.boundary = t, s0, ds, X, boundary
-        self._derive = lambda: (dXds, dXdt)  # each (n, d)
+        self._derive = lambda: (dXds, dXdt)  # each shaped like X
 
     @functools.cached_property
     def _derived(self):
@@ -50,11 +52,11 @@ class StringGraph:
 
     @property
     def n(self) -> int:
-        return self.X.shape[0]
+        return self.X.shape[-2]
 
     @property
     def d(self) -> int:
-        return self.X.shape[1]
+        return self.X.shape[-1]
 
     @property
     def s_samples(self) -> np.ndarray:
@@ -172,21 +174,25 @@ def _eval_v0(init: WaveInitialData, q):
     return linear_interp(init.s0, init.ds, init.v0, q, init.boundary)
 
 
-def dalembert_wave_solve(init: WaveInitialData, t: float, s_out: np.ndarray | None = None) -> StringGraph:
-    """Exact evaluation of the speed-kappa wave solution at time t.
+def dalembert_wave_solve(init: WaveInitialData, t, s_out: np.ndarray | None = None) -> StringGraph:
+    """Exact evaluation of the speed-kappa wave solution at times t.
 
     X(t, s) = [X0(s + kt) + X0(s - kt)]/2 + (1/2k) * integral of V0 over
     [s - kt, s + kt]; derivative fields follow by differentiating the same
     formula, so the returned graph is consistent to interpolation accuracy
-    (exact when the initial data carry analytic callables).  Each field is
-    evaluated in one pass over both feet: the points s + kt and s - kt are
-    concatenated once, and x0, the v0 antiderivative, dx0 and v0 are each
-    called once on that array and split.  X is computed now; dXds and dXdt
-    are evaluated on their first read, so a caller that reads only X never
-    evaluates dx0 or v0.  They read `init` then: mutate it only after the
-    derivative fields are read.
+    (exact when the initial data carry analytic callables).  t broadcasts
+    against the output points: a float gives fields shaped (n, d), and
+    t = times[:, None] the (t, s) lattice, shaped (len(times), n, d), at
+    the cost of one call.  Each field is evaluated in one pass over both
+    feet: the points s + kt and s - kt are concatenated once, and x0, the
+    v0 antiderivative, dx0 and v0 are each called once on that array and
+    split.  X is computed now; dXds and dXdt are evaluated on their first
+    read, so a caller that reads only X never evaluates dx0 or v0.  They
+    read `init` then: mutate it only after the derivative fields are read.
     """
-    require_finite("t", t)
+    t_arr = require_finite("t", t)
+    if t_arr.ndim:  # a float stays a float, the cheaper operand
+        t = t_arr
     k = init.kappa
     if s_out is None:
         s_out = init.s_samples
@@ -194,8 +200,8 @@ def dalembert_wave_solve(init: WaveInitialData, t: float, s_out: np.ndarray | No
     else:
         s_out = np.asarray(s_out, dtype=float)
         s0_out, ds_out = uniform_grid(s_out, init.ds, "s_out")
-    n = len(s_out)
     feet = np.concatenate([s_out + k * t, s_out - k * t])  # the + feet, then the - feet
+    n = len(feet) // 2
     if init.boundary == "constant":
         _check_tails(init, feet)
     x = _eval_x0(init, feet)

@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+from stringlab import cli, waves
 from stringlab.cli import ConfigError, load_config, main
 from stringlab.profiles import Profile, read_snapshot, write_snapshot
 from stringlab.validate import run_validation
@@ -74,6 +75,35 @@ def test_simulate_rejects_a_cross_check_time_before_any_solve(tmp_path, monkeypa
     })
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err.strip() == f"error: {message}"
+
+
+def test_simulate_solves_each_time_once_per_stencil_point(tmp_path, monkeypatch):
+    # a snapshot is the middle of its residual stack: two times, three solves each
+    solved, cli_solve = [], cli.solve_augmented
+
+    def counted(flow, t, *args):
+        solved.append(t)
+        return cli_solve(flow, t, *args)
+
+    monkeypatch.setattr("stringlab.cli.solve_augmented", counted)
+    cfg = write_json(tmp_path / "sim.json", {
+        "initial": {"kind": "smooth_m", "d": 3}, "grid": {"n": 1024}, "times": [0.3, 1.0],
+        "cross_check_fv": {"enabled": False},
+    })
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    assert solved == [0.3, 0.3 - 1e-3, 0.3 + 1e-3, 1.0, 1.0 - 1e-3, 1.0 + 1e-3]
+
+
+@pytest.mark.parametrize("command, cfg, key", [
+    ("simulate", {"initial": {"kind": "smooth_m"}, "grid": {"n": [256]}}, "'grid.n' = [256]"),
+    ("thm1", {"n_list": 8}, "'n_list' = 8"),
+    ("completion", {"samples_per_cell": [64]}, "'samples_per_cell' = [64]"),
+    ("simulate", {"initial": {"kind": "smooth_m"}, "times": "ab"}, "'times' = 'ab'"),
+], ids=["list_grid_n", "scalar_n_list", "list_samples_per_cell", "string_times"])
+def test_a_config_value_of_the_wrong_type_exits_2_naming_its_key(tmp_path, capsys, command, cfg, key):
+    path = write_json(tmp_path / "c.json", cfg)
+    assert main([command, "--config", path, "--out", str(tmp_path / "o")]) == 2
+    assert f"error: config key {key}: " in capsys.readouterr().err
 
 
 def test_simulate_wave_data_cross_solver(tmp_path):
@@ -179,7 +209,14 @@ def test_any_other_exception_exits_3(tmp_path, monkeypatch, capsys):
     assert err[-1] == "internal error: IndexError: index 5 is out of bounds for axis 0 with size 4"
 
 
-def test_thm1_command(tmp_path):
+def test_thm1_command(tmp_path, monkeypatch):
+    blocks = []
+
+    def counted(init, t, s_out):
+        blocks.append(np.size(t) * np.size(s_out))
+        return waves.dalembert_wave_solve(init, t, s_out)
+
+    monkeypatch.setattr("stringlab.cli.dalembert_wave_solve", counted)
     cfg = write_json(tmp_path / "t.json", {
         "n_list": [8, 16, 32],
         "grid": {"t_samples": 65, "s_samples": 129},
@@ -189,9 +226,20 @@ def test_thm1_command(tmp_path):
     lines = open(os.path.join(out, "thm1_rates.csv")).read().splitlines()
     assert lines[0] == "n,sup_error,ratio"
     assert len(lines) == 4
-    # single-row table
+    # one call per mode, equal to a loop over the times
+    assert blocks == [65 * 129] * 3
+    ss = np.linspace(-2 * np.pi, 2 * np.pi, 129)
+    loop = [max(float(np.max(np.linalg.norm(waves.dalembert_wave_solve(init, float(t), ss).X
+                                            - waves.oscillatory_limit_solution(float(t), ss), axis=-1)))
+                for t in np.linspace(-2 * np.pi, 2 * np.pi, 65))
+            for init in map(waves.oscillatory_family_init, (8, 16, 32))]
+    report = json.load(open(os.path.join(out, "thm1_report.json")))
+    assert report["results"][0]["values"] == loop
+    # single-row table on the default 513 x 513 lattice, in blocks of at most 2^16 points
+    blocks.clear()
     cfg1 = write_json(tmp_path / "t1.json", {"n_list": [8]})
     assert main(["thm1", "--config", cfg1, "--out", str(tmp_path / "o1")]) == 0
+    assert len(blocks) == 5 and sum(blocks) == 513 * 513 and max(blocks) <= 2**16
     # missing n_list is a config error
     cfg2 = write_json(tmp_path / "t2.json", {})
     assert main(["thm1", "--config", cfg2, "--out", str(tmp_path / "o2")]) == 2
@@ -219,6 +267,27 @@ def test_completion_command(tmp_path):
     assert exp["max_weight_quantization"] == [0.0, 0.0, 0.0]
     lines = open(os.path.join(out, "completion_gaps.csv")).read().splitlines()
     assert lines[0] == "n,g_id,t,pairing_gap"
+
+
+def test_completion_of_manifold_data_passes_on_exactly_zero_gaps(tmp_path, monkeypatch):
+    cfg = write_json(tmp_path / "c.json", {"base": "manifold", "n_list": [8, 16, 32],
+                                          "times": [0.0, 1.0], "samples_per_cell": 16})
+    assert main(["completion", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    report = json.load(open(os.path.join(tmp_path, "o", "completion_report.json")))
+    assert {"name": "gaps_exactly_zero", "pass": True} in report["results"]
+    assert report["results"][-1]["gaps"] == [0.0, 0.0, 0.0]
+    assert report["results"][-1]["slope"] is None
+    cli_completion = cli.completion_experiment
+
+    def one_nonzero_gap(*args, **kwargs):
+        rep = cli_completion(*args, **kwargs)
+        rep["gaps"][1] = 1e-17
+        return rep
+
+    monkeypatch.setattr("stringlab.cli.completion_experiment", one_nonzero_gap)
+    assert main(["completion", "--config", cfg, "--out", str(tmp_path / "o2")]) == 1
+    report = json.load(open(os.path.join(tmp_path, "o2", "completion_report.json")))
+    assert {"name": "gaps_exactly_zero", "pass": False} in report["results"]
 
 
 @pytest.mark.parametrize("cfg, message", [

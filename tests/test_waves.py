@@ -237,13 +237,15 @@ def _constant_boundary_init():
     (_constant_boundary_init, (0.3, -1.5, 20.0)),
 ], ids=["analytic", "sampled_moving", "constant_boundary"])
 def test_deferred_fields_equal_the_eager_formula(make, times):
+    # one call per time, and one call on the (t, s) lattice whose rows are the times
     init = make()
-    for t in times:
+    lattice = dalembert_wave_solve(init, np.array(times)[:, None])
+    assert lattice.X.shape == (len(times), init.n, init.d) and (lattice.n, lattice.d) == (init.n, init.d)
+    for i, t in enumerate(times):
         g = dalembert_wave_solve(init, t)
         X, dXds, dXdt = _eager_solve(init, t)
-        assert np.array_equal(g.X, X)
-        assert np.array_equal(g.dXds, dXds)
-        assert np.array_equal(g.dXdt, dXdt)
+        for fields in (g.X, g.dXds, g.dXdt), (lattice.X[i], lattice.dXds[i], lattice.dXdt[i]):
+            assert all(np.array_equal(a, b) for a, b in zip(fields, (X, dXds, dXdt)))
 
 
 def test_reading_x_never_evaluates_the_derivative_data():
@@ -259,16 +261,17 @@ def test_reading_x_never_evaluates_the_derivative_data():
     init = wave_initial_from_functions(
         ref.kappa, counted("x0", ref.x0_fn), counted("v0", lambda s: 0.1 * ref.dx0_fn(s)),
         counted("dx0", ref.dx0_fn), n=256)
-    calls.update(x0=0, dx0=0, v0=0)
-    g = dalembert_wave_solve(init, 0.9)
-    assert g.X.shape == (256, 3)
-    # one call per field on both feet at once
-    assert calls == {"x0": 1, "dx0": 0, "v0": 0}
-    first = g.dXds
-    assert g.dXds is first
-    assert calls == {"x0": 1, "dx0": 1, "v0": 1}
-    g.dXdt
-    assert calls == {"x0": 1, "dx0": 1, "v0": 1}
+    for t, shape in ((0.9, (256, 3)), (np.array([[0.2], [0.9], [1.4]]), (3, 256, 3))):
+        calls.update(x0=0, dx0=0, v0=0)
+        g = dalembert_wave_solve(init, t)
+        assert g.X.shape == shape
+        # one call per field on both feet at once, at every time of the call
+        assert calls == {"x0": 1, "dx0": 0, "v0": 0}
+        first = g.dXds
+        assert g.dXds is first
+        assert calls == {"x0": 1, "dx0": 1, "v0": 1}
+        g.dXdt
+        assert calls == {"x0": 1, "dx0": 1, "v0": 1}
 
 
 def test_assigning_a_deferred_field_keeps_the_other():
