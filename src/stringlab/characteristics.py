@@ -87,8 +87,6 @@ class InadmissibleDataError(ValueError):
 class AdmissibilityWindow:
     alpha: float
     delta: float
-    sup_v_minus_tau: float
-    inf_v_plus_tau: float
 
 
 def admissibility(source: Profile | CellField) -> AdmissibilityWindow:
@@ -133,7 +131,7 @@ def admissibility(source: Profile | CellField) -> AdmissibilityWindow:
     delta_low = 0.5 * (wp[j] - wm[i])
     hi = max(np.max(wp) - alpha, alpha - np.min(wm))
     delta = min(delta_low, 1.0 / hi, 1.0 - 1e-12)
-    return AdmissibilityWindow(alpha, delta, float(wm[i]), float(wp[j]))
+    return AdmissibilityWindow(alpha, delta)
 
 
 @dataclass
@@ -318,7 +316,8 @@ def xi_time_inverse(flow: CharacteristicFlow, t, s):
     With e = s - xi(t, 0), the Lipschitz bounds delta <= dy xi <= 1/delta
     put the root in [e delta, e/delta] (in [e/delta, e delta] for e < 0).
     Newton starts at `_newton_start`, whose lattice depends on the flow and
-    t alone, so a point's y does not depend on the call's other points.  It
+    t alone, so at one time a point's y does not depend on the call's other
+    points; a call at several times starts at the bracket midpoint.  It
     steps with the exact slope of the tables' interpolants, each step one
     read of A at y + t and B at y - t (`_feet`).  Every evaluation narrows
     the bracket, and a step that leaves it or fails to halve the previous

@@ -5,9 +5,11 @@
     stringlab completion --config cfg.json [--out DIR]             weak-* completion experiment
     stringlab validate   [--out DIR] [--seed N] [--inject NAME]    invariant battery
 
-Configs are JSON, or flat `key = value` text with dotted keys for nesting
-(`grid.n = 4096`).  Exit codes: 0 success, 1 validation failure, 2 bad
-input or configuration (a ValueError), 3 internal error (any other
+A config is a JSON object.  Each value must have its key's JSON type: a
+number where a number is read, an integer >= 1 for a size, true or false
+for a switch; no value is converted from another type.  Exit codes: 0
+success, 1 validation failure, 2 bad input or configuration (a ValueError;
+a config error names its key or file), 3 internal error (any other
 exception, with its traceback unless a RuntimeError: a fault of the
 program, such as an inversion that misses its residual bound, never of the
 input).  All artifacts are deterministic for a fixed seed: CSV files use
@@ -45,60 +47,60 @@ _FV_MAX_STEPS = 10**6
 _THM1_BLOCK_POINTS = 2**16
 
 
-def _parse_scalar(text: str):
-    t = text.strip()
-    low = t.lower()
-    if low in ("true", "false"):
-        return low == "true"
-    if low in ("null", "none"):
-        return None
-    if t.startswith("["):
-        return json.loads(t)
-    for cast in (int, float):
-        try:
-            return cast(t)
-        except ValueError:
-            pass
-    return t.strip("\"'")
-
-
 def load_config(path: str) -> dict:
-    """JSON, or `key = value` lines with dotted-key nesting and # comments."""
-    if not os.path.exists(path):
-        raise ConfigError(f"config file not found: {path}")
-    with open(path) as fh:
-        text = fh.read()
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        try:
-            return json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"invalid JSON config: {exc}") from exc
-    cfg: dict = {}
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
-        key, value = line.split("=", 1)
-        node = cfg
-        parts = key.strip().split(".")
-        for part in parts[:-1]:
-            node = node.setdefault(part, {})
-        node[parts[-1]] = _parse_scalar(value)
+    """The JSON object in the file; ConfigError naming the file when it cannot
+    be read, is not JSON or holds anything but an object at the top level."""
+    try:
+        with open(path) as fh:
+            cfg = json.load(fh)
+    except OSError as exc:
+        raise ConfigError(f"cannot read config {path}: {exc.strerror}") from exc
+    except ValueError as exc:  # JSONDecodeError, or UnicodeDecodeError for a binary file
+        raise ConfigError(f"invalid JSON config {path}: {exc}") from exc
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"config {path} must hold a JSON object, got {type(cfg).__name__}")
     return cfg
 
 
-def _floats(value) -> list[float]:
-    return [float(x) for x in value]
+def _json_type(name: str, *kinds):
+    """A cast for `_get` that passes a value of one of the Python types
+    `kinds` unchanged and raises TypeError naming the JSON type otherwise.
+    A bool passes only where bool is one of the kinds: JSON's true and false
+    are no numbers, although Python's bool is an int."""
+    def cast(value):
+        if isinstance(value, bool) != (bool in kinds) or not isinstance(value, kinds):
+            raise TypeError(f"expected {name}")
+        return value
+    return cast
+
+
+_bool = _json_type("true or false", bool)
+_str = _json_type("a string", str)
+_number = _json_type("a number", int, float)
+_array = _json_type("an array", list)
+
+
+def _float(value) -> float:
+    return float(_number(value))
+
+
+def _count(value) -> int:
+    """An integral number >= 1, as an int."""
+    if _number(value) % 1 or value < 1:  # a non-finite value leaves a NaN remainder
+        raise ValueError("expected an integer >= 1")
+    return int(value)
+
+
+def _list(item):
+    """The cast of a JSON array whose entries each pass the cast `item`."""
+    return lambda value: [item(x) for x in _array(value)]
 
 
 def _get(cfg: dict, key: str, cast, default=None):
     """cast(value) of the dotted config key, or of the default when the key is absent.
 
     Raises ConfigError naming the key when it is absent and the default is
-    None, or when the cast raises TypeError or ValueError.
+    None, or when the cast raises TypeError, ValueError or OverflowError.
     """
     value, parts = cfg, key.split(".")
     for i, part in enumerate(parts):
@@ -112,40 +114,37 @@ def _get(cfg: dict, key: str, cast, default=None):
         value = value[part]
     try:
         return cast(value)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"config key {key!r} = {value!r}: {exc}") from exc
 
 
 def _build_initial(cfg: dict, n: int | None = None):
     """The initial profile of a `simulate` config, on grid.n points unless n is given."""
     if n is None:
-        n = _get(cfg, "grid.n", int, 4096)
-    s0 = _get(cfg, "grid.s0", float, -2.0 * np.pi)
-    period = _get(cfg, "grid.period", float, 4.0 * np.pi)
-    init = _get(cfg, "initial", lambda v: v)
-    if not isinstance(init, dict) or "kind" not in init:
-        raise ConfigError(f"initial must be an object with a 'kind', got {init!r}")
-    kind = init["kind"]
+        n = _get(cfg, "grid.n", _count, 4096)
+    s0 = _get(cfg, "grid.s0", _float, -2.0 * np.pi)
+    period = _get(cfg, "grid.period", _float, 4.0 * np.pi)
+    kind = _get(cfg, "initial.kind", _str)
     if kind == "smooth_m":
         return datasets.smooth_manifold_profile(
-            n=n, d=_get(cfg, "initial.d", int, 3), s0=s0, period=period,
-            mid=_get(cfg, "initial.mid", float, 0.62), amp=_get(cfg, "initial.amp", float, 0.1),
-            swing=_get(cfg, "initial.swing", float, 0.25))
+            n=n, d=_get(cfg, "initial.d", _count, 3), s0=s0, period=period,
+            mid=_get(cfg, "initial.mid", _float, 0.62), amp=_get(cfg, "initial.amp", _float, 0.1),
+            swing=_get(cfg, "initial.swing", _float, 0.25))
     if kind == "smooth_hull":
         return datasets.smooth_hull_profile(
-            n=n, d=_get(cfg, "initial.d", int, 3), s0=s0, period=period,
-            hull_factor=_get(cfg, "initial.hull_factor", float, 0.8))
+            n=n, d=_get(cfg, "initial.d", _count, 3), s0=s0, period=period,
+            hull_factor=_get(cfg, "initial.hull_factor", _float, 0.8))
     if kind == "thm1_wave":
-        mode = _get(cfg, "initial.mode", int, 4)
+        mode = _get(cfg, "initial.mode", _count, 4)
         return wave_to_augmented(oscillatory_family_init(mode, s0=s0, n=n, period=period))
     if kind == "constant":
         return datasets.constant_profile(
-            _get(cfg, "initial.tau", float), _get(cfg, "initial.v", float, 0.0),
-            _get(cfg, "initial.eta", _floats, [0.0, 0.0, 0.0]),
-            _get(cfg, "initial.zeta", _floats, [0.0, 0.0, 0.0]),
+            _get(cfg, "initial.tau", _float), _get(cfg, "initial.v", _float, 0.0),
+            _get(cfg, "initial.eta", _list(_float), [0.0, 0.0, 0.0]),
+            _get(cfg, "initial.zeta", _list(_float), [0.0, 0.0, 0.0]),
             n=n, s0=s0, period=period)
     if kind == "csv":
-        profile, _ = read_snapshot(_get(cfg, "initial.path", str))
+        profile, _ = read_snapshot(_get(cfg, "initial.path", _str))
         return profile
     raise ConfigError(f"unknown initial kind {kind!r}")
 
@@ -177,10 +176,10 @@ def _fv_inputs(cfg: dict, times: list) -> tuple[float, list]:
     `advance` (CFL number 0.9) away at the finest refinement, by the initial
     data's `max_signal_speed`.
     """
-    t_fv = _get(cfg, "cross_check_fv.t", float, times[-1] if times else 1.0)
+    t_fv = _get(cfg, "cross_check_fv.t", _float, times[-1] if times else 1.0)
     if not 0.0 < t_fv < np.inf:
         raise ConfigError(f"cross_check_fv.t = {t_fv!r} must be finite and positive")
-    refinements = _get(cfg, "cross_check_fv.refinements", lambda v: [int(n) for n in v], [256, 512])
+    refinements = _get(cfg, "cross_check_fv.refinements", _list(_count), [256, 512])
     profiles = [_build_initial(cfg, n) for n in refinements]
     if profiles:
         finest = from_profile(max(profiles, key=lambda p: p.n))
@@ -194,9 +193,9 @@ def _fv_inputs(cfg: dict, times: list) -> tuple[float, list]:
 def cmd_simulate(cfg: dict, out_dir: str) -> dict:
     os.makedirs(out_dir, exist_ok=True)
     profile = _build_initial(cfg)
-    times = _get(cfg, "times", _floats, [0.3, 1.0])
-    fv_on = _get(cfg, "cross_check_fv.enabled", bool, True)
-    csv = _get(cfg, "initial.kind", str) == "csv"
+    times = _get(cfg, "times", _list(_float), [0.3, 1.0])
+    fv_on = _get(cfg, "cross_check_fv.enabled", _bool, True)
+    csv = _get(cfg, "initial.kind", _str) == "csv"
     if fv_on and not csv:  # checked before any solve
         t_fv, fv_profiles = _fv_inputs(cfg, times)
     win = admissibility(profile)
@@ -258,14 +257,14 @@ def cmd_simulate(cfg: dict, out_dir: str) -> dict:
 
 
 def cmd_thm1(cfg: dict, out_dir: str) -> dict:
-    n_list = _get(cfg, "n_list", lambda v: [int(m) for m in v])
+    n_list = _get(cfg, "n_list", _list(_count))
     if not n_list:
         raise ConfigError("thm1 needs a nonempty 'n_list'")
-    nt = _get(cfg, "grid.t_samples", int, 513)
-    ns = _get(cfg, "grid.s_samples", int, 513)
+    nt = _get(cfg, "grid.t_samples", _count, 513)
+    ns = _get(cfg, "grid.s_samples", _count, 513)
     tt = np.linspace(-2 * np.pi, 2 * np.pi, nt)[:, None]
     ss = np.linspace(-2 * np.pi, 2 * np.pi, ns)
-    step = max(1, _THM1_BLOCK_POINTS // max(ns, 1))
+    step = max(1, _THM1_BLOCK_POINTS // ns)
     blocks = [tt[i:i + step] for i in range(0, nt, step)]  # the times of one wave solve each
     sup_errors = []
     for mode in n_list:
@@ -289,21 +288,21 @@ def cmd_thm1(cfg: dict, out_dir: str) -> dict:
 
 
 def cmd_completion(cfg: dict, out_dir: str) -> dict:
-    base_kind = _get(cfg, "base", str, "subrel_wave")
-    cells = _get(cfg, "base_cells", int, 101)
+    base_kind = _get(cfg, "base", _str, "subrel_wave")
+    cells = _get(cfg, "base_cells", _count, 101)
     if base_kind == "subrel_wave":
         base = datasets.subrelativistic_wave_base(cells=cells)
     elif base_kind == "smooth_cm":
-        base = datasets.rough_hull_base(cells=cells, d=_get(cfg, "d", int, 3),
-                                        hull_factor=_get(cfg, "hull_factor", float, 0.8))
+        base = datasets.rough_hull_base(cells=cells, d=_get(cfg, "d", _count, 3),
+                                        hull_factor=_get(cfg, "hull_factor", _float, 0.8))
     elif base_kind == "manifold":
-        base = datasets.rough_manifold_base(cells=cells, d=_get(cfg, "d", int, 3))
+        base = datasets.rough_manifold_base(cells=cells, d=_get(cfg, "d", _count, 3))
     else:
         raise ConfigError(f"unknown completion base {base_kind!r}")
-    n_list = _get(cfg, "n_list", list, [8, 16, 32, 64, 128])
-    times = _get(cfg, "times", _floats, [0.0, 0.5, 1.0, 1.5, 2.0])
+    n_list = _get(cfg, "n_list", _list(_number), [8, 16, 32, 64, 128])
+    times = _get(cfg, "times", _list(_float), [0.0, 0.5, 1.0, 1.5, 2.0])
     report = completion_experiment(
-        base, n_list, times, m=_get(cfg, "samples_per_cell", int, 64), compare_layouts=True)
+        base, n_list, times, m=_get(cfg, "samples_per_cell", _count, 64), compare_layouts=True)
 
     rows = [[nv, g_id, t, report["per_tg_gaps"][i][j][k]] for i, nv in enumerate(report["n_values"])
             for k, g_id in enumerate(report["family"]) for j, t in enumerate(report["times"])]

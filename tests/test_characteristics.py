@@ -572,6 +572,13 @@ def test_inversion_of_a_point_does_not_depend_on_the_call(source):
             V = evolve_states(flow, t, s[part])
             for f in ("tau", "v", "eta", "zeta"):
                 assert np.array_equal(getattr(V, f), getattr(U, f)[part]), (t, part, f)
+    # at several times every point starts at its bracket midpoint, so a row
+    # solves to the same bits in any sub-call that keeps two distinct times
+    T = np.array([[0.7], [0.3], [-25.0], [1e9]])
+    y = xi_time_inverse(flow, T, s)
+    for rows in ([0, 1], [3, 0], [1, 2, 3], [0, 2]):
+        assert np.array_equal(xi_time_inverse(flow, T[rows], s), y[rows]), rows
+        assert np.array_equal(xi_time_inverse(flow, T[rows], s[40:90]), y[rows, 40:90]), rows
 
 
 def test_finite_propagation_exact_tails():

@@ -16,24 +16,38 @@ def write_json(path, obj):
     return str(path)
 
 
-def test_load_config_json_and_keyvalue(tmp_path):
+def test_load_config_reads_a_json_object_only(tmp_path):
     p1 = write_json(tmp_path / "a.json", {"grid": {"n": 128}, "seed": 3})
     cfg = load_config(p1)
     assert cfg["grid"]["n"] == 128 and cfg["seed"] == 3
-    p2 = tmp_path / "b.cfg"
-    p2.write_text("# comment\ngrid.n = 256\ninitial.kind = smooth_m\n"
-                  "times = [0.5, 1.0]\nflag = true\n")
-    cfg = load_config(str(p2))
-    assert cfg["grid"]["n"] == 256
-    assert cfg["initial"]["kind"] == "smooth_m"
-    assert cfg["times"] == [0.5, 1.0]
-    assert cfg["flag"] is True
-    with pytest.raises(ConfigError):
+    for name, text, message in [
+        ("b.cfg", "grid.n = 256\n", "invalid JSON config "),
+        ("c.json", '{"grid": {"n": 256}', "invalid JSON config "),
+        ("d.json", "[1, 2]", "must hold a JSON object, got list"),
+        ("e.json", '"grid.n"', "must hold a JSON object, got str"),
+    ]:
+        (tmp_path / name).write_text(text)
+        with pytest.raises(ConfigError, match=message) as exc:
+            load_config(str(tmp_path / name))
+        assert name in str(exc.value)
+    with pytest.raises(ConfigError, match="cannot read config .*missing.json: No such file"):
         load_config(str(tmp_path / "missing.json"))
-    p3 = tmp_path / "bad.cfg"
-    p3.write_text("just words\n")
-    with pytest.raises(ConfigError):
-        load_config(str(p3))
+    with pytest.raises(ConfigError, match="cannot read config "):
+        load_config(str(tmp_path))
+
+
+def test_config_casts_read_every_accepted_value_as_before():
+    # a float key takes an integer, a size an integral float, and completion's
+    # n_list keeps its entries as given
+    times = cli._get({"times": [1, 2]}, "times", cli._list(cli._float))
+    assert times == [1.0, 2.0] and all(type(t) is float for t in times)
+    n = cli._get({"grid": {"n": 256.0}}, "grid.n", cli._count)
+    assert n == 256 and type(n) is int
+    assert cli._get({}, "grid.n", cli._count, 4096) == 4096
+    n_list = cli._get({"n_list": [8, 16.5]}, "n_list", cli._list(cli._number))
+    assert n_list == [8, 16.5] and type(n_list[0]) is int
+    assert cli._get({"on": False}, "on", cli._bool, True) is False
+    assert cli._get({"base": "manifold"}, "base", cli._str) == "manifold"
 
 
 def test_simulate_command(tmp_path):
@@ -94,16 +108,60 @@ def test_simulate_solves_each_time_once_per_stencil_point(tmp_path, monkeypatch)
     assert solved == [0.3, 0.3 - 1e-3, 0.3 + 1e-3, 1.0, 1.0 - 1e-3, 1.0 + 1e-3]
 
 
-@pytest.mark.parametrize("command, cfg, key", [
-    ("simulate", {"initial": {"kind": "smooth_m"}, "grid": {"n": [256]}}, "'grid.n' = [256]"),
-    ("thm1", {"n_list": 8}, "'n_list' = 8"),
-    ("completion", {"samples_per_cell": [64]}, "'samples_per_cell' = [64]"),
-    ("simulate", {"initial": {"kind": "smooth_m"}, "times": "ab"}, "'times' = 'ab'"),
-], ids=["list_grid_n", "scalar_n_list", "list_samples_per_cell", "string_times"])
-def test_a_config_value_of_the_wrong_type_exits_2_naming_its_key(tmp_path, capsys, command, cfg, key):
+SIM = {"initial": {"kind": "smooth_m"}}
+
+
+@pytest.mark.parametrize("command, cfg, message", [
+    ("simulate", dict(SIM, grid={"n": [256]}), "config key 'grid.n' = [256]: expected a number"),
+    ("thm1", {"n_list": 8}, "config key 'n_list' = 8: expected an array"),
+    ("completion", {"samples_per_cell": [64]}, "config key 'samples_per_cell' = [64]: expected a number"),
+    ("simulate", dict(SIM, times="ab"), "config key 'times' = 'ab': expected an array"),
+    # values that a coercing reader read as some other value
+    ("simulate", dict(SIM, cross_check_fv={"enabled": "false"}),
+     "config key 'cross_check_fv.enabled' = 'false': expected true or false"),
+    ("simulate", dict(SIM, grid={"n": True}), "config key 'grid.n' = True: expected a number"),
+    ("simulate", dict(SIM, grid={"n": 256.9}), "config key 'grid.n' = 256.9: expected an integer >= 1"),
+    ("simulate", dict(SIM, times=[True]), "config key 'times' = [True]: expected a number"),
+    ("simulate", dict(SIM, times=[10**400]), "config key 'times' = [1000"),
+    ("thm1", {"n_list": [8.5, 16]}, "config key 'n_list' = [8.5, 16]: expected an integer >= 1"),
+    ("completion", {"n_list": "ab"}, "config key 'n_list' = 'ab': expected an array"),
+    ("completion", {"n_list": [True, 16]}, "config key 'n_list' = [True, 16]: expected a number"),
+    ("thm1", [1, 2], "c.json must hold a JSON object, got list"),
+    # sizes below 1
+    ("simulate", dict(SIM, grid={"n": 0}), "config key 'grid.n' = 0: expected an integer >= 1"),
+    ("simulate", dict(SIM, grid={"n": -8}), "config key 'grid.n' = -8: expected an integer >= 1"),
+    ("simulate", dict(SIM, cross_check_fv={"refinements": [0, 256]}),
+     "config key 'cross_check_fv.refinements' = [0, 256]: expected an integer >= 1"),
+    ("completion", {"base_cells": 0}, "config key 'base_cells' = 0: expected an integer >= 1"),
+    ("completion", {"samples_per_cell": 0}, "config key 'samples_per_cell' = 0: expected an integer >= 1"),
+    ("thm1", {"n_list": [8, 16], "grid": {"t_samples": 0}},
+     "config key 'grid.t_samples' = 0: expected an integer >= 1"),
+    ("thm1", {"n_list": [8, 16], "grid": {"s_samples": 0}},
+     "config key 'grid.s_samples' = 0: expected an integer >= 1"),
+], ids=["list_grid_n", "scalar_n_list", "list_samples_per_cell", "string_times",
+        "string_switch", "bool_grid_n", "fractional_grid_n", "bool_time", "huge_time",
+        "fractional_mode", "string_n_list", "bool_level", "top_level_array",
+        "zero_grid_n", "negative_grid_n", "zero_refinement", "zero_base_cells",
+        "zero_samples_per_cell", "zero_t_samples", "zero_s_samples"])
+def test_a_config_value_of_the_wrong_type_exits_2_naming_its_key(tmp_path, capsys, command, cfg, message):
     path = write_json(tmp_path / "c.json", cfg)
     assert main([command, "--config", path, "--out", str(tmp_path / "o")]) == 2
-    assert f"error: config key {key}: " in capsys.readouterr().err
+    assert message in capsys.readouterr().err
+
+
+def test_readme_example_configs_run(tmp_path):
+    # each JSON block of the README's "Command line" section is a config for
+    # simulate (it has an initial), completion (a base) or thm1
+    with open(os.path.join(os.path.dirname(__file__), "..", "README.md")) as fh:
+        section = fh.read().split("\n## Command line\n")[1].split("\n## ")[0]
+    blocks = [b.split("```")[0] for b in section.split("```json\n")[1:]]
+    assert len(blocks) == 2
+    for i, text in enumerate(blocks):
+        path = tmp_path / f"readme{i}.json"
+        path.write_text(text)
+        cfg = load_config(str(path))
+        command = "simulate" if "initial" in cfg else "completion" if "base" in cfg else "thm1"
+        assert main([command, "--config", str(path), "--out", str(tmp_path / f"o{i}")]) == 0, command
 
 
 def test_simulate_wave_data_cross_solver(tmp_path):
@@ -194,7 +252,7 @@ def test_an_initial_without_a_kind_exits_2(tmp_path, capsys):
     cfg = write_json(tmp_path / "sim.json", {"initial": "smooth_m"})
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err.strip() == \
-        "error: initial must be an object with a 'kind', got 'smooth_m'"
+        "error: config key 'initial' must be an object, got 'smooth_m'"
 
 
 def test_any_other_exception_exits_3(tmp_path, monkeypatch, capsys):
