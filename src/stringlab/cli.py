@@ -6,13 +6,13 @@
     stringlab validate   [--out DIR] [--seed N] [--inject NAME]    invariant battery
 
 A config is a JSON object.  Each value must have its key's JSON type: a
-number where a number is read, an integer >= 1 for a size, true or false
-for a switch; no value is converted from another type.  Exit codes: 0
-success, 1 validation failure, 2 bad input or configuration (a ValueError;
-a config error names its key or file), 3 internal error (any other
-exception, with its traceback unless a RuntimeError: a fault of the
-program, such as an inversion that misses its residual bound, never of the
-input).  All artifacts are deterministic for a fixed seed: CSV files use
+number where a number is read, an integer >= 1 for a size (>= 2 for a
+mode), true or false for a switch; no value is converted from another
+type.  Exit codes: 0 success, 1 validation failure, 2 bad input or
+configuration (a ValueError; a config error names its key or file), 3
+internal error (any other exception, with its traceback unless a
+RuntimeError: a fault of the program, such as an inversion that misses its
+residual bound, never of the input).  All artifacts are deterministic for a fixed seed: CSV files use
 17-significant-digit floats and LF endings, JSON reports are key-sorted,
 and no timestamps are emitted.
 """
@@ -84,11 +84,17 @@ def _float(value) -> float:
     return float(_number(value))
 
 
-def _count(value) -> int:
-    """An integral number >= 1, as an int."""
-    if _number(value) % 1 or value < 1:  # a non-finite value leaves a NaN remainder
-        raise ValueError("expected an integer >= 1")
-    return int(value)
+def _integer(lowest: int):
+    """The cast of an integral number >= lowest, as an int."""
+    def cast(value) -> int:
+        if _number(value) % 1 or value < lowest:  # a non-finite value leaves a NaN remainder
+            raise ValueError(f"expected an integer >= {lowest}")
+        return int(value)
+    return cast
+
+
+_count = _integer(1)  # a size
+_mode = _integer(2)  # an oscillation mode of `oscillatory_family_init`
 
 
 def _list(item):
@@ -135,7 +141,7 @@ def _build_initial(cfg: dict, n: int | None = None):
             n=n, d=_get(cfg, "initial.d", _count, 3), s0=s0, period=period,
             hull_factor=_get(cfg, "initial.hull_factor", _float, 0.8))
     if kind == "thm1_wave":
-        mode = _get(cfg, "initial.mode", _count, 4)
+        mode = _get(cfg, "initial.mode", _mode, 4)
         return wave_to_augmented(oscillatory_family_init(mode, s0=s0, n=n, period=period))
     if kind == "constant":
         return datasets.constant_profile(
@@ -171,22 +177,25 @@ def _write_csv(out_dir: str, name: str, header: list[str], rows) -> str:
 def _fv_inputs(cfg: dict, times: list) -> tuple[float, list]:
     """The time of the finite-volume cross-check and its initial profiles, one per refinement.
 
-    Raises ConfigError naming cross_check_fv.t (by default the last of the
+    Raises ConfigError naming cross_check_fv.refinements unless it holds at
+    least two sizes, and naming cross_check_fv.t (by default the last of the
     times) unless it is finite, positive and at most _FV_MAX_STEPS steps of
     `advance` (CFL number 0.9) away at the finest refinement, by the initial
     data's `max_signal_speed`.
     """
-    t_fv = _get(cfg, "cross_check_fv.t", _float, times[-1] if times else 1.0)
+    t_fv = _get(cfg, "cross_check_fv.t", _float, times[-1])
     if not 0.0 < t_fv < np.inf:
         raise ConfigError(f"cross_check_fv.t = {t_fv!r} must be finite and positive")
     refinements = _get(cfg, "cross_check_fv.refinements", _list(_count), [256, 512])
+    if len(refinements) < 2:  # one error measures no order
+        raise ConfigError(f"cross_check_fv.refinements = {refinements} must hold at least two "
+                          "grid sizes")
     profiles = [_build_initial(cfg, n) for n in refinements]
-    if profiles:
-        finest = from_profile(max(profiles, key=lambda p: p.n))
-        steps = t_fv * max_signal_speed(finest.Y, finest.Z) / (0.9 * finest.ds)
-        if steps > _FV_MAX_STEPS:
-            raise ConfigError(f"cross_check_fv.t = {t_fv!r} needs about {steps:.3g} finite-volume "
-                              f"steps at n = {finest.n}, more than {_FV_MAX_STEPS}")
+    finest = from_profile(max(profiles, key=lambda p: p.n))
+    steps = t_fv * max_signal_speed(finest.Y, finest.Z) / (0.9 * finest.ds)
+    if steps > _FV_MAX_STEPS:
+        raise ConfigError(f"cross_check_fv.t = {t_fv!r} needs about {steps:.3g} finite-volume "
+                          f"steps at n = {finest.n}, more than {_FV_MAX_STEPS}")
     return t_fv, profiles
 
 
@@ -194,6 +203,8 @@ def cmd_simulate(cfg: dict, out_dir: str) -> dict:
     os.makedirs(out_dir, exist_ok=True)
     profile = _build_initial(cfg)
     times = _get(cfg, "times", _list(_float), [0.3, 1.0])
+    if not times:
+        raise ConfigError("times = [] must hold at least one time")
     fv_on = _get(cfg, "cross_check_fv.enabled", _bool, True)
     csv = _get(cfg, "initial.kind", _str) == "csv"
     if fv_on and not csv:  # checked before any solve
@@ -257,9 +268,9 @@ def cmd_simulate(cfg: dict, out_dir: str) -> dict:
 
 
 def cmd_thm1(cfg: dict, out_dir: str) -> dict:
-    n_list = _get(cfg, "n_list", _list(_count))
-    if not n_list:
-        raise ConfigError("thm1 needs a nonempty 'n_list'")
+    n_list = _get(cfg, "n_list", _list(_mode))
+    if len(n_list) < 2:  # one mode gives no ratio
+        raise ConfigError(f"n_list = {n_list} must hold at least two modes")
     nt = _get(cfg, "grid.t_samples", _count, 513)
     ns = _get(cfg, "grid.s_samples", _count, 513)
     tt = np.linspace(-2 * np.pi, 2 * np.pi, nt)[:, None]

@@ -84,14 +84,15 @@ def _rusanov(W, work, ds: float, periodic: bool, dt: float | None, cfl_max: floa
     interface speeds off that one pair.  Y and Z move together: their
     fluxes (Z + qY)/h and (Y + qZ)/h are one expression over W and its
     field-swapped view.  Every intermediate is written into the scratch of
-    `_scratch`, so a step allocates nothing, and each element sees the same
-    operations in the same order as the expression form
-    0.5 * (f[:-1] + f[1:]) - half_a * (Y[1:] - Y[:-1]), so the result is
-    bit-identical to it.  With `dt=None` the step is
-    min(cfl_max * ds / speed, cap); an explicit `dt` above the CFL bound
-    raises CFLError.  Returns the step taken.
+    `_scratch`, so a step allocates nothing.  The interface fluxes are kept
+    doubled, (f[:-1] + f[1:]) - a * (Y[1:] - Y[:-1]) with a the larger cell
+    speed, and their differences scaled by 0.5 * dt / ds once: halving is
+    exact, so the result is bit-identical to the expression form
+    0.5 * (f[:-1] + f[1:]) - 0.5 * a * (Y[1:] - Y[:-1]).  With `dt=None` the
+    step is min(cfl_max * ds / speed, cap); an explicit `dt` above the CFL
+    bound raises CFLError.  Returns the step taken.
     """
-    cells, half, f, F = work
+    cells, face, f, F = work
     q, h, a, tmp = cells
     lo, hi = (-2, 1) if periodic else (1, -2)
     W[..., 0], W[..., -1] = W[..., lo], W[..., hi]
@@ -116,19 +117,17 @@ def _rusanov(W, work, ds: float, periodic: bool, dt: float | None, cfl_max: floa
     elif dt > cfl_max * ds / speed:  # the bound as printed and as `advance` steps
         raise CFLError(f"dt = {dt:.3e} exceeds CFL {cfl_max} * ds / speed = "
                        f"{cfl_max * ds / speed:.3e}")
-    np.maximum(a[:-1], a[1:], out=half)
-    half *= 0.5
+    np.maximum(a[:-1], a[1:], out=face)
     np.multiply(q, W, out=f)  # the cell fluxes of Y and Z, read before either moves
     f += W[::-1]
     f /= h
-    np.add(f[..., :-1], f[..., 1:], out=F)  # the interface fluxes
-    F *= 0.5
+    np.add(f[..., :-1], f[..., 1:], out=F)  # twice the interface fluxes
     D = f[..., :-1]  # the cell fluxes are spent: their buffer takes the differences
     np.subtract(W[..., 1:], W[..., :-1], out=D)
-    D *= half
+    D *= face
     F -= D
     np.subtract(F[..., 1:], F[..., :-1], out=D[..., :-1])
-    D[..., :-1] *= dt / ds
+    D[..., :-1] *= 0.5 * dt / ds
     W[..., 1:-1] -= D[..., :-1]
     return dt
 
@@ -143,7 +142,7 @@ def _padded(state: ConservativeState) -> np.ndarray:
 
 def _scratch(d: int, n: int):
     """The work arrays of `_rusanov` on n cells of d components: four cell
-    rows (q, h, the cell speeds, a product), half the interface speeds, the
+    rows (q, h, the cell speeds, a product), the interface speeds, the
     cell fluxes (2, d, n + 2) and the interface fluxes (2, d, n + 1)."""
     return (np.empty((4, n + 2)), np.empty(n + 1), np.empty((2, d, n + 2)),
             np.empty((2, d, n + 1)))

@@ -374,7 +374,7 @@ def verify_generalized_solution(limit_table: np.ndarray, flow: CharacteristicFlo
     """
     if flow.mode != "pc" or flow.s_period is None:
         raise ValueError("identity verification needs a periodic rough flow")
-    rhs = pairing_tables({t: evolve_cells(flow, t) for t in times}, family)
+    rhs, _ = _evolve_and_pair(flow, times, family)
     return _identities(limit_table, rhs, family, tol, continuous_only)
 
 
@@ -396,12 +396,23 @@ def _identities(limit_table, rhs, family, tol, continuous_only=True) -> dict:
     }
 
 
-def _evolve_and_pair(source: Profile | CellField, params: ManifoldParams, times,
-                     family: list[TestFunction]) -> tuple[dict, np.ndarray]:
-    """The fields of source's flow evolved to every time (`evolve_cells`), and their pairings."""
-    flow = build_flow(source, params.alpha, params.delta)
-    fields = {t: evolve_cells(flow, t) for t in times}
-    return fields, pairing_tables(fields, family)
+def _evolve_and_pair(flow: CharacteristicFlow, times, family: list[TestFunction],
+                     read=None) -> tuple[np.ndarray, list]:
+    """Pairings (n_times, n_family, 2 + 2d) of the flow's fields at the times
+    (`evolve_cells`), and read(field) of each field when read is given.
+
+    Each field is evolved, paired through `pairing_tables`, read and dropped
+    before the next time's is evolved, so one field lives at a time however
+    many times there are.
+    """
+    rows, reads = [], []
+    for t in times:
+        cells = evolve_cells(flow, t)
+        rows.append(pairing_tables({t: cells}, family)[0])
+        if read is not None:
+            reads.append(read(cells))
+        del cells  # before the next time's field is evolved
+    return np.stack(rows), reads
 
 
 def completion_experiment(base: Profile, n_list, times, family: list[TestFunction] | None = None,
@@ -430,6 +441,9 @@ def completion_experiment(base: Profile, n_list, times, family: list[TestFunctio
     if not times:
         raise ValueError("times must hold at least one time")
 
+    def flow(source):
+        return build_flow(source, params.alpha, params.delta)
+
     n_eff, tables, osc_in_m = [], [], True
     plans, runs, evolved = [], [], []
     for n in n_list:
@@ -440,10 +454,10 @@ def completion_experiment(base: Profile, n_list, times, family: list[TestFunctio
         # the run states are exactly the distinct states of the tiling's samples
         ok = in_m(osc.states, 1e-10) & in_g(osc.states, params.alpha, params.delta, 1e-10)
         osc_in_m = osc_in_m and bool(np.all(ok))
-        fields, table = _evolve_and_pair(osc, params, times, family)
-        evolved.append(max(f.m for f in fields.values()))
+        table, sizes = _evolve_and_pair(flow(osc), times, family, lambda cells: cells.m)
+        evolved.append(max(sizes))
         tables.append(table)
-        del fields  # free this level before the next one is built
+        del osc  # free this level's tiling before the next one is built
     if len(set(n_eff)) < 2:
         levels = ", ".join(f"{x:.4g}" for x in n_eff)
         raise ValueError(f"n_list {list(n_list)} snaps to the levels [{levels}] (oscillation "
@@ -463,18 +477,18 @@ def completion_experiment(base: Profile, n_list, times, family: list[TestFunctio
     lo, hi = per_time.min(axis=1), per_time.max(axis=1)
     uniformity = float(np.max(hi[lo > 0.0] / lo[lo > 0.0], initial=1.0))
 
+    def membership(cells):  # (in CM cap G, in M) of one evolved field of the limit
+        st = cells.states
+        return (bool(np.all(in_cm(st, 1e-8) & in_g(st, params.alpha, params.delta, 1e-8))),
+                bool(np.all(in_m(st, 1e-8))))
+
     # direct evolution of the exact weak limit of the tiling
-    direct_fields, direct_table = _evolve_and_pair(plans[-1].limit_profile(), params, times, family)
+    direct_table, member = _evolve_and_pair(flow(plans[-1].limit_profile()), times, family,
+                                            membership)
     extrap_vs_direct = float(np.max(np.abs(limit_table - direct_table)))
 
     identities = _identities(limit_table, direct_table, family, identity_tol)
-
-    lim_cm, lim_m = True, True
-    for t in times:
-        st = direct_fields[t].states
-        lim_cm = lim_cm and bool(np.all(in_cm(st, 1e-8) & in_g(st, params.alpha,
-                                                               params.delta, 1e-8)))
-        lim_m = lim_m and bool(np.all(in_m(st, 1e-8)))
+    lim_cm, lim_m = map(all, zip(*member))
 
     report = {
         "n_values": [float(x) for x in n_eff],
@@ -498,7 +512,7 @@ def completion_experiment(base: Profile, n_list, times, family: list[TestFunctio
 
     if compare_layouts:
         osc_r, _ = oscillate_profile(base, n_list[-1], params, m, "reversed")
-        _, table_r = _evolve_and_pair(osc_r, params, times, family)
+        table_r, _ = _evolve_and_pair(flow(osc_r), times, family)
         report["layout_gap"] = float(np.max(np.abs(table_r - tables[-1])))
         report["layout_gap_scale"] = float(gaps[-1])
     return report

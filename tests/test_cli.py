@@ -123,7 +123,7 @@ SIM = {"initial": {"kind": "smooth_m"}}
     ("simulate", dict(SIM, grid={"n": 256.9}), "config key 'grid.n' = 256.9: expected an integer >= 1"),
     ("simulate", dict(SIM, times=[True]), "config key 'times' = [True]: expected a number"),
     ("simulate", dict(SIM, times=[10**400]), "config key 'times' = [1000"),
-    ("thm1", {"n_list": [8.5, 16]}, "config key 'n_list' = [8.5, 16]: expected an integer >= 1"),
+    ("thm1", {"n_list": [8.5, 16]}, "config key 'n_list' = [8.5, 16]: expected an integer >= 2"),
     ("completion", {"n_list": "ab"}, "config key 'n_list' = 'ab': expected an array"),
     ("completion", {"n_list": [True, 16]}, "config key 'n_list' = [True, 16]: expected a number"),
     ("thm1", [1, 2], "c.json must hold a JSON object, got list"),
@@ -147,6 +147,31 @@ def test_a_config_value_of_the_wrong_type_exits_2_naming_its_key(tmp_path, capsy
     path = write_json(tmp_path / "c.json", cfg)
     assert main([command, "--config", path, "--out", str(tmp_path / "o")]) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, cfg, message", [
+    ("thm1", {"n_list": [8]}, "n_list = [8] must hold at least two modes"),
+    ("thm1", {"n_list": [1, 2]}, "config key 'n_list' = [1, 2]: expected an integer >= 2"),
+    ("simulate", dict(SIM, grid={"n": 256}, times=[], cross_check_fv={"enabled": False}),
+     "times = [] must hold at least one time"),
+    ("simulate", dict(SIM, grid={"n": 1024}, times=[0.3], cross_check_fv={"refinements": [256]}),
+     "cross_check_fv.refinements = [256] must hold at least two grid sizes"),
+    ("simulate", dict(SIM, grid={"n": 1024}, times=[0.3], cross_check_fv={"refinements": []}),
+     "cross_check_fv.refinements = [] must hold at least two grid sizes"),
+    ("simulate", {"initial": {"kind": "thm1_wave", "mode": 1}},
+     "config key 'initial.mode' = 1: expected an integer >= 2"),
+], ids=["one_mode", "mode_1", "no_times", "one_refinement", "no_refinements", "initial_mode_1"])
+def test_a_verdict_on_too_little_exits_2_naming_its_key_before_any_solve(
+        tmp_path, monkeypatch, capsys, command, cfg, message):
+    # one mode gives no ratio, no time no membership, one refinement no order
+    def unreachable(*args, **kwargs):
+        raise AssertionError("solved before the config was checked")
+
+    for name in ("solve_augmented", "advance", "dalembert_wave_solve"):
+        monkeypatch.setattr(f"stringlab.cli.{name}", unreachable)
+    path = write_json(tmp_path / "c.json", cfg)
+    assert main([command, "--config", path, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.strip() == f"error: {message}"
 
 
 def test_readme_example_configs_run(tmp_path):
@@ -293,11 +318,11 @@ def test_thm1_command(tmp_path, monkeypatch):
             for init in map(waves.oscillatory_family_init, (8, 16, 32))]
     report = json.load(open(os.path.join(out, "thm1_report.json")))
     assert report["results"][0]["values"] == loop
-    # single-row table on the default 513 x 513 lattice, in blocks of at most 2^16 points
+    # the default 513 x 513 lattice, in blocks of at most 2^16 points per mode
     blocks.clear()
-    cfg1 = write_json(tmp_path / "t1.json", {"n_list": [8]})
+    cfg1 = write_json(tmp_path / "t1.json", {"n_list": [8, 16]})
     assert main(["thm1", "--config", cfg1, "--out", str(tmp_path / "o1")]) == 0
-    assert len(blocks) == 5 and sum(blocks) == 513 * 513 and max(blocks) <= 2**16
+    assert len(blocks) == 2 * 5 and sum(blocks) == 2 * 513 * 513 and max(blocks) <= 2**16
     # missing n_list is a config error
     cfg2 = write_json(tmp_path / "t2.json", {})
     assert main(["thm1", "--config", cfg2, "--out", str(tmp_path / "o2")]) == 2

@@ -61,5 +61,10 @@ def test_traced_completion_records_every_tiling(layertrace):
                               compare_layouts=True)
     finally:
         tracer.restore()
-    assert tracer.pass_layers(0)["weak.oscillate_profile"]["calls"] == 3
+    layers = tracer.pass_layers(0)
+    assert layers["weak.oscillate_profile"]["calls"] == 3
+    # every field is paired through `weak.pairing_tables`, one time at a time:
+    # (two levels + the reversed layout + the direct limit) x 2 times x 20 functions
+    assert layers["weak.pairing_tables"]["pairings"] == 4 * 2 * 20
+    assert layers["characteristics.evolve_cells"]["calls"] == 4 * 2
     assert tracer.all_restored()

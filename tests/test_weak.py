@@ -4,6 +4,8 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -346,6 +348,47 @@ def test_completion_experiment_flags():
     assert rep["identities"]["pass"]
     assert 0.7 <= rep["slope"] <= 1.4
     assert rep["layout_gap"] < 10.0 * rep["gaps"][-1]
+
+
+def test_completion_working_set_does_not_grow_with_the_times():
+    # each time's evolved field is paired and dropped before the next is
+    # evolved, so twelve times cost about as much memory as two
+    base = datasets.subrelativistic_wave_base(101)
+    completion_experiment(base, [8, 16], [0.0], m=16)  # imports scipy outside the trace
+
+    def peak(n_times):
+        tracemalloc.start()
+        try:
+            completion_experiment(base, [8, 16, 32], np.linspace(0.0, 2.0, n_times), m=16,
+                                  compare_layouts=True)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(12) < 1.5 * peak(2)
+
+
+def test_one_evolved_field_lives_at_a_time(monkeypatch):
+    # every field that completion_experiment and verify_generalized_solution
+    # evolve is freed before the next one is
+    live = []
+
+    def evolve_one(flow, t):
+        assert all(ref() is None for ref in live), "an earlier evolved field is still held"
+        cells = evolve_cells(flow, t)
+        live.append(weakref.ref(cells))
+        return cells
+
+    monkeypatch.setattr("stringlab.weak.evolve_cells", evolve_one)
+    base = datasets.subrelativistic_wave_base(101)
+    times = [0.0, 0.7, 1.9]
+    completion_experiment(base, [8, 16], times, m=16, compare_layouts=True)
+    assert len(live) == 4 * len(times)
+    flow = build_flow(base)
+    fam = default_family(base.s0, base.s0 + base.period)
+    table = np.stack([pairing_tables({t: evolve_cells(flow, t)}, fam)[0] for t in times])
+    assert verify_generalized_solution(table, flow, fam, times)["pass"]
+    assert len(live) == 5 * len(times)
 
 
 def _pc_antiderivative(breaks, values):

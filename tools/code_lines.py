@@ -4,10 +4,11 @@ Run from anywhere:
 
     python3 tools/code_lines.py
 
-It prints two numbers for src/stringlab/*.py: `src_lines`, every line, and
+It prints three numbers for src/stringlab/*.py: `src_lines`, every line;
 `code_lines`, the lines that hold a token other than a comment and are not
-part of a module, class or function docstring.  Blank lines, comment lines
-and docstrings are what `code_lines` leaves out.
+part of a module, class or function docstring; and `doc_lines`, the lines of
+those docstrings.  Blank lines, comment lines and docstrings are what
+`code_lines` leaves out.
 """
 
 from __future__ import annotations
@@ -45,14 +46,16 @@ def code_lines(text: str) -> int:
 
 
 def main() -> None:
-    src_lines = total = 0
+    src_lines = total = docs = 0
     for path in sorted(glob.glob(os.path.join(ROOT, "src", "stringlab", "*.py"))):
         with open(path) as fh:
             text = fh.read()
         src_lines += len(text.splitlines())
         total += code_lines(text)
+        docs += len(docstring_lines(ast.parse(text)))
     print(f"src_lines {src_lines}")
     print(f"code_lines {total}")
+    print(f"doc_lines {docs}")
 
 
 if __name__ == "__main__":
