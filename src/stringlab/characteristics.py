@@ -43,11 +43,9 @@ slopes there.  Smooth and rough data share one monotone table type and
 reader (`profiles.KnotTable`): smooth data use fourth-order quadrature on
 their grid and cubic Hermite interpolation (certified monotone interval by
 interval), rough data exact cell sums and linear interpolation, so a rough
-table's slope is the cell state itself.  Rough data are run cells from the
-start: a CellField of any cell widths, whose knots sit only where the data
-jump (a rough Profile is compressed once to its runs of equal samples), and
-`evolve_cells` returns a CellField of the same kind, so an evolved field is
-initial data again.
+table's slope is the cell state itself.  Rough data enter as cells (a rough
+Profile as its runs of equal samples) and leave only as cells: `evolve_cells`
+returns a CellField, initial data again.  Smooth data are sampled on a grid.
 
 Inversion.  Every state evaluation needs the y with xi(t, y) = s.  One
 vectorized, safeguarded Newton solver (`xi_time_inverse`) serves all of
@@ -144,13 +142,12 @@ class CharacteristicFlow(KnotTable):
     read at y - t, where xi0 = s, Phi and E+- are the initial columns.  Their
     y-slopes (tau + v)/2, (eta - zeta)/2, (tau - v)/2 and (eta + zeta)/2 are
     the initial state.  Smooth tables take their `secants` from the
-    quadrature increments; rough data are a CellField (a rough Profile is
-    compressed to one cell per run of equal samples), so rough knots sit
-    only at the data's jumps.  `profile` is the Profile the flow was built
-    from (None for a CellField), kept only for the output grid of
-    `solve_augmented` and `galilean_on_solution`.  All methods are pure and
-    safe for concurrent callers.  `alpha`/`delta` record the admissible
-    window used; the slopes are certified inside [delta - 1e-9, 1/delta + 1e-9].
+    quadrature increments; rough data are cells, whose knots sit only at the
+    data's jumps.  `profile` is the smooth Profile the flow was built from
+    (None for rough data), kept only for the output grid of `solve_augmented`
+    and `galilean_on_solution`.  All methods are pure and safe for
+    concurrent callers.  `alpha`/`delta` record the admissible window used;
+    the slopes are certified inside [delta - 1e-9, 1/delta + 1e-9].
     """
 
     profile: Profile | None
@@ -213,11 +210,11 @@ def build_flow(source: Profile | CellField, alpha: float | None = None,
     and E-; the s-points are the xi0 column, and the integrands' numerators,
     with tau for the 1, are the columns' y-slopes.  The columns are stored by
     family (`CharacteristicFlow`).  Rough data are cells (a CellField, or a
-    rough Profile compressed to its runs of equal samples by
-    `Profile.runs`), of any widths, whose columns are exact cumulative cell
-    sums at the breaks.  Smooth profiles use the fourth-order
-    `cumulative_integral` on their grid, whose periodic tables close at
-    s0 + S_p with full-period trapezoid sums; their secants are the
+    rough Profile turned into its runs of equal samples by `Profile.runs`
+    here), of any widths, whose columns are exact cumulative cell sums at
+    the breaks; their flow keeps no profile.  Smooth profiles use the
+    fourth-order `cumulative_integral` on their grid, whose periodic tables
+    close at s0 + S_p with full-period trapezoid sums; their secants are the
     quadrature increments over the y-increments, so a constant state reads
     back to rounding.  Every column vanishes at y = 0, read off the flow's
     own table: the knots move by the root of xi0, and Phi and E+- lose their
@@ -232,11 +229,12 @@ def build_flow(source: Profile | CellField, alpha: float | None = None,
     if alpha is None or delta is None:
         win = admissibility(source)
         alpha, delta = win.alpha, win.delta
+    if isinstance(source, Profile) and source.rough:
+        source = source.runs()
     profile = source if isinstance(source, Profile) else None
-    rough = profile is None or profile.rough
+    rough = profile is None
     if rough:
-        cells = source if profile is None else profile.runs()
-        U, s, s_period = cells.states, cells.breaks, cells.period
+        U, s, s_period = source.states, source.breaks, source.period
     else:
         n, ds, s_period = profile.n, profile.ds, profile.period
         if profile.boundary != "periodic":
@@ -255,7 +253,7 @@ def build_flow(source: Profile | CellField, alpha: float | None = None,
     if rough:
         tau, secants = U.tau, None
         Q = np.zeros((len(W), len(s)))
-        np.multiply(W, cells.widths() / tau, out=Q[:, 1:])
+        np.multiply(W, source.widths() / tau, out=Q[:, 1:])
         np.cumsum(Q[:, 1:], axis=1, out=Q[:, 1:])
     else:
         if s_period is not None:  # the closing knot repeats the first sample
@@ -438,21 +436,22 @@ def evolve_states(flow: CharacteristicFlow, t, s_points) -> StateU:
 
 
 def _source_profile(flow):
-    """The Profile a flow was built from; its grid and sampling shape the output."""
+    """The smooth Profile a flow was built from; its grid shapes the output."""
     if flow.profile is None:
-        raise ValueError("this flow was built from a CellField, which has no sample grid; "
-                         "use evolve_cells or evolve_states")
+        raise ValueError("this flow was built from rough data, which evolve exactly as cells: "
+                         "use evolve_cells, or evolve_states at chosen points")
     return flow.profile
 
 
 def solve_augmented(source: Profile | CharacteristicFlow, t: float,
                     s_out: np.ndarray | None = None) -> Profile:
-    """Evaluate the global solution at time t on a uniform output grid.
+    """Sample the global solution of smooth data at time t on a uniform grid.
 
-    `source` is either an initial profile (the flow is built on the fly) or a
-    prebuilt CharacteristicFlow.  The output profile keeps the input grid,
-    boundary mode and sampling semantics unless `s_out` overrides positions;
-    an `s_out` off a uniform grid raises ValueError (`uniform_grid`).
+    `source` is either a smooth initial profile (the flow is built on the
+    fly) or a prebuilt CharacteristicFlow.  The output profile keeps the
+    input grid and boundary mode unless `s_out` overrides positions; an
+    `s_out` off a uniform grid raises ValueError (`uniform_grid`).  Rough
+    data raise ValueError: they evolve exactly as cells (`evolve_cells`).
     """
     flow = source if isinstance(source, CharacteristicFlow) else build_flow(source)
     prof = _source_profile(flow)
@@ -460,16 +459,9 @@ def solve_augmented(source: Profile | CharacteristicFlow, t: float,
         s_pts, (s0, ds) = prof.s_samples, (prof.s0, prof.ds)
     else:
         s_pts = np.asarray(s_out, dtype=float)
-        s0, ds = _output_grid(prof, s_pts, "s_out")
+        s0, ds = uniform_grid(s_pts, prof.ds, "s_out")
     U = evolve_states(flow, t, s_pts)
-    return Profile(s0, ds, U.tau, U.v, U.eta, U.zeta, prof.boundary, prof.rough)
-
-
-def _output_grid(prof, s_pts, name):
-    """(s0, ds) of a Profile of prof's kind sampled at the uniform grid s_pts;
-    a one-point grid takes prof's ds."""
-    s0, ds = uniform_grid(s_pts, prof.ds, name)
-    return s0 - (0.5 * ds if prof.rough else 0.0), ds
+    return Profile(s0, ds, U.tau, U.v, U.eta, U.zeta, prof.boundary)
 
 
 def tau_slope_consistency(flow: CharacteristicFlow, t, s_points) -> float:
@@ -500,12 +492,13 @@ def evolve_cells(flow: CharacteristicFlow, t: float) -> CellField:
     families' slope rows there, with no point located.  Periodic flows
     evolve to the reduced time of `_reduce_time` and move the breakpoints
     by its shift, so far times keep full accuracy.  The field keeps the
-    flow's period, so it builds the flow of its own evolution.
+    flow's period, so it builds the flow of its own evolution.  A
+    non-finite t raises ValueError naming it.
     """
     if flow.mode != "pc":
         raise DomainError("evolve_cells requires a rough (piecewise-constant) flow")
     b, periodic = flow.y_edges, flow.y_period is not None
-    t, shift, _ = _reduce_time(flow, t)
+    t, shift, _ = _reduce_time(flow, require_finite("t", t))
     # breaks of the two families that agree to the rounding of the knots
     # (within 64 ulps of their magnitude) are one break: a sliver between
     # them would read its two feet from different cells
@@ -543,7 +536,7 @@ def reconstruct_string(flow: CharacteristicFlow, times, s_points) -> list[String
     flows add back the whole periods of E+- that `_reduce_time` drops.
     Degenerate states (tau < delta/2) raise DomainError; s_points off a
     uniform grid raise ValueError (`uniform_grid`; a one-point grid takes the
-    source profile's ds, and a CellField flow has none).
+    source profile's ds, and a flow of rough data has none).
     """
     s_pts = np.asarray(s_points, dtype=float)
     s0, ds = uniform_grid(s_pts, None if flow.profile is None else flow.profile.ds, "s_points")
@@ -623,23 +616,19 @@ def residual_augmented(profiles: list[Profile], dt: float) -> dict:
 
 
 def galilean_on_solution(flow: CharacteristicFlow, u: float, times, s_grid) -> list[Profile]:
-    """Boosted solution slices: U~(t, s) = U(t, s - u t) + (0, u, 0, 0).
+    """Boosted solution slices of smooth data: U~(t, s) = U(t, s - u t) + (0, u, 0, 0).
 
     The boosted initial data are recertified by `admissibility` (failure
     raises); evaluation uses the original flow at the shifted positions, so
-    no resampling error enters.
+    no resampling error enters.  A flow of rough data raises ValueError, as
+    in `solve_augmented`.
     """
     prof = _source_profile(flow)
-    shifted = Profile(prof.s0, prof.ds, prof.tau, prof.v + u, prof.eta, prof.zeta,
-                      prof.boundary, prof.rough)
-    admissibility(shifted)
+    admissibility(Profile(prof.s0, prof.ds, prof.tau, prof.v + u, prof.eta, prof.zeta, prof.boundary))
     s_pts = np.asarray(s_grid, dtype=float)
-    s0, ds = _output_grid(prof, s_pts, "s_grid")
-    out = []
-    for t in times:
-        U = evolve_states(flow, t, s_pts - u * t)
-        out.append(Profile(s0, ds, U.tau, U.v + u, U.eta, U.zeta, prof.boundary, prof.rough))
-    return out
+    s0, ds = uniform_grid(s_pts, prof.ds, "s_grid")
+    states = (evolve_states(flow, t, s_pts - u * t) for t in times)
+    return [Profile(s0, ds, U.tau, U.v + u, U.eta, U.zeta, prof.boundary) for U in states]
 
 
 def xi_wave_residual(flow: CharacteristicFlow, t_pts, y_pts, dy_fd: float) -> float:

@@ -31,6 +31,8 @@ import numpy as np
 from .geometry import hamiltonian
 from .profiles import Profile
 
+CFL = 0.9  # the CFL number `advance` steps at, and `lax_friedrichs_step`'s default bound
+
 
 class CFLError(ValueError):
     """Requested step exceeds the stable CFL bound."""
@@ -153,15 +155,15 @@ def _unpadded(state: ConservativeState, W) -> ConservativeState:
                              state.boundary)
 
 
-def lax_friedrichs_step(state: ConservativeState, dt: float, cfl_max: float = 0.9) -> ConservativeState:
+def lax_friedrichs_step(state: ConservativeState, dt: float, cfl_max: float = CFL) -> ConservativeState:
     """One conservative Rusanov update; raises CFLError above cfl_max."""
     W = _padded(state)
     _rusanov(W, _scratch(state.d, state.n), state.ds, state.boundary == "periodic", dt, cfl_max)
     return _unpadded(state, W)
 
 
-def advance(state: ConservativeState, t_final: float, cfl: float = 0.9) -> tuple[ConservativeState, int]:
-    """March to t_final with dt = cfl * ds / speed, re-bounded every step.
+def advance(state: ConservativeState, t_final: float) -> tuple[ConservativeState, int]:
+    """March to t_final with dt = CFL * ds / speed, re-bounded every step.
 
     The padded fields and the kernel's scratch are allocated once per call
     and reused by every step.  A negative or non-finite t_final raises
@@ -174,7 +176,7 @@ def advance(state: ConservativeState, t_final: float, cfl: float = 0.9) -> tuple
     periodic = state.boundary == "periodic"
     t, steps = 0.0, 0
     while t < t_final - 1e-14:
-        t += _rusanov(W, work, state.ds, periodic, None, cfl, t_final - t)
+        t += _rusanov(W, work, state.ds, periodic, None, CFL, t_final - t)
         steps += 1
     del work  # freed before the output copies, so the two never coexist
     return _unpadded(state, W), steps

@@ -88,17 +88,15 @@ def _hermite_slope_weights(u):
     return 6.0 * u * (u - 1.0), (1.0 - u) * (1.0 - 3.0 * u), u * (3.0 * u - 2.0)
 
 
-def cubic_interp(x0: float, dx: float, values: np.ndarray, q, boundary: str = "periodic",
-                 slopes: np.ndarray | None = None):
+def cubic_interp(x0: float, dx: float, values: np.ndarray, q, boundary: str = "periodic"):
     """Cubic Hermite interpolation of uniform samples at query points q.
 
-    Slopes default to centered differences, giving a C^1 interpolant with
-    O(dx^3) error; pass exact slopes for Hermite data.  `values` may have
-    trailing axes; the query may be any shape.
+    The slopes are centered differences, giving a C^1 interpolant with
+    O(dx^3) error.  `values` may have trailing axes; the query may be any
+    shape.
     """
     values = np.asarray(values, dtype=float)
-    if slopes is None:
-        slopes = centered_slopes(values, dx, boundary)
+    slopes = centered_slopes(values, dx, boundary)
     i, ip, tt = _locate(x0, dx, values, q, boundary)
     b = _hermite_weights(tt)
     return b[0] * values[i] + b[1] * (slopes[i] * dx) + b[2] * values[ip] + b[3] * (slopes[ip] * dx)
@@ -169,6 +167,46 @@ def require_finite(name: str, a) -> np.ndarray:
         at = f"[{', '.join(map(str, i))}]" if i else ""
         raise ValueError(f"{name} must be finite; {name}{at} = {a[i]}")
     return a
+
+
+def _json_type(name: str, *kinds):
+    """A cast of a JSON value (config or sidecar) that passes a value of one
+    of the Python types `kinds` unchanged and raises TypeError naming the
+    JSON type otherwise.  A bool passes only where bool is one of the kinds:
+    JSON's true and false are no numbers, although Python's bool is an int."""
+    def cast(value):
+        if isinstance(value, bool) != (bool in kinds) or not isinstance(value, kinds):
+            raise TypeError(f"expected {name}")
+        return value
+    return cast
+
+
+_bool = _json_type("true or false", bool)
+_str = _json_type("a string", str)
+_number = _json_type("a number", int, float)
+_array = _json_type("an array", list)
+
+
+def _float(value) -> float:
+    return float(_number(value))
+
+
+def _integer(lowest: int):
+    """The cast of an integral number >= lowest, as an int."""
+    def cast(value) -> int:
+        if _number(value) % 1 or value < lowest:  # a non-finite value leaves a NaN remainder
+            raise ValueError(f"expected an integer >= {lowest}")
+        return int(value)
+    return cast
+
+
+_count = _integer(1)  # a size
+_mode = _integer(2)  # an oscillation mode of `waves.oscillatory_family_init`
+
+
+def _list(item):
+    """The cast of a JSON array whose entries each pass the cast `item`."""
+    return lambda value: [item(x) for x in _array(value)]
 
 
 @dataclass
@@ -580,22 +618,37 @@ def read_snapshot(csv_path: str) -> tuple[Profile, dict]:
     width, so a node at s = 0 is not held to an exact zero).  A mismatch
     raises ValueError naming the file and the first bad data row, counted
     from 1 after the header, as does a value that is not finite, which is
-    also named by its column; a sidecar without one of the grid keys n, d,
-    s0, ds or without boundary or rough raises ValueError naming the
-    sidecar and the key.
+    also named by its column.  A sidecar key that is missing or not of its
+    JSON type (grid.n, grid.d integers >= 1; grid.s0, grid.ds finite, ds
+    positive; boundary a string; rough true or false) raises ValueError
+    naming the sidecar and the key.
     """
     with open(csv_path + ".meta.json") as fh:
         meta = json.load(fh)
-    grid = meta.get("grid")
-    for key in ("grid.n", "grid.d", "grid.s0", "grid.ds", "boundary", "rough"):
-        node, name = (grid, key[5:]) if key.startswith("grid.") else (meta, key)
-        if not isinstance(node, dict) or name not in node:
-            raise ValueError(f"{csv_path}.meta.json: missing key {key!r}")
+
+    def finite(value, above=-np.inf) -> float:
+        if not above < _float(value) < np.inf:
+            raise ValueError("expected a finite number" + ("" if above == -np.inf else f" > {above:g}"))
+        return float(value)
+
+    def read(key, cast):
+        value = meta
+        for part in key.split("."):
+            if not isinstance(value, dict) or part not in value:
+                raise ValueError(f"{csv_path}.meta.json: missing key {key!r}")
+            value = value[part]
+        try:
+            return cast(value)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{csv_path}.meta.json: key {key!r} = {value!r}: {exc}") from None
+
+    n, d, s0, ds, boundary, rough = (read(key, cast) for key, cast in (
+        ("grid.n", _count), ("grid.d", _count), ("grid.s0", finite),
+        ("grid.ds", lambda x: finite(x, 0.0)), ("boundary", _str), ("rough", _bool)))
     try:
         data = np.loadtxt(csv_path, delimiter=",", skiprows=1, ndmin=2)
     except ValueError as exc:
         raise ValueError(f"{csv_path}: {exc}") from None
-    n, d = meta["grid"]["n"], meta["grid"]["d"]
     if data.shape[1] != 3 + 2 * d:
         raise ValueError(f"{csv_path}: row 1 has {data.shape[1]} columns; "
                          f"the sidecar's d = {d} needs {3 + 2 * d}")
@@ -607,8 +660,7 @@ def read_snapshot(csv_path: str) -> tuple[Profile, dict]:
         i, j = np.argwhere(bad)[0]
         raise ValueError(f"{csv_path}: row {i + 1} has {_snapshot_columns(d)[j]} = "
                          f"{float(data[i, j])!r}, which is not finite")
-    prof = Profile(meta["grid"]["s0"], meta["grid"]["ds"], data[:, 1], data[:, 2],
-                   data[:, 3:3 + d], data[:, 3 + d:], meta["boundary"], meta["rough"])
+    prof = Profile(s0, ds, data[:, 1], data[:, 2], data[:, 3:3 + d], data[:, 3 + d:], boundary, rough)
     s = prof.s_samples
     off = ~(np.abs(data[:, 0] - s) <= 1e-12 * np.maximum(np.abs(s), prof.ds))
     if off.any():

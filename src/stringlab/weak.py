@@ -20,15 +20,16 @@ equal states (a CellField, at most four runs per oscillation cell); it is
 checked, evolved and paired on those runs, and `OscillationPlan.samples`
 gives the same tiling sample by sample.
 
-The layer takes cells only: a CellField, or a rough Profile on its runs
-(`Profile.runs`); a smooth Profile raises ValueError.  Every pairing is one
-weight vector per test function (the exact integral of g over each cell,
-from its closed-form antiderivative, so the oscillation measurements carry
-no quadrature noise) times the field's observable matrix.  The weak
-identities of the limit are checked against the exact pairings of its own
-evolved cells, which a completion run computes once and also compares with
-the extrapolated limit.  scipy is imported only when a Gaussian
-antiderivative is first evaluated, so importing the package loads numpy alone.
+The layer takes cells only: a CellField, or a rough Profile as initial data
+on its runs (`Profile.runs`); a smooth Profile raises ValueError.  The exact
+limit of a tiling (`OscillationPlan.limit_profile`) is cells too.  Every
+pairing is one weight vector per test function (the exact integral of g
+over each cell, from its closed-form antiderivative, so the oscillation
+measurements carry no quadrature noise) times the field's observable
+matrix.  The weak identities of the limit are checked against the exact
+pairings of its own evolved cells, which a completion run computes once and
+also compares with the extrapolated limit.  scipy is imported at the first
+Gaussian antiderivative, so importing the package loads numpy alone.
 """
 
 from __future__ import annotations
@@ -222,17 +223,14 @@ class OscillationPlan:
     counts: np.ndarray    # (base.n, 4) samples of each decomposition point per oscillation cell
     point_states: tuple   # decomposition arrays (w, tau, v, eta, zeta) of the base cells
 
-    def limit_profile(self) -> Profile:
-        """Exact weak limit of the emitted tiling (equals the base when the
-        quantized proportions are exact, e.g. quarter weights)."""
-        p = self.counts / self.samples_per_cell
+    def limit_profile(self) -> CellField:
+        """Exact weak limit of the emitted tiling as cells (equals the base when
+        the quantized proportions are exact, e.g. quarter weights)."""
+        base, p = self.base, self.counts / self.samples_per_cell
         _, tau, v, eta, zeta = self.point_states
-        return Profile(
-            self.base.s0, self.base.ds,
-            np.sum(p * tau, axis=1), np.sum(p * v, axis=1),
-            np.sum(p[..., None] * eta, axis=1), np.sum(p[..., None] * zeta, axis=1),
-            self.base.boundary, rough=True,
-        )
+        return CellField(base.s0 + base.ds * np.arange(base.n + 1), StateU(
+            np.sum(p * tau, axis=1), np.sum(p * v, axis=1), np.sum(p[..., None] * eta, axis=1),
+            np.sum(p[..., None] * zeta, axis=1)), base.period).merged()
 
     def samples(self) -> Profile:
         """The tiling as a rough profile, `samples_per_cell` samples per oscillation cell.
@@ -416,8 +414,7 @@ def _evolve_and_pair(flow: CharacteristicFlow, times, family: list[TestFunction]
 
 
 def completion_experiment(base: Profile, n_list, times, family: list[TestFunction] | None = None,
-                          m: int = 64, params: ManifoldParams | None = None,
-                          identity_tol: float = 1e-3, compare_layouts: bool = False) -> dict:
+                          m: int = 64, identity_tol: float = 1e-3, compare_layouts: bool = False) -> dict:
     """End-to-end completion run: oscillate, evolve, pair, extrapolate, verify.
 
     Returns a report with the weak-distance decay of the oscillated sequence
@@ -434,9 +431,8 @@ def completion_experiment(base: Profile, n_list, times, family: list[TestFunctio
     """
     if family is None:
         family = default_family(base.s0, base.s0 + base.period)
-    if params is None:
-        win = admissibility(base)
-        params = ManifoldParams(alpha=win.alpha, delta=win.delta)
+    win = admissibility(base)
+    params = ManifoldParams(alpha=win.alpha, delta=win.delta)
     times = list(times)
     if not times:
         raise ValueError("times must hold at least one time")

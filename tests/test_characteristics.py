@@ -429,7 +429,7 @@ def test_solve_global_in_time(rough):
          else datasets.smooth_manifold_profile(n=512, alpha=0.2))
     flow = build_flow(p)
     for t in (1e9, -1e9):
-        U = solve_augmented(flow, t).state()
+        U = evolve_states(flow, t, p.s_samples)
         assert np.max(np.abs(U.sum_squares() - 1.0)) < 1e-6
         assert np.max(np.abs(U.cross())) < 1e-6
 
@@ -1094,6 +1094,18 @@ def test_evolve_cells_requires_rough():
         evolve_cells(build_flow(p), 0.5)
 
 
+@pytest.mark.parametrize("periodic", [True, False], ids=["periodic", "aperiodic"])
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+def test_evolve_cells_rejects_a_non_finite_time(periodic, t):
+    # unchecked, a non-finite time would break the merge of the break
+    # families (IndexError) or leave a field without cells
+    cells = datasets.rough_manifold_base(101).runs()
+    if not periodic:
+        cells = CellField(cells.breaks, cells.states)
+    with pytest.raises(ValueError, match=f"^t must be finite; t = {t}$"):
+        evolve_cells(build_flow(cells), t)
+
+
 # -- reconstruction and residuals ----------------------------------------------
 
 def test_reconstruct_constant_state_affine():
@@ -1226,6 +1238,20 @@ def test_reconstruct_string_output_grid():
         reconstruct_string(cells, [0.3], [0.5])
 
 
+def test_rough_data_leave_the_solver_only_as_cells():
+    # a rough profile is turned into its runs once, when its flow is built;
+    # sampled on a grid, its evolved cells would be lost, so solve_augmented
+    # refuses it and sends it to evolve_cells
+    p = datasets.rough_manifold_base(101)
+    flow, runs = build_flow(p), build_flow(p.runs())
+    assert flow.profile is None and flow.mode == "pc"
+    for name in ("y_edges", "values", "slopes"):
+        assert np.array_equal(getattr(flow, name), getattr(runs, name)), name
+    for source in (p, flow):
+        with pytest.raises(ValueError, match="rough data.*use evolve_cells"):
+            solve_augmented(source, 0.5)
+
+
 def test_solve_augmented_output_grid():
     flow = build_flow(datasets.smooth_manifold_profile(n=256))
     with pytest.raises(ValueError, match=r"s_out\[2\] = 0.5 is off the uniform grid"):
@@ -1314,15 +1340,18 @@ def test_galilean_transform():
 
 
 def test_galilean_output_grid():
-    # the output profiles sample where they were evaluated: a rough profile's
-    # samples are its cell centers
-    p = datasets.rough_manifold_base(101)
+    # the output profiles sample where they were evaluated; rough data have
+    # no sampled output, they evolve as cells
+    p = datasets.smooth_manifold_profile(n=256)
     flow = build_flow(p)
     with pytest.raises(ValueError, match=r"s_grid\[2\] = 0.5 is off the uniform grid"):
         galilean_on_solution(flow, 0.01, [0.7], OFF_GRID)
     (same,) = galilean_on_solution(flow, 0.0, [0.7], p.s_samples)
     assert np.max(np.abs(same.s_samples - p.s_samples)) < 1e-12
     assert np.array_equal(same.tau, evolve_states(flow, 0.7, p.s_samples).tau)
+    rough = datasets.rough_manifold_base(101)
+    with pytest.raises(ValueError, match="rough data.*use evolve_cells"):
+        galilean_on_solution(build_flow(rough), 0.01, [0.7], rough.s_samples)
 
 
 def test_galilean_residual_within_factor_two():

@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from stringlab import cli, waves
+from stringlab import cli, datasets, waves
 from stringlab.cli import ConfigError, load_config, main
 from stringlab.profiles import Profile, read_snapshot, write_snapshot
 from stringlab.validate import run_validation
@@ -253,6 +253,62 @@ def test_simulate_csv_with_a_non_finite_value_exits_2(tmp_path, capsys):
     assert "init.csv: row 7 has tau = nan, which is not finite" in capsys.readouterr().err
 
 
+def _unsolvable(monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("solved before the initial data were checked")
+
+    for name in ("build_flow", "solve_augmented", "advance"):
+        monkeypatch.setattr(f"stringlab.cli.{name}", unreachable)
+
+
+def test_simulate_refuses_a_rough_snapshot_before_any_solve(tmp_path, monkeypatch, capsys):
+    # sampled on a grid, an evolved rough field would lose its cells (its
+    # snapshot would hold point samples of them), so rough data evolve with
+    # evolve_cells and simulate samples smooth data only
+    _unsolvable(monkeypatch)
+    csv_path = str(tmp_path / "rough.csv")
+    write_snapshot(csv_path, datasets.rough_manifold_base(101, alpha=0.2), {})
+    cfg = write_json(tmp_path / "sim.json",
+                     {"initial": {"kind": "csv", "path": csv_path}, "times": [0.5]})
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.strip() == \
+        f"error: initial.path = {csv_path!r} holds rough data, which evolve with evolve_cells"
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("grid.n", "16", "'16': expected a number"),
+    ("grid.ds", "x", "'x': expected a number"),
+    ("grid.d", True, "True: expected a number"),
+    ("rough", "no", "'no': expected true or false"),
+    ("boundary", 1, "1: expected a string"),
+    ("grid.ds", float("nan"), "nan: expected a finite number > 0"),
+    ("grid.ds", float("inf"), "inf: expected a finite number > 0"),
+    ("grid.ds", 0.0, "0.0: expected a finite number > 0"),
+    ("grid.s0", float("nan"), "nan: expected a finite number"),
+], ids=["string_n", "string_ds", "bool_d", "string_rough", "number_boundary", "nan_ds",
+        "infinite_ds", "zero_ds", "nan_s0"])
+def test_simulate_reads_each_sidecar_key_by_its_json_type(tmp_path, monkeypatch, capsys,
+                                                          key, value, message):
+    # read unchecked, a string size or spacing raises TypeError (exit 3),
+    # d = true reads as 1, rough = "no" as rough, and a non-finite grid
+    # blames row 1's s
+    _unsolvable(monkeypatch)
+    p = Profile(-np.pi, 2 * np.pi / 16, np.full(16, 0.7), np.zeros(16), np.zeros((16, 1)),
+                np.zeros((16, 1)))
+    csv_path = str(tmp_path / "init.csv")
+    write_snapshot(csv_path, p, {})
+    with open(csv_path + ".meta.json") as fh:
+        meta = json.load(fh)
+    node, name = (meta["grid"], key[5:]) if key.startswith("grid.") else (meta, key)
+    node[name] = value
+    with open(csv_path + ".meta.json", "w") as fh:
+        json.dump(meta, fh)  # NaN and Infinity as Python's json writes and reads them
+    cfg = write_json(tmp_path / "sim.json",
+                     {"initial": {"kind": "csv", "path": csv_path}, "times": [0.5]})
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.strip() == f"error: {csv_path}.meta.json: key {key!r} = {message}"
+
+
 def test_internal_error_exits_3(tmp_path, monkeypatch, capsys):
     def faulty(cfg, out_dir):
         raise RuntimeError("internal error: inversion residual 1.607e-07")
@@ -388,6 +444,15 @@ def test_completion_needs_two_levels_and_a_time(tmp_path, monkeypatch, capsys, c
     path = write_json(tmp_path / "c.json", dict(cfg, samples_per_cell=16))
     assert main(["completion", "--config", path, "--out", str(tmp_path / "o")]) == 2
     assert message in capsys.readouterr().err
+
+
+def test_completion_at_a_non_finite_time_exits_2_naming_t(tmp_path, capsys):
+    # JSON's NaN reads as a number; evolving the first field at it names the
+    # time, rather than failing inside the merge of the breaks (exit 3)
+    path = write_json(tmp_path / "c.json",
+                      {"n_list": [8, 16], "times": [0.0, float("nan")], "samples_per_cell": 16})
+    assert main(["completion", "--config", path, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.strip() == "error: t must be finite; t = nan"
 
 
 def test_flags_are_registered_only_where_read(tmp_path):

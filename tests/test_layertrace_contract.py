@@ -1,13 +1,15 @@
-"""The benchmark's layer tracer reads the package from outside; keep its reads working.
+"""The benchmark reads the package from outside; keep its reads working.
 
 `perfbench/layertrace.py` wraps each layer in its `LAYERS` table and derives
 work counts from the flow's fields (`mode`, `xi_nodes`, `y_edges`), from
-`xi_evaluate(flow, t, y)` and from `CellField.m`.  A refactor that renames
-one of them should fail here, not in a traced benchmark run.
+`xi_evaluate(flow, t, y)` and from `CellField.m`; `perfbench/workloads.py`
+builds the seeded inputs and runs the passes.  A refactor that renames or
+breaks one of them should fail here, not in a benchmark run.
 """
 
 import importlib.util
 import pathlib
+import sys
 
 import numpy as np
 import pytest
@@ -17,14 +19,35 @@ from stringlab.characteristics import build_flow, evolve_cells, xi_time_inverse
 from stringlab.weak import completion_experiment
 
 LAYERTRACE = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "layertrace.py"
+WORKLOADS = LAYERTRACE.with_name("workloads.py")
+
+
+def _load(path, name):
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module  # where a dataclass looks up its module
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture(scope="module")
 def layertrace():
-    spec = importlib.util.spec_from_file_location("layertrace_contract", LAYERTRACE)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return _load(LAYERTRACE, "layertrace_contract")
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    return _load(WORKLOADS, "workloads_contract")
+
+
+@pytest.mark.parametrize("name", ["completion", "smooth_solve", "cross_check"])
+def test_one_benchmark_pass_at_seed_1_fails_no_op(workloads, name, tmp_path):
+    # seeds other than 0 rebuild the inputs (the completion base is a
+    # translated rough Profile), so this reads what the benchmark reads
+    make_inputs, one_pass = workloads.WORKLOADS[name]
+    ledger = workloads.Ledger()
+    one_pass(make_inputs(1), ledger, str(tmp_path))
+    assert ledger.attempted > 0 and ledger.failed == 0, (ledger.raised, ledger.wrong)
 
 
 def test_every_layer_binding_resolves(layertrace):

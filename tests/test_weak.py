@@ -455,7 +455,7 @@ def test_oscillation_quantization_d1():
     limp = plan.limit_profile()
     k = osc.n // base.n
     tiled_eta = osc.eta.reshape(base.n, k, 1).mean(axis=1)
-    assert np.max(np.abs(tiled_eta - limp.eta)) < 1e-12
+    assert np.max(np.abs(tiled_eta - limp.states.eta)) < 1e-12
 
 
 def test_completion_manifold_base_is_trivial():
