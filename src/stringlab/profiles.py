@@ -621,10 +621,16 @@ def read_snapshot(csv_path: str) -> tuple[Profile, dict]:
     also named by its column.  A sidecar key that is missing or not of its
     JSON type (grid.n, grid.d integers >= 1; grid.s0, grid.ds finite, ds
     positive; boundary a string; rough true or false) raises ValueError
-    naming the sidecar and the key.
+    naming the sidecar and the key.  A sidecar or CSV that cannot be read, or
+    a sidecar that is not JSON, raises ValueError naming the file.
     """
-    with open(csv_path + ".meta.json") as fh:
-        meta = json.load(fh)
+    try:
+        with open(csv_path + ".meta.json") as fh:
+            meta = json.load(fh)
+    except OSError as exc:
+        raise ValueError(f"cannot read snapshot sidecar {csv_path}.meta.json: {exc.strerror}") from exc
+    except ValueError as exc:  # JSONDecodeError, or UnicodeDecodeError for a binary file
+        raise ValueError(f"invalid JSON sidecar {csv_path}.meta.json: {exc}") from exc
 
     def finite(value, above=-np.inf) -> float:
         if not above < _float(value) < np.inf:
@@ -646,7 +652,10 @@ def read_snapshot(csv_path: str) -> tuple[Profile, dict]:
         ("grid.n", _count), ("grid.d", _count), ("grid.s0", finite),
         ("grid.ds", lambda x: finite(x, 0.0)), ("boundary", _str), ("rough", _bool)))
     try:
-        data = np.loadtxt(csv_path, delimiter=",", skiprows=1, ndmin=2)
+        with open(csv_path) as fh:
+            data = np.loadtxt(fh, delimiter=",", skiprows=1, ndmin=2)
+    except OSError as exc:
+        raise ValueError(f"cannot read snapshot {csv_path}: {exc.strerror}") from exc
     except ValueError as exc:
         raise ValueError(f"{csv_path}: {exc}") from None
     if data.shape[1] != 3 + 2 * d:

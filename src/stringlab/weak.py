@@ -28,12 +28,14 @@ over each cell, from its closed-form antiderivative, so the oscillation
 measurements carry no quadrature noise) times the field's observable
 matrix.  The weak identities of the limit are checked against the exact
 pairings of its own evolved cells, which a completion run computes once and
-also compares with the extrapolated limit.  scipy is imported at the first
-Gaussian antiderivative, so importing the package loads numpy alone.
+also compares with the extrapolated limit.  The Gaussian antiderivative
+reads erf from `_erf`, a numpy Taylor table built at its first call, so
+the package needs numpy alone.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -53,6 +55,49 @@ from .profiles import CellField, Profile
 
 _SQRT2 = math.sqrt(2.0)
 _SQRT_HALF_PI = math.sqrt(0.5 * math.pi)
+_ERF_H = 1024      # table nodes per unit (a power of two, so j / H is exact)
+_ERF_DEGREE = 4
+_ERF_CLAMP = 6.0   # erf(6) rounds to 1.0
+
+
+@functools.cache
+def _erf_table() -> np.ndarray:
+    """Taylor coefficients (degree + 1, nodes) of erf at the nodes j / H on [0, 6],
+    in powers of the offset counted in node spacings.
+
+    Row k is erf^(k)(j / H) / (k! H^k), exact rescalings since H is a power of
+    two.  Row 0 is math.erf at the node; the derivatives come from
+    erf^(k+1)(x) = (2 / sqrt(pi)) (-1)^k H_k(x) exp(-x^2) with the Hermite
+    recurrence H_(k+1) = 2x H_k - 2k H_(k-1).
+    """
+    x = np.arange(int(_ERF_CLAMP * _ERF_H) + 1) / _ERF_H
+    coef = np.empty((_ERF_DEGREE + 1, x.size))
+    coef[0] = [math.erf(v) for v in x.tolist()]
+    gauss = 2.0 / math.sqrt(math.pi) * np.exp(-x * x)
+    h_prev, h_k, fact = np.zeros_like(x), np.ones_like(x), 1.0
+    for k in range(_ERF_DEGREE):
+        fact *= (k + 1) * _ERF_H
+        coef[k + 1] = (-1) ** k * h_k * gauss / fact
+        h_prev, h_k = h_k, 2.0 * x * h_k - 2.0 * k * h_prev
+    return coef
+
+
+def _erf(x) -> np.ndarray:
+    """erf of an array, within 2^-53 of math.erf: |x| H clamped at the last
+    node, Horner in the offset from the nearest node, then the sign of x
+    (NaN stays NaN)."""
+    x = np.asarray(x, dtype=float)
+    coef = _erf_table()
+    top = _ERF_CLAMP * _ERF_H
+    u = np.minimum(np.abs(x) * _ERF_H, top)
+    node = np.rint(np.fmin(u, top))  # fmin: a NaN reads the last node, never indexes with NaN
+    j = node.astype(np.intp)
+    u -= node
+    y = coef[-1][j]
+    for c in coef[-2::-1]:
+        y *= u
+        y += c[j]
+    return np.copysign(y, x)
 
 
 @dataclass
@@ -72,6 +117,9 @@ class TestFunction:
     normalization: float = field(init=False)
 
     def __post_init__(self):
+        for value in (self.p1, self.p2):
+            if not math.isfinite(value):
+                raise ValueError(f"{self.kind} parameters must be finite; got {float(value)!r}")
         if self.kind == "gaussian":
             if self.p2 <= 0.0:
                 raise ValueError("gaussian width must be positive")
@@ -114,9 +162,7 @@ class TestFunction:
     def antiderivative(self, s):
         s = np.asarray(s, dtype=float)
         if self.kind == "gaussian":
-            from scipy.special import erf
-
-            return self.p2 * _SQRT_HALF_PI * erf((s - self.p1) / (self.p2 * _SQRT2))
+            return self.p2 * _SQRT_HALF_PI * _erf((s - self.p1) / (self.p2 * _SQRT2))
         if self.kind == "hat":
             x = np.clip(s - self.p1, -self.p2, self.p2)
             return 0.5 * self.p2 + x - 0.5 * x * np.abs(x) / self.p2
@@ -172,18 +218,25 @@ def _weights(cells: CellField, g: TestFunction) -> np.ndarray:
 
     Periodic fields sum over the images (by the field's own period) that
     meet g's support and, in each image, only over the cells that cover it
-    (one searchsorted on the support bounds); without a period the field is
-    supported on its own breakpoint window.
+    (one searchsorted on the support bounds); the breakpoints of all those
+    images go through one antiderivative call.  Without a period the field
+    is supported on its own breakpoint window.
     """
     pts, period = cells.breaks, cells.period
     if period is None:
         return np.diff(g.antiderivative(pts))
     g_lo, g_hi = g.support()
-    w = np.zeros(cells.m)
+    images = []
     for k in _wind_range(pts[0], pts[-1], g_lo, g_hi, period):
         lo, hi = pts.searchsorted((g_lo - k * period, g_hi - k * period))
-        a, b = max(int(lo) - 1, 0), min(int(hi) + 1, len(pts))
-        w[a:b - 1] += np.diff(g.antiderivative(pts[a:b] + k * period))
+        images.append((k, max(int(lo) - 1, 0), min(int(hi) + 1, len(pts))))
+    steps = np.diff(g.antiderivative(np.concatenate([pts[a:b] + k * period
+                                                     for k, a, b in images])))
+    w = np.zeros(cells.m)
+    at = 0
+    for _, a, b in images:  # the step between two images' slices is skipped
+        w[a:b - 1] += steps[at:at + b - a - 1]
+        at += b - a
     return w
 
 

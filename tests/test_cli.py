@@ -237,6 +237,33 @@ def test_simulate_csv_with_a_sidecar_missing_grid_n_exits_2(tmp_path, capsys):
     assert "init.csv.meta.json: missing key 'grid.n'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("case", ["no_sidecar", "sidecar_not_json", "no_csv"])
+def test_simulate_csv_that_cannot_be_read_exits_2_naming_the_file(tmp_path, monkeypatch,
+                                                                  capsys, case):
+    # unwrapped, a missing sidecar exited 3 (FileNotFoundError) and a sidecar
+    # that is not JSON exited 2 with the decoder's message alone
+    _unsolvable(monkeypatch)
+    csv_path = str(tmp_path / "init.csv")
+    write_snapshot(csv_path, datasets.smooth_manifold_profile(n=16), {})
+    if case == "no_sidecar":
+        os.remove(csv_path + ".meta.json")
+    elif case == "sidecar_not_json":
+        with open(csv_path + ".meta.json", "w") as fh:
+            fh.write("{grid: 16}\n")
+    else:
+        os.remove(csv_path)
+    cfg = write_json(tmp_path / "sim.json",
+                     {"initial": {"kind": "csv", "path": csv_path}, "times": [0.5]})
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    want = {
+        "no_sidecar": f"cannot read snapshot sidecar {csv_path}.meta.json: No such file or directory",
+        "sidecar_not_json": f"invalid JSON sidecar {csv_path}.meta.json: Expecting property name "
+                            "enclosed in double quotes: line 1 column 2 (char 1)",
+        "no_csv": f"cannot read snapshot {csv_path}: No such file or directory",
+    }[case]
+    assert capsys.readouterr().err.strip() == f"error: {want}"
+
+
 def test_simulate_csv_with_a_non_finite_value_exits_2(tmp_path, capsys):
     p = Profile(-np.pi, 2 * np.pi / 16, np.full(16, 0.7), np.zeros(16), np.zeros((16, 1)),
                 np.zeros((16, 1)), rough=True)

@@ -17,6 +17,9 @@ from stringlab.profiles import Profile
 from stringlab.waves import oscillatory_limit_init, wave_to_augmented
 from stringlab.weak import (
     TestFunction,
+    _erf,
+    _weights,
+    _wind_range,
     completion_experiment,
     default_family,
     extrapolate_tables,
@@ -46,17 +49,16 @@ def test_antiderivatives_match_values():
             == pytest.approx(g.normalization, abs=1e-12)
 
 
-_SCIPY_GUARD = textwrap.dedent("""
-    import json, math, os, sys
-
-    import numpy as np
+_NO_SCIPY = textwrap.dedent("""
+    import json, os, sys
 
     def scipy_modules():
         return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 
     import stringlab
-    from stringlab import cli
-    from stringlab.weak import TestFunction
+    from stringlab import cli, datasets
+    from stringlab.validate import run_validation
+    from stringlab.weak import completion_experiment
 
     seen = {"import": scipy_modules()}
     cfg = os.path.join(sys.argv[1], "sim.json")
@@ -67,29 +69,71 @@ _SCIPY_GUARD = textwrap.dedent("""
     seen["simulate_exit"] = cli.main(["simulate", "--config", cfg, "--out", out])
     seen["report"] = os.path.isfile(os.path.join(out, "simulate_report.json"))
     seen["simulate"] = scipy_modules()
-
-    x = np.linspace(-3.0, 4.0, 301)
-    got = TestFunction.gaussian(0.3, 0.7).antiderivative(x)
-    from scipy.special import erf
-    want = 0.7 * math.sqrt(math.pi / 2) * erf((x - 0.3) / (0.7 * math.sqrt(2.0)))
-    seen["gaussian_equal"] = bool(np.array_equal(got, want))
+    rep = completion_experiment(datasets.subrelativistic_wave_base(101), [8, 16], [0.0], m=16)
+    seen["completion_gaps"] = rep["gaps"]
+    seen["completion"] = scipy_modules()
+    seen["validate_pass"] = run_validation(seed=0)["pass"]
+    seen["validate"] = scipy_modules()
     print(json.dumps(seen))
 """)
 
 
-def test_scipy_waits_for_the_first_gaussian_antiderivative(tmp_path):
-    # a fresh interpreter: this one has long since imported scipy
+def test_no_scipy_module_is_ever_loaded(tmp_path):
+    # a fresh interpreter: this one may have imported scipy through another package
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run([sys.executable, "-c", _SCIPY_GUARD, str(tmp_path)],
+    proc = subprocess.run([sys.executable, "-c", _NO_SCIPY, str(tmp_path)],
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     seen = json.loads(proc.stdout.strip().splitlines()[-1])
-    assert seen["import"] == []
     # the run reached its report (exit 1 is a membership verdict, not a crash)
     assert seen["simulate_exit"] in (0, 1) and seen["report"]
-    assert seen["simulate"] == []
-    assert seen["gaussian_equal"]
+    assert 0.0 < seen["completion_gaps"][1] < seen["completion_gaps"][0]
+    assert seen["validate_pass"]
+    for stage in ("import", "simulate", "completion", "validate"):
+        assert seen[stage] == [], stage
+
+
+def test_erf_matches_math_erf():
+    rng = np.random.default_rng(11)
+    nodes = np.arange(6 * 1024 + 1) / 1024
+    x = np.concatenate([np.linspace(-7.0, 7.0, 140_001), rng.uniform(-7.0, 7.0, 100_000),
+                        nodes, nodes[:-1] + 0.5 / 1024, [0.0, np.inf, 1e-300, 5e-324]])
+    x = np.concatenate([x, -x])
+    got = _erf(x)
+    want = np.array([math.erf(v) for v in x])
+    assert np.max(np.abs(got - want)) <= 2.0 ** -52
+    # odd bit for bit, signed zeros included
+    assert np.array_equal(_erf(-x).view(np.int64), (-got).view(np.int64))
+    assert np.signbit(_erf(np.array([-0.0])))[0] and not np.signbit(_erf(np.array([0.0])))[0]
+    far = np.abs(x) >= 6.0
+    assert np.array_equal(got[far], np.sign(x[far]))
+    assert np.isnan(_erf(np.array([np.nan, -np.nan]))).all()
+    assert _erf(np.array([np.inf, -np.inf])).tolist() == [1.0, -1.0]
+
+
+def test_batched_weights_equal_the_per_image_loop():
+    # one antiderivative call over every image's slice gives the same bits as
+    # one call per image
+    base = datasets.subrelativistic_wave_base(101)
+    params = admissibility(base)
+    osc, _ = oscillate_profile(base, 16, params, m=16)
+    cells = evolve_cells(build_flow(osc, params.alpha, params.delta), 1.0)
+    pts, period = cells.breaks, cells.period
+    wound = 0
+    for g in default_family(base.s0, base.s0 + base.period):
+        if g.kind != "gaussian":
+            continue
+        g_lo, g_hi = g.support()
+        images = _wind_range(pts[0], pts[-1], g_lo, g_hi, period)
+        wound += len(images) > 1
+        want = np.zeros(cells.m)
+        for k in images:
+            lo, hi = pts.searchsorted((g_lo - k * period, g_hi - k * period))
+            a, b = max(int(lo) - 1, 0), min(int(hi) + 1, len(pts))
+            want[a:b - 1] += np.diff(g.antiderivative(pts[a:b] + k * period))
+        assert np.array_equal(_weights(cells, g).view(np.int64), want.view(np.int64)), g.label
+    assert wound >= 4
 
 
 def test_test_function_validation():
@@ -99,6 +143,14 @@ def test_test_function_validation():
         TestFunction.indicator(2.0, 1.0)
     with pytest.raises(ValueError):
         TestFunction("box", 0.0, 1.0)
+    # a NaN gaussian would fail later, in _wind_range, naming no parameter
+    for make, p1, p2, bad in ((TestFunction.gaussian, 0.0, math.nan, "nan"),
+                              (TestFunction.gaussian, 0.0, math.inf, "inf"),
+                              (TestFunction.hat, 0.0, math.inf, "inf"),
+                              (TestFunction.indicator, math.nan, 1.0, "nan")):
+        with pytest.raises(ValueError, match=f"^{make.__name__} parameters must be finite; "
+                                             f"got {bad}$"):
+            make(p1, p2)
 
 
 def test_default_family_composition():
@@ -354,7 +406,7 @@ def test_completion_working_set_does_not_grow_with_the_times():
     # each time's evolved field is paired and dropped before the next is
     # evolved, so twelve times cost about as much memory as two
     base = datasets.subrelativistic_wave_base(101)
-    completion_experiment(base, [8, 16], [0.0], m=16)  # imports scipy outside the trace
+    completion_experiment(base, [8, 16], [0.0], m=16)  # builds the erf table outside the trace
 
     def peak(n_times):
         tracemalloc.start()
