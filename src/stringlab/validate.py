@@ -84,8 +84,14 @@ def legendre_bruteforce(Y, Z) -> float:
         for k, a in enumerate(axes):
             a = a.reshape((1,) * k + (coarse,) + (1,) * (d - 1 - k))
             w2, wy, wz = w2 + a * a, wy + a * Y[k], wz + a * Z[k]
-        rad = (1.0 + np.dot(Y, Y)) * (1.0 - w2) + wy**2
-        val = np.where(rad >= 0.0, wz + np.sqrt(np.maximum(rad, 0.0)), -np.inf)
+        # rad = (1 + |Y|^2)(1 - |W|^2) + (W.Y)^2, then val = W.Z + sqrt(rad) where rad >= 0,
+        # written into the round's own arrays: the values are those of the plain expressions
+        rad = np.subtract(1.0, w2, out=w2)
+        rad *= 1.0 + np.dot(Y, Y)
+        rad += np.square(wy, out=wy)
+        outside = rad < 0.0
+        val = np.add(wz, np.sqrt(np.maximum(rad, 0.0, out=rad), out=rad), out=wz)
+        val[outside] = -np.inf
         i = np.unravel_index(int(np.argmax(val)), val.shape)
         best = max(best, float(val[i]))
         step = 2.0 * half / (coarse - 1)
@@ -285,12 +291,18 @@ def check_fv_conservation(rng, inject=False) -> dict:
 
 
 def check_test_function_normalization(rng, inject=False) -> dict:
+    n, block = 400001, 2**13  # trapezoid nodes, and the most integrated at a time
     worst = 0.0
     for g in (TestFunction.gaussian(0.3, 0.7), TestFunction.hat(-1.0, 1.3),
               TestFunction.indicator(-2.0, 1.5)):
         lo, hi = g.support(1e-18)
-        grid = np.linspace(lo, hi, 400001)
-        quad = np.trapezoid(np.abs(g(grid)), grid)
+        step, quad = (hi - lo) / (n - 1), 0.0
+        for i in range(0, n - 1, block - 1):  # consecutive blocks share an end node
+            j = min(i + block, n)
+            grid = lo + np.arange(i, j) * step  # np.linspace(lo, hi, n)[i:j]
+            if j == n:
+                grid[-1] = hi
+            quad += np.trapezoid(np.abs(g(grid)), grid)
         ref = g.normalization + (1e-8 if inject else 0.0)
         worst = max(worst, abs(quad - ref))
     return {"pass": worst <= 1e-10, "detail": f"max |quadrature - closed form| {worst:.3e}"}

@@ -1,5 +1,6 @@
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -59,7 +60,7 @@ def test_simulate_command(tmp_path):
     })
     out = str(tmp_path / "out")
     assert main(["simulate", "--config", cfg, "--out", out]) == 0
-    report = json.load(open(os.path.join(out, "simulate_report.json")))
+    report = json.loads(Path(out, "simulate_report.json").read_text())
     assert report["pass"]
     snap, meta = read_snapshot(os.path.join(out, "state_t+0.300.csv"))
     assert snap.n == 1024 and "alpha" in meta and "delta" in meta
@@ -198,7 +199,7 @@ def test_simulate_wave_data_cross_solver(tmp_path):
     })
     out = str(tmp_path / "out")
     assert main(["simulate", "--config", cfg, "--out", out]) == 0
-    report = json.load(open(os.path.join(out, "simulate_report.json")))
+    report = json.loads(Path(out, "simulate_report.json").read_text())
     fv = [r for r in report["results"] if r["name"] == "fv_cross_check"][0]
     assert all(o >= 0.8 for o in fv["orders"])
     mem = [r for r in report["results"] if r["name"].startswith("membership")][0]
@@ -389,7 +390,7 @@ def test_thm1_command(tmp_path, monkeypatch):
     })
     out = str(tmp_path / "out")
     assert main(["thm1", "--config", cfg, "--out", out]) == 0
-    lines = open(os.path.join(out, "thm1_rates.csv")).read().splitlines()
+    lines = Path(out, "thm1_rates.csv").read_text().splitlines()
     assert lines[0] == "n,sup_error,ratio"
     assert len(lines) == 4
     # one call per mode, equal to a loop over the times
@@ -399,7 +400,7 @@ def test_thm1_command(tmp_path, monkeypatch):
                                             - waves.oscillatory_limit_solution(float(t), ss), axis=-1)))
                 for t in np.linspace(-2 * np.pi, 2 * np.pi, 65))
             for init in map(waves.oscillatory_family_init, (8, 16, 32))]
-    report = json.load(open(os.path.join(out, "thm1_report.json")))
+    report = json.loads(Path(out, "thm1_report.json").read_text())
     assert report["results"][0]["values"] == loop
     # the default 513 x 513 lattice, in blocks of at most 2^16 points per mode
     blocks.clear()
@@ -420,7 +421,7 @@ def test_completion_command(tmp_path):
     })
     out = str(tmp_path / "out")
     assert main(["completion", "--config", cfg, "--out", out]) == 0
-    report = json.load(open(os.path.join(out, "completion_report.json")))
+    report = json.loads(Path(out, "completion_report.json").read_text())
     assert report["pass"]
     flags = {r["name"]: r["pass"] for r in report["results"] if "name" in r}
     assert flags["limit_is_nonrelativistic_generalized_string"]
@@ -431,7 +432,7 @@ def test_completion_command(tmp_path):
     assert len(exp["evolved_cells"]) == 3
     assert all(r <= c <= 2 * r for r, c in zip(exp["runs"], exp["evolved_cells"]))
     assert exp["max_weight_quantization"] == [0.0, 0.0, 0.0]
-    lines = open(os.path.join(out, "completion_gaps.csv")).read().splitlines()
+    lines = Path(out, "completion_gaps.csv").read_text().splitlines()
     assert lines[0] == "n,g_id,t,pairing_gap"
 
 
@@ -439,7 +440,7 @@ def test_completion_of_manifold_data_passes_on_exactly_zero_gaps(tmp_path, monke
     cfg = write_json(tmp_path / "c.json", {"base": "manifold", "n_list": [8, 16, 32],
                                           "times": [0.0, 1.0], "samples_per_cell": 16})
     assert main(["completion", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
-    report = json.load(open(os.path.join(tmp_path, "o", "completion_report.json")))
+    report = json.loads(Path(tmp_path, "o", "completion_report.json").read_text())
     assert {"name": "gaps_exactly_zero", "pass": True} in report["results"]
     assert report["results"][-1]["gaps"] == [0.0, 0.0, 0.0]
     assert report["results"][-1]["slope"] is None
@@ -452,7 +453,7 @@ def test_completion_of_manifold_data_passes_on_exactly_zero_gaps(tmp_path, monke
 
     monkeypatch.setattr("stringlab.cli.completion_experiment", one_nonzero_gap)
     assert main(["completion", "--config", cfg, "--out", str(tmp_path / "o2")]) == 1
-    report = json.load(open(os.path.join(tmp_path, "o2", "completion_report.json")))
+    report = json.loads(Path(tmp_path, "o2", "completion_report.json").read_text())
     assert {"name": "gaps_exactly_zero", "pass": False} in report["results"]
 
 
@@ -497,12 +498,12 @@ def test_flags_are_registered_only_where_read(tmp_path):
 def test_validate_command_and_injection(tmp_path):
     out = str(tmp_path / "v")
     assert main(["validate", "--out", out, "--seed", "5"]) == 0
-    report = json.load(open(os.path.join(out, "validate_report.json")))
+    report = json.loads(Path(out, "validate_report.json").read_text())
     assert report["pass"] and len(report["results"]) >= 12
     out2 = str(tmp_path / "v2")
     assert main(["validate", "--out", out2, "--seed", "5",
                  "--inject", "decomposition"]) == 1
-    rep2 = json.load(open(os.path.join(out2, "validate_report.json")))
+    rep2 = json.loads(Path(out2, "validate_report.json").read_text())
     failed = [r["name"] for r in rep2["results"] if not r["pass"]]
     assert failed == ["decomposition"]
     with pytest.raises(ValueError):
@@ -513,6 +514,6 @@ def test_validate_deterministic_bytes(tmp_path):
     a, b = str(tmp_path / "a"), str(tmp_path / "b")
     assert main(["validate", "--out", a, "--seed", "9"]) == 0
     assert main(["validate", "--out", b, "--seed", "9"]) == 0
-    pa = open(os.path.join(a, "validate_report.json"), "rb").read()
-    pb = open(os.path.join(b, "validate_report.json"), "rb").read()
+    pa = Path(a, "validate_report.json").read_bytes()
+    pb = Path(b, "validate_report.json").read_bytes()
     assert pa == pb

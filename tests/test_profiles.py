@@ -1,5 +1,6 @@
 import json
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -310,7 +311,7 @@ def test_snapshot_roundtrip(tmp_path):
     # byte-determinism of the writer
     path2 = str(tmp_path / "snap2.csv")
     write_snapshot(path2, p, {"alpha": 0.0, "delta": 0.5, "t": 1.25})
-    assert open(path).read() == open(path2).read()
+    assert Path(path).read_bytes() == Path(path2).read_bytes()
 
 
 def _tampered_snapshot(tmp_path, edit, rough=True):
