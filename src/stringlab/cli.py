@@ -8,8 +8,9 @@
 A config is a JSON object.  Each value must have its key's JSON type: a
 number where a number is read, an integer >= 1 for a size (>= 2 for a
 mode), true or false for a switch; no value is converted from another
-type.  Exit codes: 0 success, 1 validation failure, 2 bad input or
-configuration (a ValueError; a config error names its key or file), 3
+type.  A key outside the command's declared set (`_CONFIG_KEYS`) exits 2
+naming it, before any solve.  Exit codes: 0 success, 1 validation
+failure, 2 bad input or configuration (a ValueError; a config error names its key or file), 3
 internal error (any other exception, with its traceback unless a
 RuntimeError: a fault of the program, such as an inversion that misses its
 residual bound, never of the input).  All artifacts are deterministic for a fixed seed: CSV files use
@@ -30,7 +31,7 @@ import numpy as np
 from . import datasets
 from .characteristics import admissibility, build_flow, residual_augmented, solve_augmented
 from .finite_volume import CFL, advance, from_profile, max_signal_speed
-from .geometry import in_cm, in_g, in_m
+from .geometry import SIGN_BRANCHES, in_cm, in_g, in_m
 from .profiles import _bool, _count, _float, _list, _mode, _number, _str, fmt17, read_snapshot, write_snapshot
 from .validate import run_validation
 from .waves import dalembert_wave_solve, oscillatory_family_init, oscillatory_limit_solution, wave_to_augmented
@@ -45,6 +46,16 @@ class ConfigError(ValueError):
 _FV_MAX_STEPS = 10**6
 # the most (t, s) lattice points `thm1` evaluates in one call
 _THM1_BLOCK_POINTS = 2**16
+# the dotted keys each command's config may hold, on every branch it reads
+_CONFIG_KEYS = {
+    "simulate": ("grid.n", "grid.s0", "grid.period", "times", "initial.kind", "initial.d",
+                 "initial.mid", "initial.amp", "initial.swing", "initial.hull_factor",
+                 "initial.mode", "initial.tau", "initial.v", "initial.eta", "initial.zeta",
+                 "initial.path", "cross_check_fv.enabled", "cross_check_fv.t",
+                 "cross_check_fv.refinements"),
+    "thm1": ("n_list", "grid.t_samples", "grid.s_samples"),
+    "completion": ("base", "base_cells", "d", "hull_factor", "n_list", "times", "samples_per_cell"),
+}
 
 
 def load_config(path: str) -> dict:
@@ -60,6 +71,20 @@ def load_config(path: str) -> dict:
     if not isinstance(cfg, dict):
         raise ConfigError(f"config {path} must hold a JSON object, got {type(cfg).__name__}")
     return cfg
+
+
+def _check_keys(cfg: dict, keys: tuple, prefix: str = "") -> None:
+    """ConfigError naming the first leaf key of cfg that is not one of the
+    dotted keys.  An object on the path to a key is descended; a value there
+    that is not an object is left for `_get` to name."""
+    for name, value in cfg.items():
+        key = prefix + name
+        if key in keys:
+            continue
+        if not any(k.startswith(key + ".") for k in keys):
+            raise ConfigError(f"unknown config key {key!r}")
+        if isinstance(value, dict):
+            _check_keys(value, keys, key + ".")
 
 
 def _get(cfg: dict, key: str, cast, default=None):
@@ -193,9 +218,14 @@ def cmd_simulate(cfg: dict, out_dir: str) -> dict:
         drift = max(float(np.max(np.abs(U.sum_squares() - 1.0))), float(np.max(np.abs(U.cross())))) \
             if on_m else None
         ok = bool(np.all(in_cm(U, mtol) & in_g(U, win.alpha, win.delta, mtol)))
+        # how far each set is missed: positive outside, negative inside
+        branches = [U.tau + eps * (U.v - win.alpha) for eps in SIGN_BRANCHES]
         results.append({
             "name": f"membership_t{t:g}",
             "in_CM_cap_G": ok,
+            "cm_excess": float(np.max(U.sum_squares() + 2.0 * np.abs(U.cross()) - 1.0)),
+            "g_excess": max(float(np.max(np.maximum(win.delta - w, w - 1.0 / win.delta)))
+                            for w in branches),
             "manifold_drift": drift,
             "pass": ok,
         })
@@ -321,7 +351,9 @@ def main(argv=None) -> int:
             _write_report(args.out, "validate_report.json", report)
         else:
             cmd = {"simulate": cmd_simulate, "thm1": cmd_thm1, "completion": cmd_completion}
-            report = cmd[args.command](load_config(args.config), args.out)
+            cfg = load_config(args.config)
+            _check_keys(cfg, _CONFIG_KEYS[args.command])  # before any solve
+            report = cmd[args.command](cfg, args.out)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -34,7 +34,14 @@ from stringlab.geometry import DomainError, in_cm, in_g, in_m
 from stringlab.profiles import CellField, Profile, centered_slopes, cubic_interp
 from stringlab.validate import random_hull_states
 from stringlab.waves import dalembert_wave_solve, oscillatory_family_init, wave_to_augmented
-from stringlab.weak import _weights, default_family, observable_matrix, oscillate_profile, pairing_tables
+from stringlab.weak import (
+    _weights,
+    _Workspace,
+    default_family,
+    observable_matrix,
+    oscillate_profile,
+    pairing_tables,
+)
 
 from _oracles import evolve_cells_by_midpoints
 
@@ -686,8 +693,8 @@ def test_rough_tables_knot_at_the_data_jumps():
     got = pairing_tables({0.0: evolve_cells(flow, 0.0), 1.0: osc}, fam)
     per_sample = CellField(osc.s0 + osc.ds * np.arange(osc.n + 1), osc.state(), osc.period)
     obs = observable_matrix(per_sample.states)
-    for k, g in enumerate(fam):
-        terms = _weights(per_sample, g)[:, None] * obs
+    for k, (g, w) in enumerate(zip(fam, _weights(per_sample, fam, _Workspace()))):
+        terms = w[:, None] * obs
         exact = [math.fsum(col) for col in terms.T]
         assert np.max(np.abs(got[:, k] - exact)) < 1e-13, g.label
 

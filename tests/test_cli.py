@@ -175,6 +175,48 @@ def test_a_verdict_on_too_little_exits_2_naming_its_key_before_any_solve(
     assert capsys.readouterr().err.strip() == f"error: {message}"
 
 
+@pytest.mark.parametrize("command, cfg, key", [
+    ("simulate", {"grid": {"N": 256}, "initial": {"kind": "smooth_m"}, "times": [0.3],
+                  "cross_check_fv": {"enabled": False}}, "grid.N"),
+    # a key of the branch that is off is still checked
+    ("simulate", dict(SIM, cross_check_fv={"enabled": False, "refinments": [256, 512]}),
+     "cross_check_fv.refinments"),
+    ("simulate", {"initial": {"kind": "csv", "pth": "x.csv"}}, "initial.pth"),
+    ("simulate", dict(SIM, seed=3), "seed"),
+    ("simulate", dict(SIM, grid={"n": 256, "extra": {"n": 1}}), "grid.extra"),
+    ("thm1", {"n_list": [8, 16], "grid": {"n": 256}}, "grid.n"),
+    ("completion", {"base": "smooth_cm", "hull": 0.8}, "hull"),
+], ids=["grid_N", "off_branch", "csv_path", "top_level", "nested_object", "thm1_grid_n",
+        "completion"])
+def test_an_unknown_config_key_exits_2_naming_it_before_any_solve(tmp_path, monkeypatch, capsys,
+                                                                  command, cfg, key):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("solved before the config keys were checked")
+
+    for name in ("build_flow", "solve_augmented", "advance", "dalembert_wave_solve",
+                 "completion_experiment", "read_snapshot"):
+        monkeypatch.setattr(f"stringlab.cli.{name}", unreachable)
+    path = write_json(tmp_path / "c.json", cfg)
+    assert main([command, "--config", path, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.strip() == f"error: unknown config key {key!r}"
+
+
+def test_simulate_names_the_set_it_misses_and_by_how_much(tmp_path):
+    # smooth_m at n = 256 leaves G by about 6.5e-6 (its evolved states are
+    # slopes of the Hermite tables, not the samples its window was fitted to)
+    cfg = write_json(tmp_path / "sim.json", {
+        "grid": {"n": 256}, "initial": {"kind": "smooth_m", "d": 3}, "times": [0.3, 1.0],
+        "cross_check_fv": {"enabled": False}})
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    results = json.loads(Path(tmp_path, "o", "simulate_report.json").read_text())["results"]
+    member = [r for r in results if r["name"].startswith("membership_t")]
+    assert len(member) == 2
+    for r in member:
+        assert r["pass"] == r["in_CM_cap_G"] == (r["cm_excess"] <= 1e-6 and r["g_excess"] <= 1e-6)
+    assert member[0]["g_excess"] == pytest.approx(6.5e-6, rel=0.05)
+    assert not member[0]["pass"]
+
+
 def test_readme_example_configs_run(tmp_path):
     # each JSON block of the README's "Command line" section is a config for
     # simulate (it has an initial), completion (a base) or thm1

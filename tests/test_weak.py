@@ -12,12 +12,14 @@ import pytest
 
 from stringlab import datasets
 from stringlab.characteristics import _xi_only, admissibility, build_flow, evolve_cells
-from stringlab.geometry import ManifoldParams, in_g, in_m
-from stringlab.profiles import Profile
+from stringlab.geometry import ManifoldParams, StateU, in_g, in_m
+from stringlab.profiles import CellField, Profile
 from stringlab.waves import oscillatory_limit_init, wave_to_augmented
 from stringlab.weak import (
     TestFunction,
     _erf,
+    _erf_table,
+    _Workspace,
     _weights,
     _wind_range,
     completion_experiment,
@@ -94,12 +96,47 @@ def test_no_scipy_module_is_ever_loaded(tmp_path):
         assert seen[stage] == [], stage
 
 
-def test_erf_matches_math_erf():
+def _erf_points():
     rng = np.random.default_rng(11)
     nodes = np.arange(6 * 1024 + 1) / 1024
     x = np.concatenate([np.linspace(-7.0, 7.0, 140_001), rng.uniform(-7.0, 7.0, 100_000),
                         nodes, nodes[:-1] + 0.5 / 1024, [0.0, np.inf, 1e-300, 5e-324]])
-    x = np.concatenate([x, -x])
+    return np.concatenate([x, -x])
+
+
+def _erf_reference(x):
+    """The erf kernel on fresh arrays, as it ran before the workspace."""
+    x = np.asarray(x, dtype=float)
+    coef = _erf_table()
+    top = 6.0 * 1024
+    u = np.minimum(np.abs(x) * 1024, top)
+    node = np.rint(np.fmin(u, top))
+    j = node.astype(np.intp)
+    u -= node
+    y = coef[-1][j]
+    for c in coef[-2::-1]:
+        y *= u
+        y += c[j]
+    return np.copysign(y, x)
+
+
+def _antiderivative_reference(g, s):
+    """g's antiderivative on fresh arrays, as it ran before the workspace."""
+    s = np.asarray(s, dtype=float)
+    if g.kind == "gaussian":
+        return g.p2 * math.sqrt(0.5 * math.pi) * _erf_reference((s - g.p1) / (g.p2 * math.sqrt(2.0)))
+    if g.kind == "hat":
+        x = np.clip(s - g.p1, -g.p2, g.p2)
+        return 0.5 * g.p2 + x - 0.5 * x * np.abs(x) / g.p2
+    return np.clip(s - g.p1, 0.0, g.p2 - g.p1)
+
+
+def _bits(a):
+    return np.asarray(a).view(np.int64)
+
+
+def test_erf_matches_math_erf():
+    x = _erf_points()
     got = _erf(x)
     want = np.array([math.erf(v) for v in x])
     assert np.max(np.abs(got - want)) <= 2.0 ** -52
@@ -112,28 +149,76 @@ def test_erf_matches_math_erf():
     assert _erf(np.array([np.inf, -np.inf])).tolist() == [1.0, -1.0]
 
 
+def test_erf_through_a_workspace_equals_the_allocating_kernel():
+    # one workspace, reused on a smaller input after a larger one
+    x = np.concatenate([_erf_points(), [np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0]])
+    ws = _Workspace()
+    for pts in (x, x[-1000:], x[::-7], x.reshape(2, -1)):
+        assert np.array_equal(_bits(_erf(pts, ws)), _bits(_erf_reference(pts)))
+    # the workspace holds the scaled argument, offsets, nodes, node indices
+    # and five coefficient rows: nine arrays of the input's size
+    assert ws.nbytes == 9 * 8 * x.size
+
+
+def _per_image_weights(cells, g):
+    """Weights of g on cells with one antiderivative call per periodic image."""
+    pts, period = cells.breaks, cells.period
+    if period is None:
+        return np.diff(_antiderivative_reference(g, pts))
+    g_lo, g_hi = g.support()
+    want = np.zeros(cells.m)
+    for k in _wind_range(pts[0], pts[-1], g_lo, g_hi, period):
+        lo, hi = pts.searchsorted((g_lo - k * period, g_hi - k * period))
+        a, b = max(int(lo) - 1, 0), min(int(hi) + 1, len(pts))
+        want[a:b - 1] += np.diff(_antiderivative_reference(g, pts[a:b] + k * period))
+    return want
+
+
 def test_batched_weights_equal_the_per_image_loop():
-    # one antiderivative call over every image's slice gives the same bits as
-    # one call per image
+    # one searchsorted per field and one antiderivative call per test function
+    # over every image's slice, all through one workspace, give the same bits as
+    # one fresh call per image: for every kind, on a field, then a smaller
+    # periodic one and a small aperiodic one
     base = datasets.subrelativistic_wave_base(101)
     params = admissibility(base)
     osc, _ = oscillate_profile(base, 16, params, m=16)
+    large = evolve_cells(build_flow(osc, params.alpha, params.delta), 1.0)
+    small = evolve_cells(build_flow(base, params.alpha, params.delta), 0.7)
+    st = small.states
+    aperiodic = CellField(small.breaks[:21], StateU(st.tau[:20], st.v[:20], st.eta[:20], st.zeta[:20]))
+    assert large.m > small.m > aperiodic.m
+    fam = default_family(base.s0, base.s0 + base.period)
+    assert {g.kind for g in fam} == {"gaussian", "hat", "indicator"}
+    pts, period = large.breaks, large.period
+    assert sum(len(_wind_range(pts[0], pts[-1], *g.support(), period)) > 1 for g in fam) >= 4
+    ws = _Workspace()
+    for cells in (large, small, aperiodic):
+        checked = 0
+        for g, w in zip(fam, _weights(cells, fam, ws)):
+            assert np.array_equal(_bits(w), _bits(_per_image_weights(cells, g))), g.label
+            checked += 1
+        assert checked == len(fam)
+
+
+def test_a_warm_pairing_allocates_less_than_two_observable_matrices():
+    # the weights, the antiderivatives and erf live in the workspace, and the
+    # observable matrix is written in place: a second pairing of the finest
+    # completion level's field allocates little beyond its observable matrix
+    base = datasets.subrelativistic_wave_base(101)
+    params = admissibility(base)
+    osc, _ = oscillate_profile(base, 128, params)
     cells = evolve_cells(build_flow(osc, params.alpha, params.delta), 1.0)
-    pts, period = cells.breaks, cells.period
-    wound = 0
-    for g in default_family(base.s0, base.s0 + base.period):
-        if g.kind != "gaussian":
-            continue
-        g_lo, g_hi = g.support()
-        images = _wind_range(pts[0], pts[-1], g_lo, g_hi, period)
-        wound += len(images) > 1
-        want = np.zeros(cells.m)
-        for k in images:
-            lo, hi = pts.searchsorted((g_lo - k * period, g_hi - k * period))
-            a, b = max(int(lo) - 1, 0), min(int(hi) + 1, len(pts))
-            want[a:b - 1] += np.diff(g.antiderivative(pts[a:b] + k * period))
-        assert np.array_equal(_weights(cells, g).view(np.int64), want.view(np.int64)), g.label
-    assert wound >= 4
+    fam = default_family(base.s0, base.s0 + base.period)
+    obs_bytes = observable_matrix(cells.states).nbytes
+    want = pairing_tables({1.0: cells}, fam)  # the warm call
+    tracemalloc.start()
+    try:
+        got = pairing_tables({1.0: cells}, fam)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(got, want)
+    assert peak < 2 * obs_bytes, (peak, obs_bytes)
 
 
 def test_test_function_validation():
