@@ -55,6 +55,12 @@ off one lookup.  At one time Newton starts on the linear interpolant of
 xi(t, .) over a coarse y lattice of the flow's own (one node per 16 knots)
 and converges in 2-3 steps.  One final read per foot (A or B, and the
 family's slopes) gives the residual and the state; X is read at its cells.
+`solve_augmented` and `galilean_on_solution` solve their grids 4,096 points
+at a time (`_SOLVE_POINTS`) into output arrays allocated once.  At one time
+a point's state depends on no other point, so the blocks give the bits of
+one call, and the solver's temporaries stay at about 1.5 MB at any n.
+Temporaries that grow with n are handed back to the operating system when
+freed and faulted in again, a page at a time, on every solve.
 
 Periodic data are global in time exactly: a whole period of time only
 shifts the solution (`_reduce_time`), so `evolve_states`, `evolve_cells`
@@ -71,6 +77,8 @@ from .geometry import DomainError, StateU
 from .profiles import (CellField, KnotTable, Profile, centered_slopes, cumulative_integral, require_finite,
                        uniform_grid)
 from .waves import StringGraph
+
+_SOLVE_POINTS = 4096  # output points solved at a time (see the module docstring)
 
 
 class InadmissibleDataError(ValueError):
@@ -181,11 +189,22 @@ def _feet(flow, t, y, first=False, value=True, slope=True):
             for sign in (1, -1)]
 
 
-def _state(feet):
+def _state(feet, out=None):
     """U at (t, xi(t, y)) from the family slopes at the feet y + t and y - t:
-    tau, v = A' +- B' and eta = E+'/2 + E-'/2, zeta = E-'/2 - E+'/2."""
+    tau, v = A' +- B' and eta = E+'/2 + E-'/2, zeta = E-'/2 - E+'/2, written
+    into the StateU `out` (eta and zeta C-ordered with d trailing) or a new one."""
     (_, p), (_, m) = feet
-    return StateU(p[0] + m[0], p[0] - m[0], _trailing(p[1:] + m[1:]), _trailing(m[1:] - p[1:]))
+    out = _empty_state(p.shape[1:], len(p) - 1) if out is None else out
+    np.add(p[0], m[0], out=out.tau)
+    np.subtract(p[0], m[0], out=out.v)
+    np.add(p[1:], m[1:], out=np.moveaxis(out.eta, -1, 0))
+    np.subtract(m[1:], p[1:], out=np.moveaxis(out.zeta, -1, 0))
+    return out
+
+
+def _empty_state(shape, d):
+    """An uninitialized StateU over the points of `shape`, with d trailing in eta and zeta."""
+    return StateU(np.empty(shape), np.empty(shape), np.empty(shape + (d,)), np.empty(shape + (d,)))
 
 
 def _trailing(a):
@@ -245,9 +264,15 @@ def build_flow(source: Profile | CellField, alpha: float | None = None,
         U = profile.state()
         s = profile.s0 + ds * np.arange(n + (s_period is not None))
     # the integrand numerators (1, eta - zeta, v, eta + zeta), one row each,
-    # C-ordered so that a family's rows gather without a copy; the 1 becomes
-    # tau below, and the rows are then the columns' y-slopes
-    W = np.vstack([np.ones_like(U.tau), (U.eta - U.zeta).T, U.v, (U.eta + U.zeta).T]).copy("C")
+    # C-ordered so that a family's rows gather without a copy, with the
+    # closing knot of a periodic smooth table repeating the first sample; the
+    # 1 becomes tau below, and the rows are then the columns' y-slopes
+    d, m = U.d, U.tau.size
+    W = np.empty((2 + 2 * d, len(s) - rough))
+    W[0, :m], W[1 + d, :m] = 1.0, U.v
+    np.subtract(U.eta.T, U.zeta.T, out=W[1:1 + d, :m])
+    np.add(U.eta.T, U.zeta.T, out=W[2 + d:, :m])
+    W[:, m:] = W[:, :1]
     if s_period is None and not s[0] <= 0.0 <= s[-1]:
         raise DomainError("the window must contain s = 0 (normalization xi(0,0) = 0)")
     if rough:
@@ -256,12 +281,10 @@ def build_flow(source: Profile | CellField, alpha: float | None = None,
         np.multiply(W, source.widths() / tau, out=Q[:, 1:])
         np.cumsum(Q[:, 1:], axis=1, out=Q[:, 1:])
     else:
-        if s_period is not None:  # the closing knot repeats the first sample
-            W = np.hstack([W, W[:, :1]])
         tau = U.tau if s_period is None else np.append(U.tau, U.tau[0])
         Q, secants = np.empty(W.shape), np.empty((len(W), len(s) - 1))
-        for i, g in enumerate(W / tau):
-            Q[i], secants[i] = cumulative_integral(g[:n], ds, profile.boundary)
+        for i, w in enumerate(W):
+            Q[i], secants[i] = cumulative_integral(w[:n] / U.tau, ds, profile.boundary)
         # the increments over the y-increments; the xi0 column's increment is ds
         secants[1:] /= secants[0]
         secants[0] = ds / secants[0]
@@ -282,7 +305,7 @@ def build_flow(source: Profile | CellField, alpha: float | None = None,
     if s_period is not None:
         periods, y_period = Q[:, -1].copy(), float(Q[0, -1])
         periods[0] = s_period
-    Q[0], W[0], d = s, tau, U.d
+    Q[0], W[0] = s, tau
     V, M, sec, per = (None if a is None else _by_family(a, d) for a in (Q, W, secants, periods))
     flow = CharacteristicFlow("pc" if rough else "smooth", y, V, M, sec, y_period, per, profile, d,
                               alpha, delta)
@@ -460,8 +483,21 @@ def solve_augmented(source: Profile | CharacteristicFlow, t: float,
     else:
         s_pts = np.asarray(s_out, dtype=float)
         s0, ds = uniform_grid(s_pts, prof.ds, "s_out")
-    U = evolve_states(flow, t, s_pts)
+    U = _states_at(flow, t, s_pts)
     return Profile(s0, ds, U.tau, U.v, U.eta, U.zeta, prof.boundary)
+
+
+def _states_at(flow, t, s_pts):
+    """`evolve_states` at the one time t over the 1-D s_pts, _SOLVE_POINTS
+    points at a time, each block's states written into one StateU allocated
+    here.  Only one time is blocked: at several times Newton starts at the
+    bracket midpoint, which a block would move (`_newton_start`)."""
+    t, n = require_finite("t", t), s_pts.size
+    U = _empty_state((n,), flow.d)
+    for i in range(0, n, _SOLVE_POINTS):
+        b = slice(i, i + _SOLVE_POINTS)
+        _state(_inverse(flow, t, s_pts[b])[2], StateU(U.tau[b], U.v[b], U.eta[b], U.zeta[b]))
+    return U
 
 
 def tau_slope_consistency(flow: CharacteristicFlow, t, s_points) -> float:
@@ -627,7 +663,7 @@ def galilean_on_solution(flow: CharacteristicFlow, u: float, times, s_grid) -> l
     admissibility(Profile(prof.s0, prof.ds, prof.tau, prof.v + u, prof.eta, prof.zeta, prof.boundary))
     s_pts = np.asarray(s_grid, dtype=float)
     s0, ds = uniform_grid(s_pts, prof.ds, "s_grid")
-    states = (evolve_states(flow, t, s_pts - u * t) for t in times)
+    states = (_states_at(flow, t, s_pts - u * t) for t in times)
     return [Profile(s0, ds, U.tau, U.v + u, U.eta, U.zeta, prof.boundary) for U in states]
 
 

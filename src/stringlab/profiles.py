@@ -19,7 +19,10 @@ share its winding, Hermite weights and tails.
 Snapshots are one CSV per time slice (columns s, tau, v, eta_1..d,
 zeta_1..d, floats printed as format(x, ".17g") prints them, LF endings) plus
 a JSON sidecar holding the window constants, grid, boundary mode and
-tolerances.  The writer formats blocks of rows with numpy.
+tolerances.  The writer formats 256 rows at a time with numpy (`_SNAP_ROWS`).
+Its gather index takes 200 bytes per value, so a block's temporaries stay
+under 1 MB at any n.  Larger temporaries are handed back to the operating
+system when freed and faulted in again, a page at a time, on every file.
 """
 
 from __future__ import annotations
@@ -353,8 +356,10 @@ class Profile:
     def __post_init__(self):
         if self.boundary not in BOUNDARY_MODES:
             raise ValueError(f"boundary must be one of {BOUNDARY_MODES}")
-        if self.ds <= 0.0:
-            raise ValueError("ds must be positive")
+        if not math.isfinite(self.s0):
+            raise ValueError(f"s0 must be finite; got s0 = {self.s0}")
+        if not 0.0 < self.ds < math.inf:
+            raise ValueError(f"ds must be a finite number > 0; got ds = {self.ds}")
         self.tau = np.asarray(self.tau, dtype=float)
         self.v = np.asarray(self.v, dtype=float)
         self.eta = np.asarray(self.eta, dtype=float)
@@ -367,6 +372,8 @@ class Profile:
             raise ValueError(f"tau and v must be 1-D of equal length; got shapes "
                              f"{self.tau.shape} and {self.v.shape}")
         n = self.tau.shape[0]
+        if n < 1:
+            raise ValueError("tau must hold n >= 1 samples; got n = 0")
         if self.eta.ndim != 2 or self.eta.shape[0] != n or self.zeta.shape != self.eta.shape:
             raise ValueError(f"eta and zeta must both have shape (n, d) with n = {n}; got "
                              f"{self.eta.shape} and {self.zeta.shape}")
@@ -448,7 +455,7 @@ _SLOTS = 25  # the longest fmt17 (24 bytes) and its separator
 _E_MIN, _E_MAX = -280, 280  # exponents the tables hold
 _TIE_BAND = 1e-9
 _ASCII0 = 0x3030303030303030  # eight '0' bytes
-_SNAP_ROWS = 2048  # rows formatted at a time, so the writer's memory does not grow with n
+_SNAP_ROWS = 256  # rows formatted at a time (see the module docstring)
 
 
 def _fmt17_form(e: int) -> int:

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,7 +32,7 @@ from stringlab.characteristics import (
     xi_wave_residual,
 )
 from stringlab.geometry import DomainError, in_cm, in_g, in_m
-from stringlab.profiles import CellField, Profile, centered_slopes, cubic_interp
+from stringlab.profiles import CellField, Profile, centered_slopes, cubic_interp, write_snapshot
 from stringlab.validate import random_hull_states
 from stringlab.waves import dalembert_wave_solve, oscillatory_family_init, wave_to_augmented
 from stringlab.weak import (
@@ -1265,6 +1266,45 @@ def test_solve_augmented_output_grid():
         solve_augmented(flow, 0.3, OFF_GRID)
     one = solve_augmented(flow, 0.3, [0.5])
     assert one.ds == flow.profile.ds and one.s_samples[0] == 0.5
+
+
+BENCH_TIMES = (-5.0, -1.0, 0.3, 1.0, 5.0, 1e3, -1e3, 1e9)  # the smooth_solve workload's
+
+
+def test_blocked_solves_equal_one_evaluation_of_the_whole_grid():
+    # solve_augmented and galilean_on_solution evaluate _SOLVE_POINTS points at
+    # a time: two whole blocks and a tail of 5 here, bit for bit evolve_states
+    # on the whole grid
+    prof = datasets.smooth_manifold_profile(n=2 * characteristics._SOLVE_POINTS + 5)
+    flow, s, u = build_flow(prof), prof.s_samples, 0.01
+    for t, boosted in zip(BENCH_TIMES, galilean_on_solution(flow, u, BENCH_TIMES, s)):
+        want = evolve_states(flow, t, s)
+        moved = evolve_states(flow, t, s - u * t)
+        moved.v = moved.v + u
+        for got, ref in ((solve_augmented(flow, t).state(), want), (boosted.state(), moved)):
+            for name in ("tau", "v", "eta", "zeta"):
+                assert getattr(got, name).tobytes() == getattr(ref, name).tobytes(), (t, name)
+
+
+def test_smooth_solve_and_snapshot_peaks(tmp_path):
+    # the smooth_solve workload's 16,384-point d = 3 solve and its snapshot,
+    # traced after a warm call: 2.56 MB and 0.95 MB in blocks, where
+    # whole-grid temporaries peaked at 5.38 MB and 7.47 MB
+    flow = build_flow(datasets.smooth_manifold_profile(n=16384, d=3))
+    path = str(tmp_path / "state.csv")
+
+    def peak(call):
+        call()
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    sol = solve_augmented(flow, 0.3)
+    assert peak(lambda: solve_augmented(flow, 0.3)) < 3.0e6
+    assert peak(lambda: write_snapshot(path, sol, {"t": 0.3})) < 1.5e6
 
 
 def test_residual_string_constant_is_zero():

@@ -8,6 +8,7 @@ breaks one of them should fail here, not in a benchmark run.
 """
 
 import importlib.util
+import json
 import pathlib
 import sys
 
@@ -91,3 +92,14 @@ def test_traced_completion_records_every_tiling(layertrace):
     assert layers["weak.pairing_tables"]["pairings"] == 4 * 2 * 20
     assert layers["characteristics.evolve_cells"]["calls"] == 4 * 2
     assert tracer.all_restored()
+
+
+def test_fault_counter_runs_a_workload_as_it_is(monkeypatch, capsys):
+    # tools/faults.py imports perfbench/workloads.py unchanged and times and
+    # counts each op; its last line is one JSON object
+    monkeypatch.setattr(sys, "path", sys.path[:])  # the tool puts src/ and perfbench/ first
+    faults = _load(LAYERTRACE.parents[1] / "tools" / "faults.py", "faults_contract")
+    assert faults.main(["--workload", "completion", "--seed", "1", "--passes", "1", "--warm", "0"]) == 0
+    out = json.loads(capsys.readouterr().out.splitlines()[-1])
+    assert set(out["median"]) == {"completion", "pass"} and out["failed"] == 0
+    assert len(out["pass_faults"]) == 1

@@ -192,6 +192,16 @@ def test_profile_rejects_nonfinite(field, row):
         Profile(0.0, 0.5, **cols)
 
 
+@pytest.mark.parametrize("s0, ds, n, message", [
+    (np.nan, 0.5, 4, "s0 must be finite"), (0.0, np.nan, 4, "ds must be a finite number > 0"),
+    (0.0, np.inf, 4, "ds must be a finite number > 0"), (0.0, 0.5, 0, "tau must hold n >= 1")])
+def test_profile_rejects_a_grid_without_a_window(s0, ds, n, message):
+    # such a profile reached build_flow, which reported an internal inversion
+    # fault, and write_snapshot wrote a sidecar that read_snapshot refused
+    with pytest.raises(ValueError, match=message):
+        Profile(s0, ds, np.ones(n), np.zeros(n), np.zeros((n, 1)), np.zeros((n, 1)))
+
+
 def test_profile_rejects_mismatched_shapes():
     with pytest.raises(ValueError, match="tau and v"):
         Profile(0.0, 0.5, np.ones(5), np.zeros(4), np.zeros((5, 1)), np.zeros((5, 1)))
@@ -201,17 +211,23 @@ def test_profile_rejects_mismatched_shapes():
 
 def test_snapshot_writer_matches_fmt17(tmp_path):
     # awkward values: negative zero, the smallest subnormal, near-overflow and
-    # full 17-significant-digit mantissas
-    vals = np.array([-0.0, 5e-324, 1e308, 0.1 + 0.2, -1.2345678901234567e-7, 2.0 / 3.0])
-    p = Profile(-0.0, 0.1, vals, vals[::-1], np.stack([vals, -vals], axis=1),
-                np.roll(np.stack([vals, vals], axis=1), 1, axis=0), "constant", rough=True)
-    path = str(tmp_path / "snap.csv")
-    write_snapshot(path, p)
-    rows = np.column_stack([p.s_samples, p.tau, p.v, p.eta, p.zeta])
-    want = "s,tau,v,eta_1,eta_2,zeta_1,zeta_2\n"
-    want += "".join(",".join(fmt17(x) for x in row) + "\n" for row in rows)
-    with open(path, "rb") as fh:
-        assert fh.read() == want.encode()
+    # full 17-significant-digit mantissas; repeated to the row counts about the
+    # writer's block edges, each file read back and written again byte for byte
+    awkward = np.array([-0.0, 5e-324, 1e308, 0.1 + 0.2, -1.2345678901234567e-7, 2.0 / 3.0])
+    B = profiles._SNAP_ROWS
+    for n in (awkward.size, B - 1, B, B + 1, 2 * B + 1):
+        vals = np.resize(awkward, n)
+        p = Profile(-0.0, 0.1, vals, vals[::-1], np.stack([vals, -vals], axis=1),
+                    np.roll(np.stack([vals, vals], axis=1), 1, axis=0), "constant", rough=True)
+        path, again = str(tmp_path / "snap.csv"), str(tmp_path / "again.csv")
+        write_snapshot(path, p)
+        rows = np.column_stack([p.s_samples, p.tau, p.v, p.eta, p.zeta])
+        want = "s,tau,v,eta_1,eta_2,zeta_1,zeta_2\n"
+        want += "".join(",".join(fmt17(x) for x in row) + "\n" for row in rows)
+        assert Path(path).read_bytes() == want.encode(), n
+        write_snapshot(again, *read_snapshot(path))
+        for ext in ("", ".meta.json"):
+            assert Path(path + ext).read_bytes() == Path(again + ext).read_bytes(), (n, ext)
 
 
 def _fmt17_hard_values():
